@@ -1,16 +1,18 @@
 """Providers: Aer simulators, simulated IBM QX devices, jobs and results.
 
-Fault tolerance lives here too: :mod:`repro.providers.retry` (per-
-experiment retry with deterministic backoff), :mod:`repro.providers.faults`
-(seeded fault injection for chaos testing), and the graceful
-processes -> threads -> serial degradation inside
-:mod:`repro.providers.executor`.
+Jobs run on the serial executor unless ``executor="threads"`` or
+``"processes"`` asks for a pool (``"auto"`` means serial).  Fault
+tolerance lives here too: :mod:`repro.providers.retry` (per-experiment
+retry with deterministic backoff), :mod:`repro.providers.faults` (seeded
+fault injection for chaos testing), and the one fallback rung inside
+:mod:`repro.providers.executor` — a broken process pool re-runs its
+unfinished experiments on threads.
 """
 
 from repro.providers.aer import Aer
 from repro.providers.backend import BackendConfiguration, BaseBackend, Job
 from repro.providers.execute import execute, transpile
-from repro.providers.executor import JobStatus, choose_executor
+from repro.providers.executor import JobStatus
 from repro.providers.fake import (
     IBMQ,
     BackendProperties,
@@ -38,7 +40,6 @@ __all__ = [
     "Result",
     "RetryPolicy",
     "build_device_noise_model",
-    "choose_executor",
     "execute",
     "transpile",
 ]

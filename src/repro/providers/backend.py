@@ -6,8 +6,9 @@ stages shared by every backend:
 1. **assemble** — circuits are serialized into a Qobj dictionary by
    :func:`repro.qobj.assembler.assemble`, which also derives one seed per
    experiment from the batch seed;
-2. **schedule** — :mod:`repro.providers.executor` picks a serial, thread,
-   or process executor (``executor`` option, default auto);
+2. **schedule** — :mod:`repro.providers.executor` runs the payloads on a
+   serial, thread, or process executor (``executor`` option, default
+   serial);
 3. **run** — each experiment is disassembled and simulated independently,
    with per-experiment timing and error capture;
 4. **collect** — :meth:`Job.result` gathers the experiment results into a
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 
 from repro.providers.executor import JobStatus
+from repro.providers.result import Result, merge_chunk_outcomes
 
 
 class BackendConfiguration:
@@ -63,28 +65,21 @@ class Job:
 
     _id_counter = itertools.count()
 
-    def __init__(self, backend, dispatch, trace=None, plan=None,
-                 preloaded=None):
+    def __init__(self, backend, dispatch, plan, trace, preloaded=None):
         self._backend = backend
         self._dispatch = dispatch
         self._result = None
         #: Dispatch plan: one entry per payload unit, in payload order —
         #: ``{"experiment_index", "name", "chunk": int|None, "chunks"}``.
-        #: None for legacy construction (each payload is one experiment).
         self._plan = plan
         #: Checkpoint-restored outcomes keyed by plan position (resume).
         self._preloaded = dict(preloaded or {})
-        if plan is not None:
-            self._dispatch_positions = [
-                position for position in range(len(plan))
-                if position not in self._preloaded
-            ]
-        else:
-            self._dispatch_positions = None
-        if trace is None:
-            from repro.telemetry.jobtrace import JobTrace
-
-            trace = JobTrace(Job.reserve_id(), backend.name())
+        #: Plan position of each dispatch payload (the positions that
+        #: were not restored from a checkpoint).
+        self._dispatch_positions = [
+            position for position in range(len(plan))
+            if position not in self._preloaded
+        ]
         self._trace = trace
         self.job_id = trace.job_id
 
@@ -113,17 +108,15 @@ class Job:
         :meth:`stream`.  The resumed job appends new completions to the
         same ledger, so resume is itself resumable.
 
-        A ledger with no missing units short-circuits: the returned job
-        is DONE immediately (no executor is consulted, no empty payload
-        set dispatched) and ``result()`` just merges the restored
-        chunks.
+        A ledger with no missing units dispatches no payloads: the
+        returned job is DONE immediately and ``result()`` just merges the
+        restored chunks.
         """
         from repro.providers.checkpoint import load_ledger
         from repro.providers.executor import (
-            CompletedDispatch,
-            choose_executor,
-            create_dispatch,
+            Dispatch,
             resolve_backend,
+            resolve_executor,
         )
         from repro.telemetry.jobtrace import JobTrace
 
@@ -131,19 +124,17 @@ class Job:
         payloads = header["payloads"]
         plan = header["plan"]
         backend = resolve_backend(tuple(header["backend"]))
+        kind = resolve_executor(executor)
         preloaded: dict = {}
-        missing: list = []
+        resumed = []
         for position, entry in enumerate(plan):
-            key = (entry["experiment_index"], entry["chunk"] or 0)
-            outcome = chunks.get(key)
+            outcome = chunks.get(
+                (entry["experiment_index"], entry["chunk"] or 0)
+            )
             if outcome is not None:
                 outcome.resumed = True
                 preloaded[position] = outcome
-            else:
-                missing.append(position)
-        job_trace = JobTrace(cls.reserve_id(), backend.name())
-        resumed = []
-        for position in missing:
+                continue
             experiment, config = payloads[position]
             config = dict(config)
             # The original trace died with the original process, and the
@@ -155,35 +146,10 @@ class Job:
                     config["checkpoint"], path=checkpoint_path
                 )
             resumed.append((experiment, config))
-        if not resumed:
-            # Fully checkpointed: nothing to dispatch — the job is DONE
-            # from construction and result() just merges the restored
-            # chunks.
-            job_trace.dispatch_started("none", 0)
-            return cls(backend, CompletedDispatch(), trace=job_trace,
-                       plan=plan, preloaded=preloaded)
-        chunked = [
-            config for _experiment, config in resumed
-            if config.get("shot_chunk")
-        ]
-        kind = choose_executor(
-            len(resumed),
-            max(
-                experiment.get("header", {}).get("n_qubits", 1)
-                for experiment, _config in resumed
-            ),
-            executor,
-            chunk_payloads=len(chunked),
-            chunk_shots=min(
-                (config.get("shots", 0) for config in chunked),
-                default=0,
-            ),
-        )
+        job_trace = JobTrace(cls.reserve_id(), backend.name())
         job_trace.dispatch_started(kind, len(resumed))
-        dispatch = create_dispatch(backend, resumed, kind, max_workers,
-                                   job_trace)
-        return cls(backend, dispatch, trace=job_trace, plan=plan,
-                   preloaded=preloaded)
+        dispatch = Dispatch(backend, resumed, kind, max_workers, job_trace)
+        return cls(backend, dispatch, plan, job_trace, preloaded=preloaded)
 
     def _weave(self, raw) -> list:
         """Interleave dispatch outcomes with checkpoint-restored ones,
@@ -197,42 +163,31 @@ class Job:
             full[position] = outcome
         return full
 
+    @staticmethod
+    def _merge_group(group):
+        """One experiment's outcome from its ``(plan entry, outcome)``
+        pairs; an experiment that was never chunked passes through."""
+        first = group[0][0]
+        if len(group) == 1 and first["chunk"] is None:
+            return group[0][1]
+        return merge_chunk_outcomes(
+            first["name"], [outcome for _entry, outcome in group],
+            first["chunks"],
+        )
+
     def _merge_plan(self, full) -> list:
-        """Merge per-chunk outcomes into per-experiment results.
-
-        Returns one outcome per experiment, in first-appearance order —
-        identical to the submitted circuit order.  Experiments that were
-        never chunked pass through untouched.
-        """
-        if self._plan is None:
-            return list(full)
-        from repro.providers.result import merge_chunk_outcomes
-
+        """Merge per-chunk outcomes into per-experiment results, in
+        first-appearance order — identical to the submitted circuit
+        order."""
         groups: dict = {}
-        order: list = []
         for entry, outcome in zip(self._plan, full):
-            key = entry["experiment_index"]
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((entry, outcome))
-        merged = []
-        for key in order:
-            entries = groups[key]
-            if len(entries) == 1 and entries[0][0]["chunk"] is None:
-                merged.append(entries[0][1])
-                continue
-            merged.append(merge_chunk_outcomes(
-                entries[0][0]["name"],
-                [outcome for _entry, outcome in entries],
-                entries[0][0]["chunks"],
-            ))
-        return merged
+            groups.setdefault(entry["experiment_index"], []).append(
+                (entry, outcome)
+            )
+        return [self._merge_group(group) for group in groups.values()]
 
     def _finalize(self, full):
         """Merge, build, and (when final) cache the job's Result."""
-        from repro.providers.result import Result
-
         outcomes = self._merge_plan(full)
         result = Result(self._backend.name(), self.job_id, outcomes)
         if any(
@@ -243,9 +198,7 @@ class Job:
             # without caching so the job stays collectable.
             return result
         self._result = result
-        self._trace.finalize(
-            outcomes, getattr(self._dispatch, "fallbacks", [])
-        )
+        self._trace.finalize(outcomes, self._dispatch.fallbacks)
         return result
 
     def result(self, timeout=None, partial=False):
@@ -305,16 +258,6 @@ class Job:
                 yield self._experiment_event(index, outcome)
             return
         plan = self._plan
-        if plan is None:
-            # Legacy construction: one experiment per payload.
-            for index, outcome in self._dispatch.iter_outcomes():
-                yield self._chunk_event(
-                    outcome.circuit_name, index, None, 1, outcome
-                )
-                yield self._experiment_event(index, outcome)
-            return
-        from repro.providers.result import merge_chunk_outcomes
-
         full = [None] * len(plan)
         remaining = {}
         for entry in plan:
@@ -335,26 +278,16 @@ class Job:
                     (plan[i], full[i]) for i in range(len(plan))
                     if plan[i]["experiment_index"] == key
                 ]
-                if len(group) == 1 and group[0][0]["chunk"] is None:
-                    merged = group[0][1]
-                else:
-                    merged = merge_chunk_outcomes(
-                        entry["name"],
-                        [outcome for _e, outcome in group],
-                        entry["chunks"],
-                    )
-                events.append(self._experiment_event(key, merged))
+                events.append(
+                    self._experiment_event(key, self._merge_group(group))
+                )
             return events
 
         for position in sorted(self._preloaded):
             for event in deliver(position, self._preloaded[position]):
                 yield event
         for index, outcome in self._dispatch.iter_outcomes():
-            position = (
-                self._dispatch_positions[index]
-                if self._dispatch_positions is not None else index
-            )
-            for event in deliver(position, outcome):
+            for event in deliver(self._dispatch_positions[index], outcome):
                 yield event
         if all(outcome is not None for outcome in full):
             self._trace.merge_outcomes(full)
@@ -392,8 +325,8 @@ class Job:
         """The job's fault/retry ledger.
 
         Accounts for every attempt (retries included), total backoff
-        seconds, injected faults, executor fallbacks taken by the
-        degradation chain, failed experiments, and the shot-chunk tallies
+        seconds, injected faults, the executor fallback taken when a
+        process pool broke, failed experiments, and the shot-chunk tallies
         (``total_chunks`` / ``completed_chunks`` / ``resumed_chunks`` —
         a cancelled streaming job reports how many chunks it delivered).
         Once the job is collected this is a thin view over the
@@ -412,10 +345,8 @@ class Job:
                 list(self._preloaded.values())
                 + self._dispatch.finished_outcomes()
             )
-        stats = aggregate_fault_stats(
-            outcomes, getattr(self._dispatch, "fallbacks", [])
-        )
-        if self._result is None and self._plan is not None:
+        stats = aggregate_fault_stats(outcomes, self._dispatch.fallbacks)
+        if self._result is None:
             # Pre-collect (including after a cancel): the finished chunk
             # outcomes only know themselves, but the dispatch plan knows
             # the full layout — report planned totals, delivered progress.
@@ -489,19 +420,14 @@ class BaseBackend:
         Returns a :class:`Job` whose ``result()`` blocks until the batch
         completes.  Options:
 
-        * ``shots`` / ``seed`` / ``memory`` / ``noise_model`` — forwarded
-          to the simulator engines.  The batch ``seed`` is expanded into
+        * ``shots`` (an integer) / ``seed`` / ``memory`` /
+          ``noise_model`` — forwarded to the simulator engines.  The batch ``seed`` is expanded into
           one derived seed per experiment by the assembler, so results are
           bit-identical no matter which executor runs the batch.
-        * ``executor`` — ``"serial"``, ``"threads"``, ``"processes"``, or
-          ``"auto"`` (default): processes for wide multi-circuit batches
-          on multi-core hosts, serial otherwise.
+        * ``executor`` — ``"serial"`` (default; ``"auto"`` means the
+          same), ``"threads"``, or ``"processes"``.  A process pool that
+          breaks mid-batch re-runs its unfinished experiments on threads.
         * ``max_workers`` — pool width for the parallel executors.
-        * ``use_kernels`` (default True) — toggles the specialized gate
-          kernels of :mod:`repro.simulators.kernels`; pass False to force
-          the generic ``apply_matrix`` path (A/B benchmarking, debugging).
-          Since the kernel switch is process-global, ``use_kernels=False``
-          batches never run on the thread executor.
         * ``retry_policy`` — a :class:`~repro.providers.retry.RetryPolicy`
           (or kwargs dict, or False to disable) applied per experiment in
           every executor; transient failures re-run the experiment with
@@ -560,8 +486,7 @@ class BaseBackend:
         chunk with its original per-binding seeds, so fault recovery is
         bit-identical.  ``retry_policy`` / ``fault_injector`` /
         ``executor`` / ``max_workers`` behave as in :meth:`run`;
-        ``noise_model`` and ``use_kernels=False`` are rejected (the
-        broadcast engine is kernel-only and noise-free).
+        ``noise_model`` is rejected (the broadcast engine is noise-free).
         """
         from repro.providers.engine import get_execution_engine
 
@@ -587,7 +512,7 @@ class BaseBackend:
     def _backend_spec(self):
         """``(provider, name)`` registry key for process-pool workers, or
         None when the backend cannot be rebuilt in a fresh process (the
-        process executor then degrades to threads)."""
+        process executor then runs on threads instead)."""
         return None
 
     def _run_experiment(self, circuit, options):

@@ -58,6 +58,24 @@ def _append_line(path: str, record: dict) -> None:
         os.close(fd)
 
 
+def _read_records(lines):
+    """Yield the JSON record on each of ``lines`` (an open JSON-lines file
+    or a list of its lines).
+
+    Blank lines are skipped, and so is any line that does not parse — a
+    torn write, cut off by a crash mid-append.
+    """
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        yield record
+
+
 def write_header(path: str, job_id: str, backend_spec, payloads,
                  plan) -> None:
     """Start a ledger: record the job's identity, payloads, and plan.
@@ -114,14 +132,7 @@ def load_ledger(path: str):
     header = None
     chunks: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn write from a crashed worker
+        for record in _read_records(handle):
             kind = record.get("type")
             if kind == "header":
                 if record.get("version") != LEDGER_VERSION:

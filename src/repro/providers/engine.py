@@ -29,11 +29,13 @@ bit-identical.  The engine is stateless; the process-wide instance from
 
 from __future__ import annotations
 
+import operator
+
 from repro.exceptions import BackendError
 from repro.providers.executor import (
     SCHEDULING_OPTIONS,
-    choose_executor,
-    create_dispatch,
+    Dispatch,
+    resolve_executor,
 )
 
 
@@ -41,63 +43,58 @@ class PreparedExecution:
     """A validated, assembled, scheduled-but-not-launched batch.
 
     Everything :meth:`ExecutionEngine.launch` needs to create the
-    dispatch: the target backend, the payload list (one entry per
-    dispatch unit), the chunk plan, the resolved executor ``kind``, and
+    dispatch: the target backend, the payload list, the plan (one entry
+    per payload, in payload order — ``{"experiment_index", "name",
+    "chunk": int|None, "chunks"}``), the resolved executor ``kind``, and
     the :class:`~repro.telemetry.jobtrace.JobTrace` the job will record
-    into.  ``plan`` is None when the legacy unplanned Job construction
-    applies (no chunking, no checkpoint).
+    into.
     """
 
     __slots__ = ("backend", "payloads", "plan", "kind", "max_workers",
-                 "job_trace", "use_plan")
+                 "job_trace")
 
     def __init__(self, backend, payloads, plan, kind, max_workers,
-                 job_trace, use_plan):
+                 job_trace):
         self.backend = backend
         self.payloads = payloads
         self.plan = plan
         self.kind = kind
         self.max_workers = max_workers
         self.job_trace = job_trace
-        self.use_plan = use_plan
 
 
 class ExecutionEngine:
     """Builds, plans, and launches experiment batches on any backend."""
 
-    def prepare(self, backend, circuits, options) -> PreparedExecution:
-        """Validate, assemble, and plan a circuit batch (runs nothing).
+    @staticmethod
+    def _begin(backend, circuits, options):
+        """The submission preamble of :meth:`prepare` and
+        :meth:`prepare_pubs`; returns ``(shots, kind, engine_options,
+        job_trace)``.
 
-        This is the submission half of the old ``BaseBackend.run``: it
-        derives per-experiment (and per-chunk) seeds, builds the payload
-        list and dispatch plan, resolves the executor kind, injects span
-        contexts, and writes the checkpoint header when asked — leaving
-        only dispatch creation to :meth:`launch`.
+        Checks that ``shots`` is an integer within the backend maximum,
+        runs the backend's batch validation, resolves the executor kind,
+        splits the engine options from the scheduling ones, normalizes
+        the fault-tolerance knobs, and takes the job's trace (or starts
+        one).
         """
         from repro.providers.faults import resolve_injector
         from repro.providers.retry import resolve_retry_policy
-        from repro.qobj.assembler import (
-            assemble,
-            derive_chunk_seeds,
-            shot_chunk_bounds,
-        )
 
-        if not isinstance(circuits, (list, tuple)):
-            circuits = [circuits]
-        if not circuits:
-            raise BackendError("no circuits to run")
-        configuration = backend.configuration()
         shots = options.get("shots", 1024)
-        if shots > configuration.max_shots:
+        try:
+            operator.index(shots)
+        except TypeError:
             raise BackendError(
-                f"shots {shots} exceeds backend maximum "
-                f"{configuration.max_shots}"
+                f"shots must be an integer, not {type(shots).__name__}"
+            ) from None
+        max_shots = backend.configuration().max_shots
+        if shots > max_shots:
+            raise BackendError(
+                f"shots {shots} exceeds backend maximum {max_shots}"
             )
         backend._validate_batch(circuits)
-        requested = options.get("executor")
-        if not options.get("use_kernels", True) and requested == "threads":
-            requested = "serial"
-        max_workers = options.get("max_workers")
+        kind = resolve_executor(options.get("executor"))
         engine_options = {
             key: value
             for key, value in options.items()
@@ -118,6 +115,47 @@ class ExecutionEngine:
             from repro.telemetry.jobtrace import JobTrace
 
             job_trace = JobTrace(Job.reserve_id(), backend.name())
+        return shots, kind, engine_options, job_trace
+
+    @staticmethod
+    def _end(backend, payloads, plan, kind, options, job_trace):
+        """Open the dispatch span, give each payload its span context,
+        and package the batch."""
+        job_trace.dispatch_started(kind, len(payloads))
+        for seq, ((_experiment, config), entry) in enumerate(
+            zip(payloads, plan)
+        ):
+            context = job_trace.experiment_context(
+                entry["experiment_index"], entry["name"],
+                chunk=entry["chunk"], chunks=entry["chunks"], seq=seq,
+            )
+            if context is not None:
+                config["span_context"] = context
+        return PreparedExecution(backend, payloads, plan, kind,
+                                 options.get("max_workers"), job_trace)
+
+    def prepare(self, backend, circuits, options) -> PreparedExecution:
+        """Validate, assemble, and plan a circuit batch (runs nothing).
+
+        This is the submission half of ``BaseBackend.run``: it derives
+        per-experiment (and per-chunk) seeds, builds the payload list and
+        dispatch plan, resolves the executor kind, injects span contexts,
+        and writes the checkpoint header when asked — leaving only
+        dispatch creation to :meth:`launch`.
+        """
+        from repro.qobj.assembler import (
+            assemble,
+            derive_chunk_seeds,
+            shot_chunk_bounds,
+        )
+
+        if not isinstance(circuits, (list, tuple)):
+            circuits = [circuits]
+        if not circuits:
+            raise BackendError("no circuits to run")
+        shots, kind, engine_options, job_trace = self._begin(
+            backend, circuits, options
+        )
         max_qubits = max(circuit.num_qubits for circuit in circuits)
         with job_trace.stage("assemble", attributes={
             "experiments": len(circuits), "shots": shots,
@@ -133,7 +171,6 @@ class ExecutionEngine:
         force_dispatch = bool(options.get("shot_chunk_dispatch"))
         payloads = []
         plan = []
-        chunked = False
         for index, experiment in enumerate(qobj["experiments"]):
             exp_seed = experiment["config"]["seed"]
             name = experiment.get("header", {}).get("name", "unnamed")
@@ -154,7 +191,6 @@ class ExecutionEngine:
                     "chunk": None, "chunks": 1,
                 })
                 continue
-            chunked = True
             seeds = derive_chunk_seeds(exp_seed, len(bounds))
             if support == "dispatch" or force_dispatch:
                 for chunk, ((start, stop), seed) in enumerate(
@@ -187,27 +223,8 @@ class ExecutionEngine:
                     "experiment_index": index, "name": name,
                     "chunk": None, "chunks": len(bounds),
                 })
-        chunk_payloads = [
-            config for _experiment, config in payloads
-            if config.get("shot_chunk")
-        ]
-        kind = choose_executor(
-            len(payloads), max_qubits, requested,
-            chunk_payloads=len(chunk_payloads),
-            chunk_shots=min(
-                (config["shots"] for config in chunk_payloads), default=0
-            ),
-        )
-        job_trace.dispatch_started(kind, len(payloads))
-        for seq, ((experiment, config), entry) in enumerate(
-            zip(payloads, plan)
-        ):
-            context = job_trace.experiment_context(
-                entry["experiment_index"], entry["name"],
-                chunk=entry["chunk"], chunks=entry["chunks"], seq=seq,
-            )
-            if context is not None:
-                config["span_context"] = context
+        prepared = self._end(backend, payloads, plan, kind, options,
+                             job_trace)
         checkpoint = options.get("checkpoint")
         if checkpoint:
             from repro.providers.checkpoint import write_header
@@ -221,23 +238,18 @@ class ExecutionEngine:
                 }
             write_header(checkpoint, job_trace.job_id,
                          backend._backend_spec(), payloads, plan)
-        return PreparedExecution(
-            backend, payloads, plan, kind, max_workers, job_trace,
-            use_plan=bool(chunked or checkpoint),
-        )
+        return prepared
 
     def launch(self, prepared: PreparedExecution):
         """Create the dispatch for a prepared batch; returns the live Job."""
         from repro.providers.backend import Job
 
-        dispatch = create_dispatch(
+        dispatch = Dispatch(
             prepared.backend, prepared.payloads, prepared.kind,
             prepared.max_workers, prepared.job_trace,
         )
-        return Job(
-            prepared.backend, dispatch, trace=prepared.job_trace,
-            plan=prepared.plan if prepared.use_plan else None,
-        )
+        return Job(prepared.backend, dispatch, prepared.plan,
+                   prepared.job_trace)
 
     def run(self, backend, circuits, options):
         """Prepare and launch in one step (the ``BaseBackend.run`` path)."""
@@ -249,12 +261,11 @@ class ExecutionEngine:
         The pub twin of :meth:`prepare`: normalizes the pub tuples,
         derives one seed per *binding* (concatenated across pubs, exactly
         the bound-circuit layout), splits each batch axis at the
-        broadcast engine's memory cap, and resolves the executor.
+        broadcast engine's memory cap, and resolves the executor.  Every
+        payload is one plan entry (an unchunked experiment).
         """
         import numpy as np
 
-        from repro.providers.faults import resolve_injector
-        from repro.providers.retry import resolve_retry_policy
         from repro.qobj.assembler import (
             circuit_to_experiment,
             derive_experiment_seeds,
@@ -265,22 +276,10 @@ class ExecutionEngine:
             pubs = [pubs]
         if not pubs:
             raise BackendError("no pubs to run")
-        configuration = backend.configuration()
-        shots = options.get("shots", 1024)
-        if shots > configuration.max_shots:
-            raise BackendError(
-                f"shots {shots} exceeds backend maximum "
-                f"{configuration.max_shots}"
-            )
         if options.get("noise_model") is not None:
             raise BackendError(
                 "broadcast execution does not support noise models; bind "
                 "the circuits and use run() instead"
-            )
-        if not options.get("use_kernels", True):
-            raise BackendError(
-                "broadcast execution requires the specialized kernels; "
-                "use run() for use_kernels=False A/B comparisons"
             )
         normalized = []
         for pub in pubs:
@@ -302,34 +301,17 @@ class ExecutionEngine:
             normalized.append(
                 (circuit, values, list(parameters or ()), observable)
             )
-        backend._validate_batch([pub[0] for pub in normalized])
+        shots, kind, engine_options, job_trace = self._begin(
+            backend, [pub[0] for pub in normalized], options
+        )
+        engine_options["shots"] = shots
         total_bindings = sum(pub[1].shape[0] for pub in normalized)
         all_seeds = derive_experiment_seeds(
             options.get("seed"), total_bindings
         )
-        requested = options.get("executor")
-        max_workers = options.get("max_workers")
-        engine_options = {
-            key: value
-            for key, value in options.items()
-            if key not in SCHEDULING_OPTIONS
-        }
-        engine_options["retry_policy"] = resolve_retry_policy(
-            options.get("retry_policy")
-        )
-        engine_options["fault_injector"] = resolve_injector(
-            options.get("fault_injector")
-        )
-        engine_options["shots"] = shots
-        job_trace = options.get("job_trace")
-        if job_trace is None:
-            from repro.providers.backend import Job
-            from repro.telemetry.jobtrace import JobTrace
-
-            job_trace = JobTrace(Job.reserve_id(), backend.name())
         payloads = []
+        plan = []
         offset = 0
-        index = 0
         with job_trace.stage("assemble", attributes={
             "pubs": len(normalized), "bindings": total_bindings,
             "shots": shots,
@@ -337,9 +319,11 @@ class ExecutionEngine:
             for circuit, values, parameters, observable in normalized:
                 batch = values.shape[0]
                 template = circuit_to_experiment(circuit)
+                name = template.get("header", {}).get("name", "unnamed")
                 for start, stop in broadcast_chunk_bounds(
                     batch, circuit.num_qubits
                 ):
+                    index = len(payloads)
                     config = dict(engine_options)
                     # The chunk is the retry unit: its value rows and
                     # derived per-binding seeds ride the config, so a
@@ -359,25 +343,12 @@ class ExecutionEngine:
                         "seed": config["seed"], "index": index,
                     }
                     payloads.append((experiment, config))
-                    index += 1
+                    plan.append({
+                        "experiment_index": index, "name": name,
+                        "chunk": None, "chunks": 1,
+                    })
                 offset += batch
-        kind = choose_executor(
-            len(payloads),
-            max(pub[0].num_qubits for pub in normalized),
-            requested,
-        )
-        job_trace.dispatch_started(kind, len(payloads))
-        for exp_index, (experiment, config) in enumerate(payloads):
-            context = job_trace.experiment_context(
-                exp_index,
-                experiment.get("header", {}).get("name", "unnamed"),
-            )
-            if context is not None:
-                config["span_context"] = context
-        return PreparedExecution(
-            backend, payloads, None, kind, max_workers, job_trace,
-            use_plan=False,
-        )
+        return self._end(backend, payloads, plan, kind, options, job_trace)
 
     def run_pubs(self, backend, pubs, options):
         """Prepare and launch a pub batch (the ``run_pubs`` path)."""

@@ -47,9 +47,9 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
 
     Executor knobs:
 
-    * ``executor`` — ``"serial"``, ``"threads"``, ``"processes"``, or
-      ``"auto"`` (default None = auto): the process pool kicks in for
-      batches of 4+ experiments at 10+ qubits on multi-core hosts.
+    * ``executor`` — ``"serial"`` (default None; ``"auto"`` means the
+      same), ``"threads"``, or ``"processes"``.  A process pool that
+      breaks mid-batch re-runs its unfinished experiments on threads.
     * ``max_workers`` — pool width for the parallel executors.
 
     Fault tolerance (see :mod:`repro.providers.retry` and
@@ -97,24 +97,16 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
         optimization_level=optimization_level, seed=seed,
         transpile_cache=transpile_cache,
     )
-    options = {"shots": shots, "seed": seed, "memory": memory,
-               "job_trace": job_trace}
-    if noise_model is not None:
-        options["noise_model"] = noise_model
-    if executor is not None:
-        options["executor"] = executor
-    if max_workers is not None:
-        options["max_workers"] = max_workers
-    if retry_policy is not None:
-        options["retry_policy"] = retry_policy
-    if fault_injector is not None:
-        options["fault_injector"] = fault_injector
-    if shot_chunk_size is not None:
-        options["shot_chunk_size"] = shot_chunk_size
-    if shot_chunk_dispatch is not None:
-        options["shot_chunk_dispatch"] = shot_chunk_dispatch
-    if checkpoint is not None:
-        options["checkpoint"] = checkpoint
-    job = backend.run(batch, **options)
+    forwarded = {
+        "noise_model": noise_model, "executor": executor,
+        "max_workers": max_workers, "retry_policy": retry_policy,
+        "fault_injector": fault_injector,
+        "shot_chunk_size": shot_chunk_size,
+        "shot_chunk_dispatch": shot_chunk_dispatch, "checkpoint": checkpoint,
+    }
+    options = {key: value for key, value in forwarded.items()
+               if value is not None}
+    job = backend.run(batch, shots=shots, seed=seed, memory=memory,
+                      job_trace=job_trace, **options)
     job.transpile_cache_stats = get_transpile_cache().stats()
     return job

@@ -1147,19 +1147,18 @@ class RuntimeService:
 
     @staticmethod
     def _ledger_has_header(path: str) -> bool:
-        import json
         import os
+
+        from repro.providers.checkpoint import _read_records
 
         if not os.path.exists(path):
             return False
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                first = handle.readline().strip()
-            return bool(first) and (
-                json.loads(first).get("type") == "header"
-            )
-        except (OSError, ValueError):
+                first = next(_read_records(handle), None)
+        except OSError:
             return False
+        return first is not None and first.get("type") == "header"
 
     # -- maintenance -----------------------------------------------------
 

@@ -63,7 +63,12 @@ import threading
 import time
 
 from repro.exceptions import BackendError
-from repro.providers.checkpoint import _append_line, _decode, _encode
+from repro.providers.checkpoint import (
+    _append_line,
+    _decode,
+    _encode,
+    _read_records,
+)
 
 try:
     import fcntl
@@ -145,6 +150,52 @@ class JobRecord:
         )
 
 
+def _job_line(record: JobRecord) -> dict:
+    """The ``job`` record: everything needed to re-run the job."""
+    return {
+        "type": "job",
+        "version": STORE_VERSION,
+        "job_id": record.job_id,
+        "tenant": record.tenant,
+        "backend": list(record.backend_spec),
+        "priority": record.priority,
+        "session": record.session,
+        "kind": record.kind,
+        "submitted_at": record.submitted_at,
+        "deadline": record.deadline,
+        "payload": _encode((record.payload, record.options)),
+    }
+
+
+def _state_line(job_id: str, state: str, attempt: int = None) -> dict:
+    """A ``state`` record (``attempt`` only when given)."""
+    line = {"type": "state", "job_id": job_id, "state": state}
+    if attempt is not None:
+        line["attempt"] = int(attempt)
+    return line
+
+
+def _result_line(job_id: str, result) -> dict:
+    """A ``result`` record: the pickled Result plus plain-JSON summary."""
+    return {
+        "type": "result",
+        "job_id": job_id,
+        "success": bool(result.success),
+        "experiments": len(result.results),
+        "result": _encode(result),
+    }
+
+
+def _quarantine_line(job_id: str, fault_stats: dict, error: str) -> dict:
+    """A ``quarantine`` record: the plain-JSON fault ledger and error."""
+    return {
+        "type": "quarantine",
+        "job_id": job_id,
+        "fault_stats": fault_stats,
+        "error": error,
+    }
+
+
 class JobStore:
     """Append-only JSON-lines persistence for runtime jobs.
 
@@ -218,19 +269,7 @@ class JobStore:
 
     def append_job(self, record: JobRecord) -> None:
         """Persist a new job's submission record (then its first state)."""
-        self._append({
-            "type": "job",
-            "version": STORE_VERSION,
-            "job_id": record.job_id,
-            "tenant": record.tenant,
-            "backend": list(record.backend_spec),
-            "priority": record.priority,
-            "session": record.session,
-            "kind": record.kind,
-            "submitted_at": record.submitted_at,
-            "deadline": record.deadline,
-            "payload": _encode((record.payload, record.options)),
-        })
+        self._append(_job_line(record))
 
     def append_state(self, job_id: str, state: str,
                      attempt: int = None) -> None:
@@ -242,30 +281,16 @@ class JobStore:
         """
         if state not in JOB_STATES:
             raise BackendError(f"unknown job state '{state}'")
-        record = {"type": "state", "job_id": job_id, "state": state}
-        if attempt is not None:
-            record["attempt"] = int(attempt)
-        self._append(record)
+        self._append(_state_line(job_id, state, attempt))
 
     def append_result(self, job_id: str, result) -> None:
         """Persist a completed job's :class:`Result`."""
-        self._append({
-            "type": "result",
-            "job_id": job_id,
-            "success": bool(result.success),
-            "experiments": len(result.results),
-            "result": _encode(result),
-        })
+        self._append(_result_line(job_id, result))
 
     def append_quarantine(self, job_id: str, fault_stats: dict,
                           error: str = None) -> None:
         """Persist a dead-lettered job's fault ledger (plain JSON)."""
-        self._append({
-            "type": "quarantine",
-            "job_id": job_id,
-            "fault_stats": fault_stats,
-            "error": error,
-        })
+        self._append(_quarantine_line(job_id, fault_stats, error))
 
     # -- reads -----------------------------------------------------------
 
@@ -278,21 +303,15 @@ class JobStore:
         service cannot re-run is not recoverable.
         """
         records: dict = {}
-        if not os.path.exists(self.path):
-            return records
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                self._replay_line(records, line)
+        if os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as handle:
+                for entry in _read_records(handle):
+                    self._replay(records, entry)
         return records
 
-    def _replay_line(self, records: dict, line: str) -> None:
-        line = line.strip()
-        if not line:
-            return
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            return  # torn tail
+    @staticmethod
+    def _replay(records: dict, entry: dict) -> None:
+        """Apply one ledger record to ``{job_id: JobRecord}``."""
         kind = entry.get("type")
         job_id = entry.get("job_id")
         if kind == "job":
@@ -368,41 +387,21 @@ class JobStore:
                 dropped.add(record.job_id)
         return sorted(dropped, key=self._job_number)
 
-    def _snapshot_lines(self, record: JobRecord) -> list:
+    @staticmethod
+    def _snapshot_lines(record: JobRecord) -> list:
         """The minimal record sequence reproducing one job on replay."""
-        lines = [{
-            "type": "job",
-            "version": STORE_VERSION,
-            "job_id": record.job_id,
-            "tenant": record.tenant,
-            "backend": list(record.backend_spec),
-            "priority": record.priority,
-            "session": record.session,
-            "kind": record.kind,
-            "submitted_at": record.submitted_at,
-            "deadline": record.deadline,
-            "payload": _encode((record.payload, record.options)),
-        }]
-        state = {"type": "state", "job_id": record.job_id,
-                 "state": record.state}
-        if record.attempts:
-            state["attempt"] = record.attempts
-        lines.append(state)
+        lines = [
+            _job_line(record),
+            _state_line(record.job_id, record.state,
+                        record.attempts or None),
+        ]
         if record.result is not None:
-            lines.append({
-                "type": "result",
-                "job_id": record.job_id,
-                "success": bool(record.result.success),
-                "experiments": len(record.result.results),
-                "result": _encode(record.result),
-            })
+            lines.append(_result_line(record.job_id, record.result))
         if record.quarantine is not None:
-            lines.append({
-                "type": "quarantine",
-                "job_id": record.job_id,
-                "fault_stats": record.quarantine.get("fault_stats") or {},
-                "error": record.quarantine.get("error"),
-            })
+            lines.append(_quarantine_line(
+                record.job_id, record.quarantine["fault_stats"],
+                record.quarantine["error"],
+            ))
         return lines
 
     def compact(self, retention: RetentionPolicy = None,
@@ -433,15 +432,12 @@ class JobStore:
             fd = self._flock(exclusive=True)
             try:
                 records: dict = {}
-                records_in = 0
-                bytes_in = 0
+                lines_in = []
                 if os.path.exists(self.path):
                     with open(self.path, "r", encoding="utf-8") as handle:
-                        for line in handle:
-                            bytes_in += len(line.encode())
-                            if line.strip():
-                                records_in += 1
-                            self._replay_line(records, line)
+                        lines_in = handle.readlines()
+                for entry in _read_records(lines_in):
+                    self._replay(records, entry)
                 dropped = self._pruned(records, retention, now)
                 for job_id in dropped:
                     records.pop(job_id, None)
@@ -478,9 +474,9 @@ class JobStore:
                 except OSError:
                     pass
         stats = {
-            "records_in": records_in,
+            "records_in": sum(1 for line in lines_in if line.strip()),
             "records_out": len(lines),
-            "bytes_in": bytes_in,
+            "bytes_in": sum(len(line.encode()) for line in lines_in),
             "bytes_out": len(payload.encode()),
             "jobs_kept": len(records),
             "jobs_pruned": len(dropped),

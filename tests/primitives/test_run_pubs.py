@@ -164,18 +164,19 @@ class TestRunPubsValidation:
                 [(measured, values, parameters)], noise_model=object()
             )
 
-    def test_rejects_disabled_kernels(self, sampler_setup):
-        measured, parameters, values, _ = sampler_setup
-        backend = Aer.get_backend("qasm_simulator")
-        with pytest.raises(BackendError, match="kernels"):
-            backend.run_pubs(
-                [(measured, values, parameters)], use_kernels=False
-            )
-
     def test_rejects_malformed_pub(self):
         backend = Aer.get_backend("qasm_simulator")
         with pytest.raises(BackendError, match="pub"):
             backend.run_pubs([("not a circuit",)])
+
+    def test_rejects_non_integer_shots(self, sampler_setup):
+        measured, parameters, values, _ = sampler_setup
+        backend = Aer.get_backend("qasm_simulator")
+        with pytest.raises(BackendError, match="shots must be an integer"):
+            backend.run_pubs([(measured, values, parameters)], shots=2.5)
+        job = backend.run_pubs([(measured, values, parameters)],
+                               shots=np.int64(16), seed=3)
+        assert job.result().success
 
     def test_validate_outcome_catches_corrupt_broadcast(self):
         outcome = ExperimentResult(

@@ -63,6 +63,19 @@ class TestQasmBackend:
         with pytest.raises(BackendError):
             backend.run(measured_bell, shots=100)
 
+    @pytest.mark.parametrize("shots", [2.5, 1024.0, "1024", None])
+    def test_non_integer_shots_rejected(self, measured_bell, shots):
+        """Rejected at submission, not as a TypeError per experiment."""
+        backend = Aer.get_backend("qasm_simulator")
+        with pytest.raises(BackendError, match="shots must be an integer"):
+            backend.run(measured_bell, shots=shots)
+
+    def test_numpy_integer_shots_accepted(self, measured_bell):
+        job = Aer.get_backend("qasm_simulator").run(
+            measured_bell, shots=np.int64(32), seed=1
+        )
+        assert sum(job.result().get_counts().values()) == 32
+
     def test_empty_batch(self):
         with pytest.raises(BackendError):
             Aer.get_backend("qasm_simulator").run([])

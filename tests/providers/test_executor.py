@@ -6,21 +6,23 @@ it, one failing experiment must not poison its siblings, and the Job
 state machine must be observable from the outside.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.circuit.random_circuit import random_circuit
 from repro.exceptions import BackendError
-from repro.providers import Aer, JobStatus, choose_executor
-from repro.providers.executor import (
-    AUTO_MIN_EXPERIMENTS,
-    AUTO_MIN_QUBITS,
-    PoolDispatch,
-    SerialDispatch,
-)
+from repro.providers import Aer, JobStatus
+from repro.providers.executor import Dispatch, resolve_executor
 from repro.qobj import assemble, derive_experiment_seeds
 
 EXECUTORS = ["serial", "threads", "processes"]
+
+#: The CI chaos job sweeps this seed (three fixed values, blocking); it
+#: draws the randomized bit-identity batch.
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
 
 def _ghz(num_qubits, measure=True, name=None):
@@ -67,35 +69,49 @@ def _snapshot(result, circuits):
 
 
 class TestChooseExecutor:
+    """The ``executor`` option picks the dispatch's executor kind."""
+
     @pytest.mark.parametrize("kind", EXECUTORS)
-    def test_explicit_request_wins(self, kind):
-        assert choose_executor(1, 1, kind) == kind
+    def test_explicit_request_wins(self, kind, measured_bell):
+        assert resolve_executor(kind) == kind
+        job = Aer.get_backend("qasm_simulator").run(
+            measured_bell, shots=10, seed=1, executor=kind
+        )
+        assert job._dispatch.kind == kind
+        assert sum(job.result().get_counts().values()) == 10
 
-    def test_unknown_executor_rejected(self):
+    def test_unknown_executor_rejected(self, measured_bell):
         with pytest.raises(BackendError, match="unknown executor"):
-            choose_executor(4, 12, "quantum")
+            resolve_executor("quantum")
+        with pytest.raises(BackendError, match="unknown executor"):
+            Aer.get_backend("qasm_simulator").run(measured_bell,
+                                                  executor="quantum")
 
-    def test_auto_small_batch_serial(self, monkeypatch):
-        import repro.providers.executor as executor_module
+    @pytest.mark.parametrize("requested", [None, "auto"])
+    def test_auto_means_serial(self, requested):
+        """Even the wide multi-circuit batches that once went to a
+        process pool run serially unless a pool is asked for."""
+        assert resolve_executor(requested) == "serial"
+        job = Aer.get_backend("qasm_simulator").run(
+            _batch(4, num_qubits=12), shots=16, seed=1, executor=requested
+        )
+        assert job._dispatch.kind == "serial"
+        assert job.status() == JobStatus.INITIALIZING
+        assert job.result().success
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        assert choose_executor(AUTO_MIN_EXPERIMENTS - 1,
-                               AUTO_MIN_QUBITS, "auto") == "serial"
-        assert choose_executor(AUTO_MIN_EXPERIMENTS,
-                               AUTO_MIN_QUBITS - 1, None) == "serial"
 
-    def test_auto_wide_batch_processes(self, monkeypatch):
-        import repro.providers.executor as executor_module
+class TestEmptyDispatch:
+    """A dispatch with no payloads — ``Job.resume`` over a complete
+    ledger — is DONE from construction on every executor."""
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        assert choose_executor(AUTO_MIN_EXPERIMENTS,
-                               AUTO_MIN_QUBITS, "auto") == "processes"
-
-    def test_auto_single_core_serial(self, monkeypatch):
-        import repro.providers.executor as executor_module
-
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
-        assert choose_executor(16, 20, "auto") == "serial"
+    @pytest.mark.parametrize("kind", EXECUTORS)
+    def test_done_at_construction(self, kind):
+        dispatch = Dispatch(Aer.get_backend("qasm_simulator"), [], kind)
+        assert dispatch.status() == JobStatus.DONE
+        assert list(dispatch.iter_outcomes()) == []
+        assert dispatch.collect(timeout=0) == []
+        assert dispatch.cancel() is False
+        assert dispatch.fallbacks == []
 
 
 class TestSeedDerivation:
@@ -163,6 +179,30 @@ class TestBitIdenticalAcrossExecutors:
                 if reference is None:
                     reference = memory
                 assert memory == reference
+
+    @pytest.mark.parametrize("chunking", [
+        {},
+        {"shot_chunk_size": 32, "shot_chunk_dispatch": True},
+    ], ids=["plain", "chunked"])
+    def test_random_circuits(self, chunking):
+        """A seeded random batch — drawn from ``CHAOS_SEED`` — matches
+        across executors, plain and split into dispatched shot-chunks."""
+        circuits = []
+        for index in range(4):
+            circuit = random_circuit(3 + index % 3, 6,
+                                     seed=CHAOS_SEED * 100 + index,
+                                     measure=True)
+            circuit.name = f"random-{index}"
+            circuits.append(circuit)
+        snapshots, seeds = self._run_all(
+            "qasm_simulator", circuits, shots=96, seed=CHAOS_SEED,
+            **chunking
+        )
+        assert snapshots["serial"] == snapshots["threads"]
+        assert snapshots["serial"] == snapshots["processes"]
+        assert seeds["serial"] == seeds["threads"] == seeds["processes"]
+        for entry in snapshots["serial"]:
+            assert sum(entry["counts"].values()) == 96
 
     @pytest.mark.parametrize("backend_name,key", [
         ("statevector_simulator", "statevector"),
@@ -280,16 +320,6 @@ class TestJobLifecycle:
             assert experiment.time_taken is not None
             assert experiment.time_taken >= 0
 
-    def test_unkernelled_batches_never_use_threads(self, measured_bell):
-        """The kernel switch is process-global, so use_kernels=False must
-        not share the process with concurrent threads."""
-        job = Aer.get_backend("qasm_simulator").run(
-            measured_bell, shots=10, seed=1,
-            executor="threads", use_kernels=False,
-        )
-        assert isinstance(job._dispatch, SerialDispatch)
-        assert sum(job.result().get_counts().values()) == 10
-
     def test_spec_less_backend_degrades_processes_to_threads(
             self, measured_bell):
         """Backends without a registry spec cannot be rebuilt in a worker
@@ -298,7 +328,7 @@ class TestJobLifecycle:
         backend._backend_spec = lambda: None
         job = backend.run(measured_bell, shots=10, seed=1,
                           executor="processes")
-        assert isinstance(job._dispatch, PoolDispatch)
+        assert job._dispatch.kind == "threads"
         assert sum(job.result().get_counts().values()) == 10
 
     def test_device_backend_validates_at_submission(self):

@@ -1,6 +1,6 @@
 """Unit tests for the fault-tolerance layer: seeded injection schedules,
 retry policy classification/backoff, payload validation, partial results,
-the pool-cancel race, and the degradation chain.
+the pool-cancel race, and the processes -> threads fallback.
 
 The integration-level sweep (fault kinds x executors, bit-identity against
 a fault-free baseline) lives in ``tests/integration/test_chaos.py``.
@@ -28,7 +28,7 @@ from repro.providers import (
     JobStatus,
     RetryPolicy,
 )
-from repro.providers.executor import PoolDispatch, validate_outcome
+from repro.providers.executor import validate_outcome
 from repro.providers.result import ExperimentResult
 from repro.providers.retry import (
     aggregate_fault_stats,
@@ -294,42 +294,7 @@ class TestDegradation:
                           fault_injector=injector, retry_policy=FAST_RETRY)
         result = job.result()
         assert result.success
-        assert "processes->threads" in job.fault_stats["fallbacks"]
-
-    def test_broken_thread_pool_degrades_to_serial(self, measured_bell):
-        from concurrent.futures import BrokenExecutor
-
-        backend = Aer.get_backend("qasm_simulator")
-        job = backend.run(_batch(), shots=32, seed=4, executor="threads")
-        dispatch = job._dispatch
-        assert isinstance(dispatch, PoolDispatch)
-
-        class _BrokenFuture:
-            def result(self, timeout=None):
-                raise BrokenExecutor("thread pool died")
-
-            def done(self):
-                return True
-
-            def cancel(self):
-                return False
-
-            def cancelled(self):
-                return False
-
-        dispatch._futures = [_BrokenFuture() for _ in dispatch._futures]
-        result = job.result()
-        assert result.success
-        assert job.fault_stats["fallbacks"] == ["threads->serial"]
-
-    def test_unkernelled_payloads_skip_threads_fallback(self):
-        backend = Aer.get_backend("qasm_simulator")
-        payloads_job = backend.run(_batch(), shots=16, seed=2,
-                                   executor="processes",
-                                   use_kernels=False)
-        dispatch = payloads_job._dispatch
-        assert dispatch._fallback_kind("processes") == "serial"
-        payloads_job.result()
+        assert job.fault_stats["fallbacks"] == ["processes->threads"]
 
 
 class TestPoolCancelRace:

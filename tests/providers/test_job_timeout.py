@@ -17,43 +17,35 @@ def _batch(n=3, width=10, depth=20):
     ]
 
 
-class TestSerialTimeout:
-    def test_zero_timeout_raises(self):
-        backend = Aer.get_backend("qasm_simulator")
-        job = backend.run(_batch(), shots=50, seed=1, executor="serial")
-        with pytest.raises(JobTimeoutError):
-            job.result(timeout=0)
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+class TestTimeout:
+    """A missed deadline raises the same error on every executor, and the
+    job stays collectable: a later ``result()`` finishes the batch.
 
-    def test_collect_resumes_after_timeout(self):
+    Every test collects its job in the end, so no pool work outlives it
+    and competes with the next test for the cores.
+    """
+
+    def test_zero_timeout_raises(self, executor):
         backend = Aer.get_backend("qasm_simulator")
-        job = backend.run(_batch(), shots=50, seed=1, executor="serial")
+        job = backend.run(_batch(), shots=50, seed=1, executor=executor)
+        with pytest.raises(JobTimeoutError, match="timed out"):
+            job.result(timeout=1e-9)
+        job.result()
+
+    def test_collect_resumes_after_timeout(self, executor):
+        backend = Aer.get_backend("qasm_simulator")
+        job = backend.run(_batch(), shots=50, seed=1, executor=executor)
         with pytest.raises(JobTimeoutError):
-            job.result(timeout=0)
+            job.result(timeout=1e-9)
         result = job.result()  # no deadline: finishes the remaining work
         assert result.success
         assert len(result.results) == 3
 
-    def test_generous_timeout_succeeds(self):
+    def test_generous_timeout_succeeds(self, executor):
         backend = Aer.get_backend("qasm_simulator")
         job = backend.run(_batch(1, width=3, depth=4), shots=10, seed=1,
-                          executor="serial")
-        assert job.result(timeout=60).success
-
-
-class TestPoolTimeout:
-    def test_threads_zero_timeout_raises_same_type(self):
-        backend = Aer.get_backend("qasm_simulator")
-        job = backend.run(_batch(4, width=14, depth=40), shots=200, seed=1,
-                          executor="threads")
-        with pytest.raises(JobTimeoutError):
-            job.result(timeout=1e-9)
-        result = job.result()
-        assert result.success
-
-    def test_threads_generous_timeout_succeeds(self):
-        backend = Aer.get_backend("qasm_simulator")
-        job = backend.run(_batch(2, width=3, depth=4), shots=10, seed=1,
-                          executor="threads")
+                          executor=executor)
         assert job.result(timeout=60).success
 
 

@@ -249,6 +249,22 @@ class TestStreaming:
         ]
         assert [e["experiment"] for e in events[::2]] == ["a", "b"]
 
+    def test_unchunked_job_reports_planned_chunks_mid_stream(self):
+        """Every job has a plan, so an unchunked job knows its layout
+        before it finishes: one chunk per experiment."""
+        job = Aer.get_backend("qasm_simulator").run(
+            [_bell("a"), _bell("b"), _bell("c")], shots=64, seed=1,
+            executor="serial",
+        )
+        stream = job.stream()
+        assert next(stream)["type"] == "chunk"
+        stats = job.fault_stats
+        assert stats["total_chunks"] == 3
+        assert stats["completed_chunks"] == 1
+        list(stream)
+        assert job.fault_stats["total_chunks"] == 3
+        assert job.fault_stats["completed_chunks"] == 3
+
     def test_multi_experiment_stream_interleaves(self):
         job = Aer.get_backend("qasm_simulator").run(
             [_bell("a"), _bell("b")], shots=self.SHOTS, seed=42,

@@ -289,7 +289,8 @@ class TestSimulatorsThroughKernels:
         circuit.measure_all(add_register=False)
         backend = Aer.get_backend("qasm_simulator")
         fast = backend.run(circuit, shots=256, seed=5).result()
-        slow = backend.run(
-            circuit, shots=256, seed=5, use_kernels=False
-        ).result()
+        with kernels.disabled():
+            slow = backend.run(
+                circuit, shots=256, seed=5, executor="serial"
+            ).result()
         assert fast.get_counts() == slow.get_counts()
