@@ -97,22 +97,31 @@ class Job:
     def resume(cls, checkpoint_path, executor=None, max_workers=None):
         """Restart a checkpointed job, re-running only the missing chunks.
 
-        Loads the JSON-lines ledger a previous submission wrote (the job
-        must have been run with ``checkpoint=<path>``), rebuilds the
-        backend from its provider spec, and dispatches exactly the
-        ``(experiment, chunk)`` units that have no DONE record — each
-        with its original config (derived seed, retry policy, fault
-        schedule), so the merged result is bit-identical to an
-        uninterrupted run.  Restored chunks count as
+        Loads the checkpoint journal a previous submission wrote (the job
+        must have been run with ``checkpoint=<path>``; the latest job in
+        it is resumed), rebuilds the backend from its provider spec, and
+        dispatches exactly the ``(experiment, chunk)`` units that have no
+        DONE record — each with its original config (derived seed, retry
+        policy, fault schedule), so the merged result is bit-identical to
+        an uninterrupted run.  Restored chunks count as
         ``resumed_chunks`` in ``fault_stats`` and stream first from
         :meth:`stream`.  The resumed job appends new completions to the
-        same ledger, so resume is itself resumable.
+        same journal, so resume is itself resumable.
 
         A ledger with no missing units dispatches no payloads: the
         returned job is DONE immediately and ``result()`` just merges the
         restored chunks.
         """
         from repro.providers.checkpoint import load_ledger
+
+        return cls._from_checkpoint(load_ledger(checkpoint_path),
+                                    checkpoint_path, executor, max_workers)
+
+    @classmethod
+    def _from_checkpoint(cls, checkpoint, path, executor=None,
+                         max_workers=None):
+        """The resumed job for a decoded ``(header, chunks)`` checkpoint
+        whose new chunk records go to the journal at ``path``."""
         from repro.providers.executor import (
             Dispatch,
             resolve_backend,
@@ -120,7 +129,7 @@ class Job:
         )
         from repro.telemetry.jobtrace import JobTrace
 
-        header, chunks = load_ledger(checkpoint_path)
+        header, chunks = checkpoint
         payloads = header["payloads"]
         plan = header["plan"]
         backend = resolve_backend(tuple(header["backend"]))
@@ -142,9 +151,7 @@ class Job:
             # the stale span context.
             config.pop("span_context", None)
             if "checkpoint" in config:
-                config["checkpoint"] = dict(
-                    config["checkpoint"], path=checkpoint_path
-                )
+                config["checkpoint"] = dict(config["checkpoint"], path=path)
             resumed.append((experiment, config))
         job_trace = JobTrace(cls.reserve_id(), backend.name())
         job_trace.dispatch_started(kind, len(resumed))
@@ -447,8 +454,10 @@ class BaseBackend:
           each chunk as its own executor payload (parallel across
           workers) even where the engine prefers to loop chunks inline;
           the merged counts are bit-identical either way.
-        * ``checkpoint`` — path of a JSON-lines ledger; every completed
-          ``(experiment, chunk)`` unit is appended as it finishes, and
+        * ``checkpoint`` — path of a JSON-lines journal
+          (:mod:`~repro.providers.checkpoint`); the job's header is
+          appended at submission and every completed
+          ``(experiment, chunk)`` unit as it finishes, and
           :meth:`Job.resume` restarts the job re-running only the
           missing units.
         * ``job_trace`` — a pre-created

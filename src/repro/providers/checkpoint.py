@@ -1,9 +1,9 @@
-"""Chunk-level checkpointing: the JSON-lines ledger behind ``Job.resume``.
+"""Chunk checkpoints: the header and chunk records behind ``Job.resume``.
 
-A job submitted with ``checkpoint=<path>`` persists two kinds of records,
-one JSON object per line:
+A checkpointed job writes two kinds of records into a
+:class:`~repro.providers.journal.Journal`:
 
-* a **header** (written once at submission, before dispatch) carrying
+* a **header**, appended once at submission (before dispatch), carrying
   everything needed to reconstruct the job in a fresh process: the job
   id, the backend's ``(provider, name)`` spec, the full payload list
   (base64-pickled — configs embed derived seeds, retry policies, fault
@@ -15,89 +15,44 @@ one JSON object per line:
   that ran it.  The embedded outcome is the full
   :class:`~repro.providers.result.ExperimentResult` (base64-pickled);
   the sibling plain-JSON fields (name, status, shots, counts total)
-  exist so a human — or ``grep`` — can audit the ledger without
+  exist so a human — or ``grep`` — can audit the journal without
   unpickling anything.
 
-Appends go through a single ``os.write`` on an ``O_APPEND`` descriptor,
-which POSIX keeps atomic for line-sized writes — workers in separate
-processes can share one ledger without interleaving.  Readers dedupe on
-``(experiment, chunk)`` keeping the first DONE record, so a re-run chunk
-(retry after a crash mid-append, say) never double-counts.
+``backend.run(checkpoint=path)`` makes ``path`` a journal with one job
+in it; the runtime service writes the same records into its store's
+``jobs.jsonl``, keyed by the ``rt-N`` job id.  :func:`replay` holds the
+rule both read them by: a job's checkpoint is its latest header plus the
+chunk records after it, keeping the first DONE record per
+``(experiment, chunk)`` — so a re-run chunk never double-counts — and a
+``job`` record (a service submission or requeue) clears it.  A new
+header appends rather than truncating: the latest one wins.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-import os
-import pickle
-
 from repro.exceptions import BackendError
+from repro.providers.journal import Journal, decode, encode
 
 #: Ledger schema version, bumped on incompatible record changes.
 LEDGER_VERSION = 1
 
 
-def _encode(obj) -> str:
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def _decode(blob: str):
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
-
-
-def _append_line(path: str, record: dict) -> None:
-    """Atomically append one JSON record (newline-terminated) to the ledger."""
-    line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)
-
-
-def _read_records(lines):
-    """Yield the JSON record on each of ``lines`` (an open JSON-lines file
-    or a list of its lines).
-
-    Blank lines are skipped, and so is any line that does not parse — a
-    torn write, cut off by a crash mid-append.
-    """
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        yield record
-
-
 def write_header(path: str, job_id: str, backend_spec, payloads,
                  plan) -> None:
-    """Start a ledger: record the job's identity, payloads, and plan.
-
-    Truncates any stale ledger at ``path`` — a checkpoint file belongs to
-    exactly one job submission; resumed jobs append to the same file.
-    """
+    """Start a job's checkpoint: record its identity, payloads, and plan."""
     if backend_spec is None:
         raise BackendError(
             "checkpointing requires a backend with a provider spec "
             "(Aer/IBMQ registry backends)"
         )
-    record = {
+    Journal(path).append({
         "type": "header",
         "version": LEDGER_VERSION,
         "job_id": job_id,
         "backend": list(backend_spec),
         "plan": plan,
-        "payloads": _encode(payloads),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        "payloads": encode(payloads),
+    })
 
 
 def append_chunk(path: str, job_id: str, experiment: int, chunk: int,
@@ -105,7 +60,7 @@ def append_chunk(path: str, job_id: str, experiment: int, chunk: int,
     """Record one completed ``(experiment, chunk)`` unit (worker-side)."""
     data = outcome.data if isinstance(outcome.data, dict) else {}
     counts = data.get("counts")
-    _append_line(path, {
+    Journal(path).append({
         "type": "chunk",
         "job_id": job_id,
         "experiment": int(experiment),
@@ -114,44 +69,62 @@ def append_chunk(path: str, job_id: str, experiment: int, chunk: int,
         "status": outcome.status,
         "shots": outcome.shots,
         "counts_total": sum(counts.values()) if counts else 0,
-        "outcome": _encode(outcome),
+        "outcome": encode(outcome),
     })
 
 
-def load_ledger(path: str):
-    """Read a ledger back as ``(header, chunks)``.
+def replay(checkpoints: dict, record: dict) -> None:
+    """Apply one journal record to ``{job_id: (header, chunks)}``.
 
-    ``header`` has ``payloads`` unpickled in place; ``chunks`` maps
-    ``(experiment, chunk)`` to the recorded
-    :class:`~repro.providers.result.ExperimentResult` (first DONE record
-    wins; non-DONE records are skipped so resume re-runs those units).
-    Malformed trailing lines — a crash mid-append — are ignored.
+    ``header`` is the raw header record and ``chunks`` maps
+    ``(experiment, chunk)`` to the first DONE chunk record after it;
+    records of other types leave the map alone, except ``job``, which
+    clears that job's checkpoint.  Nothing is unpickled here.
     """
-    if not os.path.exists(path):
-        raise BackendError(f"no checkpoint ledger at '{path}'")
-    header = None
-    chunks: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for record in _read_records(handle):
-            kind = record.get("type")
-            if kind == "header":
-                if record.get("version") != LEDGER_VERSION:
-                    raise BackendError(
-                        f"checkpoint ledger version "
-                        f"{record.get('version')} is not supported"
-                    )
-                record["payloads"] = _decode(record["payloads"])
-                header = record
-            elif kind == "chunk":
-                key = (int(record["experiment"]), int(record["chunk"]))
-                if key in chunks or record.get("status") != "DONE":
-                    continue
-                try:
-                    chunks[key] = _decode(record["outcome"])
-                except Exception:  # noqa: BLE001 — torn/corrupt payload
-                    continue
-    if header is None:
+    kind = record.get("type")
+    job_id = record.get("job_id")
+    if kind == "header":
+        checkpoints[job_id] = (record, {})
+    elif kind == "job":
+        checkpoints.pop(job_id, None)
+    elif kind == "chunk" and record.get("status") == "DONE" \
+            and job_id in checkpoints:
+        key = (int(record["experiment"]), int(record["chunk"]))
+        checkpoints[job_id][1].setdefault(key, record)
+
+
+def restore(checkpoint):
+    """Decode one job's ``(header, chunks)`` checkpoint records.
+
+    Returns the header with ``payloads`` unpickled and a map from
+    ``(experiment, chunk)`` to the recorded
+    :class:`~repro.providers.result.ExperimentResult`; a chunk whose
+    outcome does not unpickle is left out, so resume re-runs it.
+    """
+    header, records = checkpoint
+    if header.get("version") != LEDGER_VERSION:
         raise BackendError(
-            f"checkpoint ledger '{path}' has no header record"
+            f"checkpoint ledger version {header.get('version')} "
+            f"is not supported"
         )
-    return header, chunks
+    chunks: dict = {}
+    for key, record in records.items():
+        try:
+            chunks[key] = decode(record["outcome"])
+        except Exception:  # noqa: BLE001 — torn/corrupt payload
+            continue
+    return dict(header, payloads=decode(header["payloads"])), chunks
+
+
+def load_ledger(path: str):
+    """Read the checkpoint of the latest job in the journal at ``path``
+    as ``(header, chunks)`` (see :func:`restore`)."""
+    checkpoints: dict = {}
+    latest = None
+    for record in Journal(path).replay():
+        replay(checkpoints, record)
+        if record.get("type") == "header":
+            latest = record.get("job_id")
+    if latest not in checkpoints:
+        raise BackendError(f"no checkpoint header in '{path}'")
+    return restore(checkpoints[latest])

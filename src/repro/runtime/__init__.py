@@ -6,9 +6,10 @@ a fair-share policy arbitrates tenants, and sessions keep a device (and
 its compiled artifacts) warm between jobs.  This package reproduces
 that layer locally:
 
-* :class:`~repro.runtime.store.JobStore` — append-only JSON-lines job
-  ledger plus per-job chunk checkpoints; jobs survive process death;
-  :meth:`~repro.runtime.store.JobStore.compact` rewrites the ledger to
+* :class:`~repro.runtime.store.JobStore` — one append-only JSON-lines
+  journal (:class:`~repro.providers.journal.Journal`) of jobs and their
+  chunk checkpoints; jobs survive process death;
+  :meth:`~repro.runtime.store.JobStore.compact` rewrites the journal to
   a snapshot under a :class:`~repro.runtime.store.RetentionPolicy`;
 * :class:`~repro.runtime.scheduler.FairShareScheduler` — weighted
   stride scheduling with per-tenant priorities, token-bucket rate

@@ -10,7 +10,7 @@ of the managed-queue tooling around the real IBM Q cloud::
     repro-runtime drain   --store runs/           # run the backlog down
 
 ``status``/``cancel``/``requeue``/``compact`` are *offline* operations:
-they act directly on the durable ledger (the same append/flock protocol
+they act directly on the store's journal (the same append/flock protocol
 the live service uses, so they are safe to run next to one).  ``drain``
 spins up a temporary service over the store, lets recovery re-queue the
 backlog, runs it to completion, and shuts down — the restart-and-flush
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.exceptions import BackendError
@@ -36,9 +35,6 @@ from repro.runtime.store import (
 
 #: States ``cancel`` may act on (anything not yet finished).
 _CANCELLABLE = ("SUBMITTED", "QUEUED", "RUNNING")
-
-#: States ``requeue`` may act on (mirrors ``RuntimeService.requeue``).
-_REQUEUEABLE = ("QUARANTINED", "ERROR", "CANCELLED", "EXPIRED")
 
 
 def _store(args) -> JobStore:
@@ -93,7 +89,7 @@ def _require_job(store: JobStore, job_id: str):
 
 
 def cmd_cancel(args) -> int:
-    """Mark a not-yet-finished job CANCELLED in the ledger."""
+    """Mark a not-yet-finished job CANCELLED in the journal."""
     store = _store(args)
     record = _require_job(store, args.job_id)
     if record.state not in _CANCELLABLE:
@@ -108,28 +104,17 @@ def cmd_cancel(args) -> int:
 
 
 def cmd_requeue(args) -> int:
-    """Re-queue a quarantined/failed job (fresh dead-letter budget)."""
+    """Re-queue a quarantined/failed job as a fresh run (fresh
+    dead-letter budget), exactly like ``RuntimeService.requeue``."""
     store = _store(args)
-    record = _require_job(store, args.job_id)
-    if record.state not in _REQUEUEABLE:
-        raise BackendError(
-            f"job {args.job_id} is {record.state}; only "
-            f"{'/'.join(_REQUEUEABLE)} jobs can be requeued"
-        )
-    # A requeue is a fresh run: the failed attempt's chunk ledger must
-    # not be resumed (its payload configs may be the poison ones).
-    try:
-        os.unlink(store.chunk_ledger_path(args.job_id))
-    except OSError:
-        pass
-    store.append_state(args.job_id, "QUEUED", attempt=0)
+    store.requeue(_require_job(store, args.job_id))
     _emit(args, {"job_id": args.job_id, "state": "QUEUED"},
           f"{args.job_id}: QUEUED (next service run picks it up)")
     return 0
 
 
 def cmd_compact(args) -> int:
-    """Compact the ledger, optionally applying retention flags."""
+    """Compact the journal, optionally applying retention flags."""
     retention = None
     if args.max_age is not None or args.max_terminal_jobs is not None:
         retention = RetentionPolicy(
@@ -196,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                   "revive a quarantined/failed job")
     requeue.add_argument("job_id")
     compact = add("compact", cmd_compact,
-                  "compact the job ledger (optional retention)")
+                  "compact the store's journal (optional retention)")
     compact.add_argument("--max-age", type=float, default=None,
                          help="prune terminal jobs older than SECONDS")
     compact.add_argument("--max-terminal-jobs", type=int, default=None,

@@ -10,13 +10,13 @@ a *warm* backend instance through the same
 ``backend.run`` calls — so a service-scheduled job is bit-identical to
 the equivalent direct submission.
 
-Durability: every job's payload lands in ``jobs.jsonl`` before it is
-queued, and every circuits job runs with a per-job chunk checkpoint
-ledger.  A service constructed over an existing store directory
-**recovers**: unfinished jobs re-queue, and a job that died mid-run
-resumes from its chunk ledger via ``Job.resume`` — re-running only the
-missing chunks, with merged results bit-identical to an uninterrupted
-run.
+Durability: every job's payload lands in the store's journal,
+``jobs.jsonl``, before it is queued, and every circuits job checkpoints
+its chunks into the same journal.  A service constructed over an
+existing store directory **recovers** from one replay of it: unfinished
+jobs re-queue, and a job that died mid-run resumes from the checkpoint
+that replay holds — re-running only the missing chunks, with merged
+results bit-identical to an uninterrupted run.
 
 **Overload and failure containment** (the production-hardening layer):
 
@@ -35,9 +35,10 @@ run.
 * *dead-letter quarantine* — a job whose experiments exhaust their
   retries across ``service_attempts`` service-level attempts lands in
   ``QUARANTINED`` with its fault ledger persisted, instead of poisoning
-  workers forever; :meth:`RuntimeService.requeue` re-submits it;
-* *compaction* — :meth:`RuntimeService.compact` rewrites the job
-  ledger to a last-state-wins snapshot and applies the configured
+  workers forever; :meth:`RuntimeService.requeue` re-submits it as a
+  fresh run;
+* *compaction* — :meth:`RuntimeService.compact` rewrites the journal
+  to a last-state-wins snapshot and applies the configured
   :class:`~repro.runtime.store.RetentionPolicy`.
 
 Telemetry (unified metrics registry):
@@ -62,7 +63,6 @@ job that caused them.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
@@ -93,9 +93,6 @@ from repro.telemetry.metrics import get_metrics_registry
 #: Buckets tuned for queue waits: sub-millisecond to minutes.
 _WAIT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
                  120.0, float("inf"))
-
-#: States a quarantined/failed job may be requeued from.
-_REQUEUEABLE_STATES = ("QUARANTINED", "ERROR", "CANCELLED", "EXPIRED")
 
 
 class RuntimeJob:
@@ -278,9 +275,9 @@ class RuntimeJob:
 class RuntimeService:
     """Multi-tenant execution service over a durable job store.
 
-    ``store_dir`` holds the job ledger and per-job chunk checkpoints —
-    point a fresh service at the same directory to recover jobs that a
-    dead process left behind.  ``max_workers`` bounds concurrently
+    ``store_dir`` holds the journal of jobs and their chunk checkpoints
+    — point a fresh service at the same directory to recover jobs that
+    a dead process left behind.  ``max_workers`` bounds concurrently
     *running* jobs (each worker thread drives one job at a time);
     ``backend_limits`` maps backend names to per-backend concurrency
     caps (jobs past the cap wait in the queue).  ``autostart=False``
@@ -298,8 +295,6 @@ class RuntimeService:
     * ``service_attempts`` — how many service-level attempts an
       infrastructure-failing job gets before it is dead-lettered to
       ``QUARANTINED`` (default 2: one automatic requeue);
-      ``quarantine=False`` disables dead-lettering entirely (such jobs
-      terminate ERROR, the pre-hardening behaviour);
     * ``breaker`` — per-backend circuit-breaker configuration, a kwargs
       dict for :class:`~repro.runtime.breaker.CircuitBreaker`
       (``failure_threshold``/``reset_timeout``/``probe_limit``/
@@ -317,7 +312,7 @@ class RuntimeService:
                  clock=None, max_queued_jobs: int = None,
                  max_queued_per_tenant: int = None,
                  max_queued_shots: int = None, service_attempts: int = 2,
-                 quarantine: bool = True, breaker=None, retention=None):
+                 breaker=None, retention=None):
         self._store = JobStore(store_dir)
         self._clock = clock if clock is not None else time.monotonic
         self._scheduler = FairShareScheduler(clock=self._clock)
@@ -336,7 +331,6 @@ class RuntimeService:
         if service_attempts < 1:
             raise BackendError("service_attempts must be >= 1")
         self._service_attempts = int(service_attempts)
-        self._quarantine_enabled = bool(quarantine)
         if breaker is False:
             self._breaker_config = None
         else:
@@ -522,10 +516,8 @@ class RuntimeService:
         retry_policy, ...) plus ``execute``'s compile knobs
         (``optimization_level``, ``transpile_cache``) — device backends
         compile at dispatch, on the worker, through the shared two-tier
-        transpile cache.  ``checkpoint`` defaults to a per-job ledger
-        inside the store directory — pass ``checkpoint=False`` to opt
-        out of chunk durability (the job then restarts from scratch on
-        recovery).
+        transpile cache.  The job always checkpoints its chunks into the
+        store's journal, so a ``checkpoint`` option is refused.
         """
         return self._submit(circuits, "circuits", backend, provider,
                             tenant, priority, session, options,
@@ -644,6 +636,11 @@ class RuntimeService:
             resolve_backend(spec)  # validate the name before persisting
         if deadline is not None and deadline <= 0:
             raise BackendError("deadline must be positive seconds")
+        if "checkpoint" in options:
+            raise BackendError(
+                "runtime jobs checkpoint into the store's journal; the "
+                "checkpoint option is not accepted"
+            )
         try:
             pickle.dumps((payload, options))
         except Exception as error:
@@ -733,13 +730,13 @@ class RuntimeService:
         Terminal jobs come back as finished :class:`RuntimeJob` handles
         (DONE jobs with their persisted Result, QUARANTINED jobs with
         their fault ledger).  SUBMITTED/QUEUED/RUNNING jobs re-queue
-        (service attempt counters restored from the ledger, so a restart
-        cannot reset a poison job's dead-letter budget); a RUNNING job
-        whose chunk ledger has a header will resume through
-        ``Job.resume`` when dispatched, re-running only the chunks that
-        never checkpointed.  A recovered job keeps its wall-clock
-        deadline: whatever budget remains is re-armed on the service
-        clock, and an already-expired job expires at dequeue.
+        (service attempt counters restored from the journal, so a
+        restart cannot reset a poison job's dead-letter budget); a job
+        whose replay holds a checkpoint resumes from it when dispatched,
+        re-running only the chunks that never checkpointed.  A recovered
+        job keeps its wall-clock deadline: whatever budget remains is
+        re-armed on the service clock, and an already-expired job
+        expires at dequeue.
         """
         for job_id, record in sorted(self._store.load().items()):
             trace = JobTrace(job_id, record.backend_spec[1])
@@ -756,8 +753,6 @@ class RuntimeService:
                 job._deadline_at = self._clock() + max(
                     0.0, record.deadline - time.time()
                 )
-            job._record.options = dict(record.options)
-            job._record.options["_recovered_from"] = record.state
             with self._wake:
                 self._persist_state(job, "QUEUED",
                                     attempt=record.attempts or None)
@@ -980,7 +975,7 @@ class RuntimeService:
         )
         self._record_backend_health(job, healthy=not infra)
         record.attempts += 1
-        if infra and self._quarantine_enabled:
+        if infra:
             if record.attempts < self._service_attempts:
                 self._service_retry(job)
                 return
@@ -1054,40 +1049,23 @@ class RuntimeService:
         The dead-letter escape hatch: after fixing the cause, the
         operator requeues the job — optionally overriding run options
         (``service.requeue(job_id, fault_injector=None)``) — and it goes
-        back through the normal queue with a fresh service-attempt
-        budget.  Overridden options are persisted, so a restart replays
-        the corrected job, and the quarantine record stays in the ledger
-        for the audit trail.
+        back through the normal queue as a fresh run with a fresh
+        service-attempt budget (:meth:`~repro.runtime.store.JobStore
+        .requeue`).  Overridden options are persisted, so a restart
+        replays the corrected job, and the quarantine record stays in
+        the journal for the audit trail.
         """
         job = self.job(job_id)
         with self._wake:
-            if job._state not in _REQUEUEABLE_STATES:
-                raise BackendError(
-                    f"runtime job {job_id} is {job._state}; only "
-                    f"{'/'.join(_REQUEUEABLE_STATES)} jobs can be requeued"
-                )
             record = job._record
-            record.attempts = 0
-            if option_overrides:
-                record.options = dict(record.options)
-                record.options.update(option_overrides)
-                # Persist the corrected options: replay must re-run the
-                # fixed job, not the poison original.
-                self._store.append_job(record)
+            self._store.requeue(record, option_overrides)
             if record.deadline is not None:
                 job._deadline_at = self._clock() + max(
                     0.0, record.deadline - time.time()
                 )
-            # A requeue is a fresh run: drop the failed attempt's chunk
-            # ledger so a later recovery cannot resume its (possibly
-            # poisoned) payload configs.
-            try:
-                os.unlink(self._store.chunk_ledger_path(job_id))
-            except OSError:
-                pass
             job._reopen()
             self._requeued.inc(labels={"tenant": record.tenant})
-            self._persist_state(job, "QUEUED", attempt=0)
+            self._transitions.inc(labels={"state": "QUEUED"})
             self._enqueue(job, job._trace)
             self._wake.notify_all()
         return job
@@ -1097,26 +1075,32 @@ class RuntimeService:
     def _dispatch(self, job: RuntimeJob):
         """Launch the provider job for one runtime job.
 
-        Circuits jobs get a chunk checkpoint ledger inside the store by
-        default; a recovered job whose ledger already has a header goes
-        through ``Job.resume`` instead of a fresh run, so only the
-        missing chunks execute.
+        A circuits job checkpoints into the store's journal; one whose
+        replay held a checkpoint resumes from it instead of running
+        afresh, so only the missing chunks execute.
         """
         from repro.providers.backend import Job
+        from repro.providers.checkpoint import restore
         from repro.providers.engine import get_execution_engine
 
         record = job._record
         options = dict(record.options)
-        recovered = options.pop("_recovered_from", None)
         cache_namespace = options.pop("cache_namespace", None)
         backend = self.backend(record.backend_spec[1],
                                record.backend_spec[0])
         engine = get_execution_engine()
+        options["job_trace"] = job._trace
         if record.kind == "pubs":
-            # The broadcast engine has no chunk ledger; recovery re-runs.
-            options.pop("checkpoint", None)
-            options["job_trace"] = job._trace
+            # The broadcast engine has no chunk checkpoint; recovery
+            # re-runs.
             return engine.run_pubs(backend, record.payload, options)
+        checkpoint, record.checkpoint = record.checkpoint, None
+        if checkpoint is not None:
+            return Job._from_checkpoint(
+                restore(checkpoint), self._store.path,
+                executor=options.get("executor"),
+                max_workers=options.get("max_workers"),
+            )
         # Device backends compile first, exactly like ``execute`` —
         # through the shared transpile cache (memory + disk tiers), which
         # is what keeps a session's repeat compiles warm.
@@ -1129,36 +1113,8 @@ class RuntimeService:
             transpile_cache=options.pop("transpile_cache", True),
             cache_namespace=cache_namespace,
         )
-        payload = batch[0] if single else batch
-        checkpoint = options.get("checkpoint", None)
-        if checkpoint is None:
-            checkpoint = self._store.chunk_ledger_path(job.job_id)
-        if checkpoint is False:
-            options.pop("checkpoint", None)
-            checkpoint = None
-        else:
-            options["checkpoint"] = checkpoint
-        if recovered and checkpoint and self._ledger_has_header(checkpoint):
-            return Job.resume(checkpoint,
-                              executor=options.get("executor"),
-                              max_workers=options.get("max_workers"))
-        options["job_trace"] = job._trace
-        return engine.run(backend, payload, options)
-
-    @staticmethod
-    def _ledger_has_header(path: str) -> bool:
-        import os
-
-        from repro.providers.checkpoint import _read_records
-
-        if not os.path.exists(path):
-            return False
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                first = next(_read_records(handle), None)
-        except OSError:
-            return False
-        return first is not None and first.get("type") == "header"
+        options["checkpoint"] = self._store.path
+        return engine.run(backend, batch[0] if single else batch, options)
 
     # -- maintenance -----------------------------------------------------
 

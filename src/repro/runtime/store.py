@@ -1,79 +1,50 @@
 """The durable job store behind the runtime service.
 
-One directory holds everything a service instance needs to survive a
-process death:
+A store directory holds one :class:`~repro.providers.journal.Journal`,
+``jobs.jsonl`` (with its ``jobs.jsonl.lock``), however many jobs run.
+Its record types:
 
-* ``jobs.jsonl`` — the job ledger, in the same JSON-lines idiom as the
-  chunk checkpoint ledger (:mod:`repro.providers.checkpoint`): one JSON
-  object per line, appended atomically through a single ``os.write`` on
-  an ``O_APPEND`` descriptor, torn trailing lines ignored on load.
-  Four record types:
+- ``job`` — written at submission and again by every requeue: job id,
+  tenant, backend ``(provider, name)`` spec, priority, session id,
+  payload kind (``circuits`` or ``pubs``), optional wall-clock deadline,
+  and the base64-pickled ``(payload, options)`` pair — everything needed
+  to re-run the job in a fresh process;
+- ``state`` — one per lifecycle transition (``SUBMITTED -> QUEUED ->
+  RUNNING -> DONE/ERROR/CANCELLED/EXPIRED/QUARANTINED``); the last one
+  wins.  A ``QUEUED`` record may carry the service-level ``attempt``
+  counter behind the dead-letter policy;
+- ``result`` — a finished job's pickled
+  :class:`~repro.providers.result.Result` plus plain-JSON summary
+  fields; the one place a finished result lives;
+- ``quarantine`` — a dead-lettered job's plain-JSON fault ledger
+  (``job.fault_stats``) and final error text, readable without
+  unpickling anything;
+- ``header`` / ``chunk`` — a circuits job's chunk checkpoint
+  (:mod:`repro.providers.checkpoint`), keyed by job id; workers append
+  chunk records from pool processes too.
 
-  - ``job`` — written once at submission: job id, tenant, backend
-    ``(provider, name)`` spec, priority, session id, payload kind
-    (``circuits`` or ``pubs``), optional wall-clock deadline, and the
-    base64-pickled ``(payload, options)`` pair — everything needed to
-    re-run the job in a fresh process;
-  - ``state`` — one per lifecycle transition
-    (``SUBMITTED -> QUEUED -> RUNNING -> DONE/ERROR/CANCELLED/EXPIRED/
-    QUARANTINED``); the *last* state record for a job id wins on load.
-    A ``QUEUED`` record may carry an ``attempt`` field — the
-    service-level attempt counter behind the dead-letter policy;
-  - ``result`` — written when the job completes, carrying the base64-
-    pickled :class:`~repro.providers.result.Result` plus plain-JSON
-    summary fields (success flag, experiment count) for ``grep``-level
-    auditing;
-  - ``quarantine`` — written when a job is dead-lettered, carrying its
-    plain-JSON fault ledger (``job.fault_stats``) and the final error
-    text, so an operator can diagnose the poison job straight from the
-    ledger without unpickling anything.
-
-* ``<job_id>.chunks.jsonl`` — the per-job chunk checkpoint ledger the
-  service passes to the execution engine as the ``checkpoint`` option;
-  a job interrupted mid-run resumes from it via ``Job.resume`` with
-  bit-identical merged results.
-
-Job ids are ``rt-<N>`` with ``N`` continuing from the largest id in the
-ledger, so ids stay unique across restarts.
-
-**Compaction and retention.**  The ledger is append-only, so a
-long-lived store accumulates one line per state transition forever.
-:meth:`JobStore.compact` rewrites it as a last-state-wins snapshot —
-one ``job`` + final ``state`` (+ ``result``/``quarantine``) per job —
-built in a ``tempfile.mkstemp`` sibling and published with an atomic
-``os.replace``, so a crash mid-compaction leaves either the old ledger
-or the new one, never a torn hybrid.  Concurrent appenders are safe:
-every append takes a *shared* ``flock`` on ``jobs.jsonl.lock`` and the
-compactor takes an *exclusive* one, so no append can land between the
-snapshot read and the replace (appenders reopen the path per append, so
-post-replace appends go to the new inode).  An optional
-:class:`RetentionPolicy` prunes terminal jobs during compaction —
-``max_age`` seconds since submission and/or keep only the newest
-``max_terminal_jobs`` — deleting their chunk ledgers with them;
-non-terminal jobs are never pruned.  Compaction statistics land in the
-unified metrics registry (``repro_runtime_compaction_*``).
+Job ids are ``rt-<N>``, ``N`` continuing from the largest id in the
+journal.  :meth:`JobStore.load` replays the journal once: a ``job``
+record starts its job afresh (only the quarantine record carries over,
+for the audit trail) and clears its checkpoint, so a requeued job never
+resumes a poisoned one; a non-terminal job keeps its checkpoint records
+undecoded until the service resumes it.  :meth:`JobStore.compact`
+rewrites the journal as a last-state-wins snapshot that keeps checkpoint
+records only for non-terminal jobs, and a :class:`RetentionPolicy`
+prunes terminal jobs (by age and/or count) during compaction — never
+pending ones.  Compaction statistics land in the unified metrics
+registry (``repro_runtime_compaction_*``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import threading
 import time
 
 from repro.exceptions import BackendError
-from repro.providers.checkpoint import (
-    _append_line,
-    _decode,
-    _encode,
-    _read_records,
-)
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover — non-POSIX fallback
-    fcntl = None
+from repro.providers import checkpoint
+from repro.providers.journal import Journal, decode, encode
 
 #: Store schema version, bumped on incompatible record changes.
 STORE_VERSION = 1
@@ -85,6 +56,9 @@ JOB_STATES = ("SUBMITTED", "QUEUED", "RUNNING", "DONE", "ERROR",
 #: States from which a job never transitions again (``QUARANTINED`` is
 #: terminal for the scheduler but revivable through ``requeue``).
 TERMINAL_STATES = ("DONE", "ERROR", "CANCELLED", "EXPIRED", "QUARANTINED")
+
+#: States :meth:`JobStore.requeue` revives a job from.
+REQUEUEABLE_STATES = ("QUARANTINED", "ERROR", "CANCELLED", "EXPIRED")
 
 
 class RetentionPolicy:
@@ -117,11 +91,12 @@ class RetentionPolicy:
 
 
 class JobRecord:
-    """One job's durable state, assembled from its ledger records."""
+    """One job's durable state, assembled from its journal records."""
 
     __slots__ = ("job_id", "tenant", "backend_spec", "priority", "session",
                  "kind", "payload", "options", "state", "result",
-                 "submitted_at", "deadline", "attempts", "quarantine")
+                 "submitted_at", "deadline", "attempts", "quarantine",
+                 "checkpoint")
 
     def __init__(self, job_id, tenant, backend_spec, priority, session,
                  kind, payload, options, submitted_at=None, deadline=None):
@@ -142,6 +117,9 @@ class JobRecord:
         self.attempts = 0
         #: The plain-JSON quarantine record (fault ledger + error text).
         self.quarantine = None
+        #: A non-terminal job's undecoded checkpoint records, as
+        #: :func:`repro.providers.checkpoint.replay` holds them, or None.
+        self.checkpoint = None
 
     def __repr__(self):
         return (
@@ -163,7 +141,7 @@ def _job_line(record: JobRecord) -> dict:
         "kind": record.kind,
         "submitted_at": record.submitted_at,
         "deadline": record.deadline,
-        "payload": _encode((record.payload, record.options)),
+        "payload": encode((record.payload, record.options)),
     }
 
 
@@ -182,7 +160,7 @@ def _result_line(job_id: str, result) -> dict:
         "job_id": job_id,
         "success": bool(result.success),
         "experiments": len(result.results),
-        "result": _encode(result),
+        "result": encode(result),
     }
 
 
@@ -197,71 +175,31 @@ def _quarantine_line(job_id: str, fault_stats: dict, error: str) -> dict:
 
 
 class JobStore:
-    """Append-only JSON-lines persistence for runtime jobs.
+    """The runtime service's journal of jobs and their checkpoints.
 
-    All appends go through :func:`~repro.providers.checkpoint._append_line`
-    (single atomic ``os.write`` on ``O_APPEND``), so a service crash can
-    at worst tear the final line — which :meth:`load` skips, exactly like
-    the chunk ledger's reader.  An in-process lock keeps the service's
-    worker threads from interleaving their own appends; a shared
-    ``flock`` on the sibling lock file coordinates with compactions in
-    *other* processes (see :meth:`compact`).
+    Every write is one :meth:`~repro.providers.journal.Journal.append`,
+    so a service crash can at worst tear the final line, which replay
+    skips; the journal's ``flock`` coordinates appends with compactions
+    in this and other processes.
     """
 
     LEDGER_NAME = "jobs.jsonl"
-    LOCK_NAME = "jobs.jsonl.lock"
 
     def __init__(self, directory: str):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, self.LEDGER_NAME)
-        self.lock_path = os.path.join(self.directory, self.LOCK_NAME)
+        self._journal = Journal(self.path)
         self._lock = threading.Lock()
-        self._next_id = 0
-        records = self.load()
-        for job_id in records:
-            try:
-                number = int(job_id.rsplit("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            self._next_id = max(self._next_id, number + 1)
-
-    # -- cross-process locking -------------------------------------------
-
-    def _flock(self, exclusive: bool):
-        """An acquired ``flock`` fd on the lock file (None without
-        fcntl)."""
-        if fcntl is None:
-            return None
-        fd = os.open(self.lock_path, os.O_WRONLY | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        except OSError:
-            os.close(fd)
-            return None
-        return fd
-
-    @staticmethod
-    def _unflock(fd) -> None:
-        if fd is not None:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    def _append(self, record: dict) -> None:
-        """One locked append: thread lock + shared cross-process flock."""
-        with self._lock:
-            fd = self._flock(exclusive=False)
-            try:
-                _append_line(self.path, record)
-            finally:
-                self._unflock(fd)
+        #: The next ``rt-<N>`` number; found by the first :meth:`load`.
+        self._next_id = None
 
     # -- writes ----------------------------------------------------------
 
     def next_job_id(self) -> str:
         """Allocate the next ``rt-<N>`` id (monotone across restarts)."""
+        if self._next_id is None:
+            self.load()
         with self._lock:
             job_id = f"rt-{self._next_id}"
             self._next_id += 1
@@ -269,7 +207,7 @@ class JobStore:
 
     def append_job(self, record: JobRecord) -> None:
         """Persist a new job's submission record (then its first state)."""
-        self._append(_job_line(record))
+        self._journal.append(_job_line(record))
 
     def append_state(self, job_id: str, state: str,
                      attempt: int = None) -> None:
@@ -281,76 +219,105 @@ class JobStore:
         """
         if state not in JOB_STATES:
             raise BackendError(f"unknown job state '{state}'")
-        self._append(_state_line(job_id, state, attempt))
+        self._journal.append(_state_line(job_id, state, attempt))
 
     def append_result(self, job_id: str, result) -> None:
         """Persist a completed job's :class:`Result`."""
-        self._append(_result_line(job_id, result))
+        self._journal.append(_result_line(job_id, result))
 
     def append_quarantine(self, job_id: str, fault_stats: dict,
                           error: str = None) -> None:
         """Persist a dead-lettered job's fault ledger (plain JSON)."""
-        self._append(_quarantine_line(job_id, fault_stats, error))
+        self._journal.append(_quarantine_line(job_id, fault_stats, error))
+
+    def requeue(self, record: JobRecord, options: dict = None) -> None:
+        """Revive a terminal job as a fresh run, ``options`` overriding
+        its run options.
+
+        One append writes a fresh ``job`` record — replay then drops the
+        failed attempt's checkpoint, so a poisoned one is never resumed,
+        and re-runs the corrected options — and a ``QUEUED`` state with
+        ``attempt=0``, a fresh dead-letter budget.
+        """
+        if record.state not in REQUEUEABLE_STATES:
+            raise BackendError(
+                f"job {record.job_id} is {record.state}; only "
+                f"{'/'.join(REQUEUEABLE_STATES)} jobs can be requeued"
+            )
+        if options:
+            record.options = dict(record.options, **options)
+        record.attempts = 0
+        record.checkpoint = None
+        self._journal.append(_job_line(record),
+                             _state_line(record.job_id, "QUEUED", 0))
 
     # -- reads -----------------------------------------------------------
 
     def load(self) -> dict:
-        """Replay the ledger into ``{job_id: JobRecord}``.
+        """Replay the journal into ``{job_id: JobRecord}``.
 
-        Later records override earlier ones (last state wins); malformed
-        lines — a torn append from a crash — are skipped.  Records whose
-        pickled payload cannot be decoded are dropped entirely: a job the
-        service cannot re-run is not recoverable.
+        Records whose pickled payload cannot be decoded are dropped
+        entirely: a job the service cannot re-run is not recoverable.
         """
-        records: dict = {}
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for entry in _read_records(handle):
-                    self._replay(records, entry)
+        records = self._replay(self._journal.replay())
+        top = max(map(self._job_number, records), default=-1) + 1
+        with self._lock:
+            self._next_id = max(self._next_id or 0, top)
         return records
 
     @staticmethod
-    def _replay(records: dict, entry: dict) -> None:
-        """Apply one ledger record to ``{job_id: JobRecord}``."""
-        kind = entry.get("type")
-        job_id = entry.get("job_id")
-        if kind == "job":
-            if entry.get("version") != STORE_VERSION:
-                raise BackendError(
-                    f"job store version {entry.get('version')} "
-                    f"is not supported"
+    def _replay(entries) -> dict:
+        """Apply journal records in order; returns ``{job_id:
+        JobRecord}``."""
+        records: dict = {}
+        checkpoints: dict = {}
+        for entry in entries:
+            checkpoint.replay(checkpoints, entry)
+            kind = entry.get("type")
+            job_id = entry.get("job_id")
+            if kind == "job":
+                if entry.get("version") != STORE_VERSION:
+                    raise BackendError(
+                        f"job store version {entry.get('version')} "
+                        f"is not supported"
+                    )
+                try:
+                    payload, options = decode(entry["payload"])
+                except Exception:  # noqa: BLE001 — torn/corrupt blob
+                    continue
+                record = JobRecord(
+                    job_id, entry["tenant"], entry["backend"],
+                    entry.get("priority", 0), entry.get("session"),
+                    entry.get("kind", "circuits"), payload, options,
+                    submitted_at=entry.get("submitted_at"),
+                    deadline=entry.get("deadline"),
                 )
-            try:
-                payload, options = _decode(entry["payload"])
-            except Exception:  # noqa: BLE001 — torn/corrupt blob
-                return
-            records[job_id] = JobRecord(
-                job_id, entry["tenant"], entry["backend"],
-                entry.get("priority", 0), entry.get("session"),
-                entry.get("kind", "circuits"), payload, options,
-                submitted_at=entry.get("submitted_at"),
-                deadline=entry.get("deadline"),
-            )
-        elif kind == "state" and job_id in records:
-            state = entry.get("state")
-            if state in JOB_STATES:
-                records[job_id].state = state
-                if entry.get("attempt") is not None:
-                    records[job_id].attempts = int(entry["attempt"])
-        elif kind == "result" and job_id in records:
-            try:
-                records[job_id].result = _decode(entry["result"])
-            except Exception:  # noqa: BLE001
-                return
-        elif kind == "quarantine" and job_id in records:
-            records[job_id].quarantine = {
-                "fault_stats": entry.get("fault_stats") or {},
-                "error": entry.get("error"),
-            }
-
-    def chunk_ledger_path(self, job_id: str) -> str:
-        """The per-job chunk checkpoint ledger path."""
-        return os.path.join(self.directory, f"{job_id}.chunks.jsonl")
+                if job_id in records:  # a requeue keeps the audit trail
+                    record.quarantine = records[job_id].quarantine
+                records[job_id] = record
+            elif kind == "state" and job_id in records:
+                state = entry.get("state")
+                if state in JOB_STATES:
+                    records[job_id].state = state
+                    if entry.get("attempt") is not None:
+                        records[job_id].attempts = int(entry["attempt"])
+                if state in TERMINAL_STATES:
+                    # A finished job is never resumed: drop its records
+                    # now, so replay holds only pending checkpoints.
+                    checkpoints.pop(job_id, None)
+            elif kind == "result" and job_id in records:
+                try:
+                    records[job_id].result = decode(entry["result"])
+                except Exception:  # noqa: BLE001
+                    continue
+            elif kind == "quarantine" and job_id in records:
+                records[job_id].quarantine = {
+                    "fault_stats": entry.get("fault_stats") or {},
+                    "error": entry.get("error"),
+                }
+        for job_id, record in records.items():
+            record.checkpoint = checkpoints.get(job_id)
+        return records
 
     # -- compaction and retention ----------------------------------------
 
@@ -402,24 +369,20 @@ class JobStore:
                 record.job_id, record.quarantine["fault_stats"],
                 record.quarantine["error"],
             ))
+        if record.checkpoint is not None:
+            header, chunks = record.checkpoint
+            lines.append(header)
+            lines.extend(chunks.values())
         return lines
 
     def compact(self, retention: RetentionPolicy = None,
                 now: float = None) -> dict:
-        """Rewrite the ledger to a last-state-wins snapshot; returns
+        """Rewrite the journal to a last-state-wins snapshot; returns
         stats.
 
-        The snapshot is built in a ``mkstemp`` sibling and published
-        with an atomic ``os.replace`` while holding the thread lock and
-        an *exclusive* cross-process ``flock`` — so concurrent appenders
-        (which take the shared lock per append and reopen the path each
-        time) either land before the snapshot read or after the replace,
-        never in between, and a crash mid-compaction leaves a complete
-        old or new ledger.  ``retention`` prunes terminal jobs (their
-        chunk ledgers deleted with them); ``now`` overrides the
-        wall-clock reference for the ``max_age`` cut (tests).
-
-        Stats — ``records_in/out``, ``bytes_in/out``, ``jobs_kept``,
+        ``retention`` prunes terminal jobs; ``now`` overrides the
+        wall-clock reference for the ``max_age`` cut (tests).  Stats —
+        ``records_in/out``, ``bytes_in/out``, ``jobs_kept``,
         ``jobs_pruned`` — are returned and mirrored as
         ``repro_runtime_compaction_*`` gauges plus a
         ``repro_runtime_compactions_total`` counter in the unified
@@ -428,59 +391,21 @@ class JobStore:
         from repro.telemetry.metrics import get_metrics_registry
 
         now = time.time() if now is None else now
-        with self._lock:
-            fd = self._flock(exclusive=True)
-            try:
-                records: dict = {}
-                lines_in = []
-                if os.path.exists(self.path):
-                    with open(self.path, "r", encoding="utf-8") as handle:
-                        lines_in = handle.readlines()
-                for entry in _read_records(lines_in):
-                    self._replay(records, entry)
-                dropped = self._pruned(records, retention, now)
-                for job_id in dropped:
-                    records.pop(job_id, None)
-                lines = []
-                for job_id in sorted(records, key=self._job_number):
-                    lines.extend(self._snapshot_lines(records[job_id]))
-                payload = "".join(
-                    json.dumps(line, separators=(",", ":")) + "\n"
-                    for line in lines
-                )
-                temp_fd, temp_path = tempfile.mkstemp(
-                    dir=self.directory, suffix=".compact.tmp"
-                )
-                try:
-                    with os.fdopen(temp_fd, "w", encoding="utf-8") as out:
-                        out.write(payload)
-                        out.flush()
-                        os.fsync(out.fileno())
-                    os.replace(temp_path, self.path)
-                except BaseException:
-                    try:
-                        os.unlink(temp_path)
-                    except OSError:
-                        pass
-                    raise
-            finally:
-                self._unflock(fd)
-            # The ledgers of pruned jobs go after the snapshot is live:
-            # a crash between replace and unlink leaves only orphaned
-            # chunk files, which nothing ever replays.
+        jobs = {}
+
+        def snapshot(entries):
+            records = self._replay(entries)
+            dropped = self._pruned(records, retention, now)
             for job_id in dropped:
-                try:
-                    os.unlink(self.chunk_ledger_path(job_id))
-                except OSError:
-                    pass
-        stats = {
-            "records_in": sum(1 for line in lines_in if line.strip()),
-            "records_out": len(lines),
-            "bytes_in": sum(len(line.encode()) for line in lines_in),
-            "bytes_out": len(payload.encode()),
-            "jobs_kept": len(records),
-            "jobs_pruned": len(dropped),
-        }
+                del records[job_id]
+            jobs.update(jobs_kept=len(records), jobs_pruned=len(dropped))
+            return [
+                line for job_id in sorted(records, key=self._job_number)
+                for line in self._snapshot_lines(records[job_id])
+            ]
+
+        stats = self._journal.compact(snapshot)
+        stats.update(jobs)
         registry = get_metrics_registry()
         registry.counter(
             "repro_runtime_compactions_total",

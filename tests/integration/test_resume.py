@@ -134,11 +134,14 @@ class TestResume:
         assert first == second == _reference()
 
 
-#: Child process: start a runtime service, submit a chunked checkpointed
-#: job, hard-kill the interpreter after N chunk events hit the stream.
+#: Child process: start a runtime service, submit a chunked job, and
+#: hard-kill the interpreter after N chunk events hit the stream.  A slow
+#: fault holds the service worker for 0.5 s at chunk 2, so the kill lands
+#: before the job can finish and persist its result.
 _CRASHING_SERVICE = """
 import os, sys
 from repro.circuit import QuantumCircuit
+from repro.providers import FaultInjector, FaultSpec, RetryPolicy
 from repro.runtime import RuntimeService
 
 store_dir, consume = sys.argv[1], int(sys.argv[2])
@@ -151,13 +154,13 @@ circuit.measure(0, 0)
 circuit.measure(1, 1)
 circuit.name = "bell"
 
+specs = [FaultSpec("slow", chunks=[2], latency=0.5)]
 options = dict(shots={shots}, seed=42, shot_chunk_size={chunk},
                shot_chunk_dispatch=True, executor="serial")
 if chaos:
-    from repro.providers import FaultInjector, FaultSpec, RetryPolicy
-    options["fault_injector"] = FaultInjector(
-        [FaultSpec("transient", probability=0.4)], seed=int(chaos))
+    specs.append(FaultSpec("transient", probability=0.4))
     options["retry_policy"] = RetryPolicy(base_delay=0.0)
+options["fault_injector"] = FaultInjector(specs, seed=int(chaos or 0))
 
 service = RuntimeService(store_dir)
 job = service.submit(circuit, **options)
@@ -193,9 +196,9 @@ def _crash_service(tmp_path, consume, chaos_seed=None):
 
 
 class TestServiceRestart:
-    """Crash/restart durability of the runtime service (satellite of the
-    runtime-layer refactor): a job killed mid-run resumes from the
-    store's chunk ledger bit-identically."""
+    """Crash/restart durability of the runtime service: a job killed
+    mid-run resumes bit-identically from the checkpoint records in the
+    store's journal."""
 
     def test_killed_service_job_resumes_bit_identically(self, tmp_path):
         store, job_id = _crash_service(tmp_path, consume=2)

@@ -360,6 +360,36 @@ class TestCheckpointLedger:
         _header, chunks = load_ledger(path)
         assert set(chunks) == {(0, 1)}
 
+    def test_new_header_appends_and_the_latest_wins(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        write_header(path, "job-1", ("aer", "qasm_simulator"), [], [])
+        append_chunk(path, "job-1", 0, 0,
+                     ExperimentResult("exp", 1, {"counts": {"0": 1}}))
+        write_header(path, "job-2", ("aer", "qasm_simulator"), [], [])
+        append_chunk(path, "job-2", 0, 1,
+                     ExperimentResult("exp", 1, {"counts": {"1": 1}}))
+        header, chunks = load_ledger(path)
+        assert header["job_id"] == "job-2"
+        assert set(chunks) == {(0, 1)}
+        with open(path, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 4  # nothing truncated
+
+    def test_job_record_clears_the_checkpoint(self, tmp_path):
+        # A runtime requeue appends a fresh ``job`` record: the stale
+        # checkpoint before it must never be resumed.
+        from repro.exceptions import BackendError
+        from repro.providers.journal import Journal
+
+        path = str(tmp_path / "ledger.jsonl")
+        write_header(path, "rt-1", ("aer", "qasm_simulator"), [], [])
+        append_chunk(path, "rt-1", 0, 0,
+                     ExperimentResult("exp", 1, {"counts": {"0": 1}}))
+        Journal(path).append({"type": "job", "job_id": "rt-1"})
+        append_chunk(path, "rt-1", 0, 1,
+                     ExperimentResult("exp", 1, {"counts": {"1": 1}}))
+        with pytest.raises(BackendError):
+            load_ledger(path)
+
     def test_non_done_records_are_skipped(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         write_header(path, "job-1", ("aer", "qasm_simulator"), [], [])

@@ -10,24 +10,29 @@ The satellite invariants from the hardening issue:
   snapshot is built in a temp file and published atomically, so replay
   sees the complete old ledger or the complete new one, never a hybrid;
 * compact + restart replays bit-identically — recovered DONE jobs carry
-  the exact persisted Result.
+  the exact persisted Result, and a RUNNING job's checkpoint (header and
+  chunk records in the same journal) survives for a bit-identical
+  resume.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import multiprocessing
 import os
 import threading
 import time
 
 from repro.circuit import QuantumCircuit
+from repro.providers import Aer, Job
 from repro.runtime import (
     JobRecord,
     JobStore,
     RetentionPolicy,
     RuntimeService,
 )
+from repro.telemetry.jobtrace import JobTrace
 
 
 def _bell(name="bell"):
@@ -43,6 +48,35 @@ def _record(job_id, submitted_at=None):
     return JobRecord(job_id, "default", ("aer", "qasm_simulator"), 0,
                      None, "circuits", "payload", {"shots": 10},
                      submitted_at=submitted_at)
+
+
+def _chunked_run(path, job_id, shots, chunk):
+    """A serial chunked Bell job checkpointing into the journal at
+    ``path`` under ``job_id`` (lazy: chunks run as the job streams)."""
+    return Aer.get_backend("qasm_simulator").run(
+        _bell(), shots=shots, seed=42, shot_chunk_size=chunk,
+        shot_chunk_dispatch=True, executor="serial", checkpoint=path,
+        job_trace=JobTrace(job_id, "qasm_simulator"),
+    )
+
+
+def _reference(shots, chunk):
+    return Aer.get_backend("qasm_simulator").run(
+        _bell(), shots=shots, seed=42, shot_chunk_size=chunk,
+        shot_chunk_dispatch=True, executor="serial",
+    ).result().get_counts()
+
+
+def _running_job(store, job_id, submitted_at=None):
+    """Journal ``job_id`` as RUNNING (its checkpoint comes separately)."""
+    store.append_job(_record(job_id, submitted_at=submitted_at))
+    store.append_state(job_id, "RUNNING")
+
+
+def _record_types(path):
+    with open(path, encoding="utf-8") as handle:
+        return [(entry["type"], entry["job_id"])
+                for entry in map(json.loads, handle)]
 
 
 class TestCompactionBasics:
@@ -72,27 +106,32 @@ class TestCompactionBasics:
         store = JobStore(tmp_path)
         now = time.time()
         for index in range(4):
-            record = _record(f"rt-{index}", submitted_at=now - 1000)
-            store.append_job(record)
-            store.append_state(record.job_id, "DONE")
-            with open(store.chunk_ledger_path(record.job_id), "w") as fh:
-                fh.write("{}\n")
-        # rt-4 is still queued: retention must never touch it, however
-        # old it is.
-        pending = _record("rt-4", submitted_at=now - 5000)
-        store.append_job(pending)
-        store.append_state("rt-4", "QUEUED")
+            job_id = f"rt-{index}"
+            _running_job(store, job_id, submitted_at=now - 1000)
+            _chunked_run(store.path, job_id, 200, 100).result()
+            store.append_state(job_id, "DONE")
+        # rt-4 is still running: retention must never touch it, however
+        # old it is, and its checkpoint must survive for a resume.
+        _running_job(store, "rt-4", submitted_at=now - 5000)
+        stream = _chunked_run(store.path, "rt-4", 300, 100).stream()
+        next(stream)
         stats = store.compact(
             retention=RetentionPolicy(max_terminal_jobs=2), now=now
         )
         remaining = JobStore(tmp_path).load()
         assert stats["jobs_pruned"] == 2
         assert sorted(remaining) == ["rt-2", "rt-3", "rt-4"]
-        # Pruned jobs' chunk ledgers went with them; survivors keep
-        # theirs.
-        assert not os.path.exists(store.chunk_ledger_path("rt-0"))
-        assert not os.path.exists(store.chunk_ledger_path("rt-1"))
-        assert os.path.exists(store.chunk_ledger_path("rt-2"))
+        # Terminal jobs keep no checkpoint records; the running job
+        # keeps its header and its one finished chunk.
+        assert [entry for entry in _record_types(store.path)
+                if entry[0] in ("header", "chunk")] == [
+            ("header", "rt-4"), ("chunk", "rt-4"),
+        ]
+        assert remaining["rt-2"].checkpoint is None
+        assert set(remaining["rt-4"].checkpoint[1]) == {(0, 0)}
+        assert sorted(os.listdir(tmp_path)) == [
+            "jobs.jsonl", "jobs.jsonl.lock",
+        ]
 
     def test_max_age_retention(self, tmp_path):
         store = JobStore(tmp_path)
@@ -154,17 +193,27 @@ class TestCompactionUnderService:
         assert all(r.result is not None for r in records.values())
 
 
+def _append_chunks(path, job_id, shots, chunk):  # pragma: no cover
+    """Child process: the worker-side chunk appends of a real job."""
+    _chunked_run(path, job_id, shots, chunk).result()
+
+
 class TestConcurrentAppenders:
     def test_compaction_races_independent_appender_stores(self, tmp_path):
-        """Appender and compactor use *separate* JobStore instances on
+        """Appenders and compactor use *separate* JobStore instances on
         one directory — the multi-process shape, coordinated only by the
-        cross-process flock.  No append may be lost."""
+        cross-process flock.  A second process appends a RUNNING job's
+        header and chunk records, exactly as a pool worker does.  No
+        append may be lost."""
         jobs = 30
+        shots, chunk = 3000, 100
         seed_store = JobStore(tmp_path)
         for index in range(jobs):
             seed_store.append_job(
                 _record(f"rt-{index}", submitted_at=time.time())
             )
+        running = f"rt-{jobs}"
+        _running_job(seed_store, running, submitted_at=time.time())
         stop = threading.Event()
         errors: list = []
 
@@ -188,21 +237,42 @@ class TestConcurrentAppenders:
             except Exception as error:  # noqa: BLE001
                 errors.append(error)
 
+        worker = multiprocessing.get_context("spawn").Process(
+            target=_append_chunks,
+            args=(seed_store.path, running, shots, chunk),
+        )
         writer = threading.Thread(target=appender)
         packer = threading.Thread(target=compactor)
-        writer.start()
         packer.start()
-        writer.join(timeout=60)
-        stop.set()
-        packer.join(timeout=60)
+        worker.start()
+        writer.start()
+        try:
+            writer.join(timeout=60)
+            worker.join(timeout=120)
+        finally:
+            stop.set()
+            packer.join(timeout=60)
+            if worker.is_alive():
+                worker.kill()
         assert not errors
+        assert not writer.is_alive() and not packer.is_alive()
+        assert worker.exitcode == 0
         final = JobStore(tmp_path)
         final.compact()
         records = final.load()
-        assert len(records) == jobs
+        assert len(records) == jobs + 1
         assert all(
-            record.state == "DONE" for record in records.values()
+            record.state == "DONE" for job_id, record in records.items()
+            if job_id != running
         ), {k: v.state for k, v in records.items() if v.state != "DONE"}
+        assert set(records[running].checkpoint[1]) == {
+            (0, index) for index in range(shots // chunk)
+        }
+        # Resumed from the compacted journal, the job re-runs nothing
+        # and merges to the uninterrupted run's counts.
+        resumed = Job.resume(final.path)
+        assert resumed.result().get_counts() == _reference(shots, chunk)
+        assert resumed.fault_stats["resumed_chunks"] == shots // chunk
 
     def test_post_compaction_appends_go_to_the_new_inode(self, tmp_path):
         store_a = JobStore(tmp_path)
@@ -234,6 +304,12 @@ class TestCrashDuringCompaction:
             record = _record(f"rt-{index}", submitted_at=time.time())
             store.append_job(record)
             store.append_state(record.job_id, "DONE")
+        # A RUNNING job with 2 of its 3 chunks checkpointed.
+        running = f"rt-{jobs}"
+        _running_job(store, running, submitted_at=time.time())
+        stream = _chunked_run(store.path, running, 3000, 1024).stream()
+        next(stream)
+        next(stream)
         context = multiprocessing.get_context("fork")
         for round_number in range(3):
             child = context.Process(
@@ -244,21 +320,30 @@ class TestCrashDuringCompaction:
             child.kill()  # SIGKILL: no cleanup handlers run
             child.join(timeout=30)
             # Replay after the crash: the atomic replace guarantees a
-            # complete old or new ledger, so every job is still there
-            # with its final state — zero lost, zero duplicated.
+            # complete old or new journal, so every job is still there
+            # with its final state and the running job with its
+            # checkpoint — zero lost, zero duplicated.
             records = JobStore(tmp_path).load()
-            assert len(records) == jobs
+            assert len(records) == jobs + 1
             assert all(
-                record.state == "DONE" for record in records.values()
+                record.state == "DONE" for job_id, record in records.items()
+                if job_id != running
             )
+            assert records[running].state == "RUNNING"
+            assert set(records[running].checkpoint[1]) == {(0, 0), (0, 1)}
         # Orphaned temp snapshots may remain after a kill; they must
         # never be replayed and a later compaction run leaves a clean
-        # single ledger.
+        # single journal.
         JobStore(tmp_path).compact()
         records = JobStore(tmp_path).load()
-        assert len(records) == jobs
+        assert len(records) == jobs + 1
         leftovers = glob.glob(os.path.join(str(tmp_path), "*.compact.tmp"))
-        # Stale temp files are inert; the published ledger is the only
+        # Stale temp files are inert; the published journal is the only
         # file replay ever reads.
         for path in leftovers:
             assert path != store.path
+        # The surviving checkpoint resumes bit-identically: one chunk
+        # re-runs, two come from the journal.
+        resumed = Job.resume(store.path)
+        assert resumed.result().get_counts() == _reference(3000, 1024)
+        assert resumed.fault_stats["resumed_chunks"] == 2

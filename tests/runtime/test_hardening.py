@@ -338,10 +338,12 @@ class TestQuarantine:
                 job.result(timeout=30)
             job_id = job.job_id
         # Requeue offline (overrides persisted), then restart: recovery
-        # replays the *corrected* options, not the poison original.
+        # replays the *corrected* options, not the poison original, and
+        # never resumes the poisoned attempt's checkpoint — with one
+        # service attempt, the first dispatch must already be clean.
         with RuntimeService(tmp_path, autostart=False) as fixer:
             fixer.requeue(job_id, fault_injector=None)
-        with RuntimeService(tmp_path) as runner:
+        with RuntimeService(tmp_path, service_attempts=1) as runner:
             result = runner.job(job_id).result(timeout=30)
         assert result.get_counts() == _reference()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.circuit import QuantumCircuit
@@ -78,21 +80,35 @@ class TestServiceParity:
             assert ours.data == theirs.data
 
     def test_failed_experiment_surfaces_as_error_state(self, tmp_path):
-        from repro.providers import FaultInjector, FaultSpec
-
-        injector = FaultInjector(
-            [FaultSpec("transient", probability=1.0)], seed=3
-        )
-        # Dead-lettering disabled: the pre-hardening contract — an
-        # exhausted transient experiment terminates the job in ERROR,
-        # with the Result still returned, provider-job style.
-        with RuntimeService(tmp_path, quarantine=False) as service:
-            job = service.submit(_bell(), shots=10, seed=1,
-                                 fault_injector=injector,
-                                 retry_policy=False)
+        # A user error (a circuit wider than the simulator's dense-array
+        # limit) is not retried or dead-lettered: the job terminates in
+        # ERROR with the Result still returned, provider-job style.
+        wide = QuantumCircuit(40, 1, name="wide")
+        wide.h(0)
+        wide.measure(0, 0)
+        with RuntimeService(tmp_path) as service:
+            job = service.submit([_bell(), wide], shots=10, seed=1)
             result = job.result(timeout=30)
         assert job.status() == "ERROR"
         assert result.success is False
+        assert result.get_counts("bell") == Aer.get_backend(
+            "qasm_simulator"
+        ).run([_bell(), wide], shots=10, seed=1).result().get_counts("bell")
+
+    def test_checkpoint_option_is_refused(self, tmp_path):
+        with RuntimeService(tmp_path, autostart=False) as service:
+            with pytest.raises(BackendError):
+                service.submit(_bell(), checkpoint=str(tmp_path / "x"))
+            assert service.jobs() == []
+
+    def test_store_holds_only_the_journal(self, tmp_path):
+        with RuntimeService(tmp_path) as service:
+            for seed in range(3):
+                service.submit(_bell(), shots=3000, seed=seed,
+                               shot_chunk_size=1024).result(timeout=30)
+        assert sorted(os.listdir(tmp_path)) == [
+            "jobs.jsonl", "jobs.jsonl.lock",
+        ]
 
     def test_unknown_backend_rejected_at_submit(self, tmp_path):
         with RuntimeService(tmp_path, autostart=False) as service:
@@ -275,6 +291,29 @@ class TestRecovery:
             assert loaded.result(timeout=1).get_counts() == reference
         finally:
             reopened.shutdown()
+
+    def test_service_start_replays_the_journal_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.providers.journal import Journal
+
+        with RuntimeService(tmp_path) as service:
+            service.submit(_bell(), shots=100, seed=1).result(timeout=30)
+        replays = []
+        original = Journal.replay
+
+        def counted(journal):
+            replays.append(journal.path)
+            return original(journal)
+
+        monkeypatch.setattr(Journal, "replay", counted)
+        revived = RuntimeService(tmp_path, autostart=False)
+        try:
+            assert len(replays) == 1
+            assert revived.submit(_bell(), shots=10).job_id == "rt-1"
+            assert len(replays) == 1
+        finally:
+            revived.shutdown()
 
     def test_jobs_listing_filters_by_tenant(self, tmp_path):
         with RuntimeService(tmp_path, autostart=False) as service:

@@ -88,11 +88,76 @@ class TestJobStore:
         store.append_state("rt-9", "DONE")  # no job record
         assert JobStore(tmp_path).load() == {}
 
-    def test_chunk_ledger_path_is_per_job(self, tmp_path):
+    def test_concurrent_multi_page_appends_lose_nothing(self, tmp_path):
+        # More appending threads than cores, each with its own store and
+        # records several pages long: every append must replay whole.
+        import sys
+        import threading
+
+        threads, per_thread = 8, 40
+        blob = "x" * 10000
+        errors = []
+
+        def appender(index):
+            mine = JobStore(tmp_path)
+            try:
+                for number in range(per_thread):
+                    record = _record(f"rt-{index * per_thread + number}")
+                    record.options = {"blob": blob}
+                    mine.append_job(record)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=appender, args=(index,))
+                       for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(worker.is_alive() for worker in workers)
+        records = JobStore(tmp_path).load()
+        assert len(records) == threads * per_thread
+        assert all(r.options == {"blob": blob} for r in records.values())
+
+    def test_append_after_torn_tail_survives(self, tmp_path):
+        # A crash tears the final line; the next process's first append
+        # must not be swallowed into the fragment.
         store = JobStore(tmp_path)
-        assert store.chunk_ledger_path("rt-3").endswith(
-            "rt-3.chunks.jsonl"
-        )
-        assert store.chunk_ledger_path("rt-3") != store.chunk_ledger_path(
-            "rt-4"
-        )
+        store.append_job(_record("rt-0"))
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "state", "job_id": "rt-0", "sta')
+        JobStore(tmp_path).append_job(_record("rt-1"))
+        assert sorted(JobStore(tmp_path).load()) == ["rt-0", "rt-1"]
+
+    def test_requeue_clears_the_checkpoint_and_keeps_the_audit_trail(
+        self, tmp_path
+    ):
+        from repro.providers.checkpoint import append_chunk, write_header
+        from repro.providers.result import ExperimentResult
+
+        store = JobStore(tmp_path)
+        store.append_job(_record("rt-0"))
+        store.append_state("rt-0", "RUNNING")
+        write_header(store.path, "rt-0", ("aer", "qasm_simulator"), [], [])
+        append_chunk(store.path, "rt-0", 0, 0,
+                     ExperimentResult("bell", 1, {"counts": {"00": 1}}))
+        running = JobStore(tmp_path).load()["rt-0"]
+        assert set(running.checkpoint[1]) == {(0, 0)}
+        store.append_quarantine("rt-0", {"faults_injected": 1}, "boom")
+        store.append_state("rt-0", "QUARANTINED", attempt=2)
+        record = JobStore(tmp_path).load()["rt-0"]
+        with pytest.raises(BackendError):
+            store.requeue(running)  # RUNNING: nothing to revive
+        store.requeue(record, {"seed": 8})
+        revived = JobStore(tmp_path).load()["rt-0"]
+        assert revived.state == "QUEUED"
+        assert revived.attempts == 0
+        assert revived.options == {"shots": 100, "seed": 8}
+        assert revived.checkpoint is None
+        assert revived.quarantine["error"] == "boom"
