@@ -65,9 +65,11 @@ for depth, span in trace.walk():
 # 4. The same trace as an ASCII timeline (render_svg() gives SVG).
 print("\n" + trace.render(width=72))
 
-# 5. The metrics registry absorbed the job's fault/retry tallies — the
-#    legacy job.fault_stats dictionary is now a view over these series.
-print("Prometheus dump (job counters only):")
+# 5. The metrics registry holds fleet-wide totals: each finished job adds
+#    its fault/retry ledger (job.fault_stats, computed from the job's own
+#    outcomes) to one unlabelled series per counter, so the registry does
+#    not grow with the number of jobs.
+print("Prometheus dump (fleet-wide job counters only):")
 for line in prometheus_text().splitlines():
     if line.startswith("repro_job_") and not line.startswith("# "):
         print(f"  {line}")

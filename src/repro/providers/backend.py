@@ -205,7 +205,7 @@ class Job:
             # without caching so the job stays collectable.
             return result
         self._result = result
-        self._trace.finalize(outcomes, self._dispatch.fallbacks)
+        self._trace.finalize(self.fault_stats)
         return result
 
     def result(self, timeout=None, partial=False):
@@ -329,22 +329,19 @@ class Job:
 
     @property
     def fault_stats(self) -> dict:
-        """The job's fault/retry ledger.
+        """The job's fault/retry ledger, aggregated from its own outcomes.
 
         Accounts for every attempt (retries included), total backoff
         seconds, injected faults, the executor fallback taken when a
         process pool broke, failed experiments, and the shot-chunk tallies
         (``total_chunks`` / ``completed_chunks`` / ``resumed_chunks`` —
         a cancelled streaming job reports how many chunks it delivered).
-        Once the job is collected this is a thin view over the
-        job-labelled counters in the unified metrics registry (see
-        :mod:`repro.telemetry.metrics`); before that it reflects only
-        the experiments finished so far, aggregated live.
+        Once the job is collected it covers the merged results; before
+        that, the restored and finished outcomes so far.
+        ``total_chunks`` always comes from the dispatch plan.
         """
         from repro.providers.retry import aggregate_fault_stats
 
-        if self._trace.finalized:
-            return self._trace.fault_stats_view()
         if self._result is not None:
             outcomes = self._result.results
         else:
@@ -353,15 +350,10 @@ class Job:
                 + self._dispatch.finished_outcomes()
             )
         stats = aggregate_fault_stats(outcomes, self._dispatch.fallbacks)
-        if self._result is None:
-            # Pre-collect (including after a cancel): the finished chunk
-            # outcomes only know themselves, but the dispatch plan knows
-            # the full layout — report planned totals, delivered progress.
-            layout = {
-                entry["experiment_index"]: entry["chunks"]
-                for entry in self._plan
-            }
-            stats["total_chunks"] = sum(layout.values())
+        layout = {
+            entry["experiment_index"]: entry["chunks"] for entry in self._plan
+        }
+        stats["total_chunks"] = sum(layout.values())
         return stats
 
     def trace(self):

@@ -63,7 +63,6 @@ job that caused them.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 
@@ -75,6 +74,7 @@ from repro.exceptions import (
     QueueFullError,
 )
 from repro.providers.executor import resolve_backend
+from repro.providers.journal import encode
 from repro.providers.retry import (
     infrastructure_failure,
     is_infrastructure_error,
@@ -642,7 +642,7 @@ class RuntimeService:
                 "checkpoint option is not accepted"
             )
         try:
-            pickle.dumps((payload, options))
+            blob = encode((payload, options))
         except Exception as error:
             raise BackendError(
                 f"runtime job payloads must be picklable for the durable "
@@ -664,7 +664,7 @@ class RuntimeService:
             if deadline is not None:
                 job._deadline_at = self._clock() + deadline
             self._jobs[job_id] = job
-            self._store.append_job(record)
+            self._store.append_job(record, blob)
             self._persist_state(job, "QUEUED")
             self._enqueue(job, trace)
             self._submitted.inc(labels={"tenant": tenant})
@@ -738,7 +738,9 @@ class RuntimeService:
         re-armed on the service clock, and an already-expired job
         expires at dequeue.
         """
-        for job_id, record in sorted(self._store.load().items()):
+        records = self._store.load()
+        for job_id in sorted(records, key=JobStore._job_number):
+            record = records[job_id]
             trace = JobTrace(job_id, record.backend_spec[1])
             job = RuntimeJob(self, record, trace)
             self._jobs[job_id] = job

@@ -128,8 +128,9 @@ class JobRecord:
         )
 
 
-def _job_line(record: JobRecord) -> dict:
-    """The ``job`` record: everything needed to re-run the job."""
+def _job_line(record: JobRecord, blob: str = None) -> dict:
+    """The ``job`` record: everything needed to re-run the job (``blob``:
+    the pair already encoded, if the caller has it)."""
     return {
         "type": "job",
         "version": STORE_VERSION,
@@ -141,7 +142,7 @@ def _job_line(record: JobRecord) -> dict:
         "kind": record.kind,
         "submitted_at": record.submitted_at,
         "deadline": record.deadline,
-        "payload": encode((record.payload, record.options)),
+        "payload": blob or encode((record.payload, record.options)),
     }
 
 
@@ -205,9 +206,13 @@ class JobStore:
             self._next_id += 1
             return job_id
 
-    def append_job(self, record: JobRecord) -> None:
-        """Persist a new job's submission record (then its first state)."""
-        self._journal.append(_job_line(record))
+    def append_job(self, record: JobRecord, blob: str = None) -> None:
+        """Persist a new job's submission record (then its first state).
+
+        ``blob`` is :func:`~repro.providers.journal.encode` of the
+        record's ``(payload, options)`` when the caller already made it.
+        """
+        self._journal.append(_job_line(record, blob))
 
     def append_state(self, job_id: str, state: str,
                      attempt: int = None) -> None:

@@ -13,9 +13,11 @@ The observability layer of the execution pipeline:
   no spans.
 * **Metrics** — ``get_metrics_registry()`` returns the always-on
   process-wide registry of labelled counters/gauges/histograms that
-  absorbs the legacy ledgers (``fault_stats``,
-  ``transpile_cache_stats``, ``dd_table_stats``) and exports as a JSON
-  tree or Prometheus text.
+  holds fleet-wide totals (fault/retry counters summed over jobs,
+  transpile-cache gauges, runtime queue series) and exports as a JSON
+  tree or Prometheus text.  Per-job and per-cache ledgers
+  (``job.fault_stats``, ``TranspileCache.stats()``) are kept by their
+  owners and never read back from the registry.
 * **Exporters** — JSON-lines span streams (:func:`export_jsonl`,
   :class:`JsonlExporter`) and :func:`prometheus_text`.
 """

@@ -8,8 +8,10 @@ Two classes bridge the generic tracer to the execution pipeline:
   ``assemble`` / ``transpile`` / ``dispatch`` / ``collect`` stage spans,
   hands each experiment a serializable span context for the config
   payload, merges worker-recorded spans back at collect, and — tracing
-  enabled or not — publishes the job's fault/retry/cache tallies into
-  the process-wide metrics registry exactly once at :meth:`finalize`.
+  enabled or not — adds the job's fault/retry tallies to the fleet-wide
+  counters of the process-wide metrics registry exactly once at
+  :meth:`finalize`.  The job's own ledger is ``job.fault_stats``,
+  computed from its outcomes; nothing reads the counters back.
 
 * :class:`ExperimentRecorder` lives wherever the experiment actually
   runs — a process-pool worker, a thread, or the collecting thread
@@ -42,21 +44,28 @@ from repro.telemetry.tracer import (
     push_tracer_override,
 )
 
-#: Counter families that absorb the legacy ``job.fault_stats`` ledger.
-#: Every family is labelled by job id, so per-job views and fleet-wide
-#: totals come from the same series.
+#: Fleet-wide counter families, one unlabelled series each, that every
+#: job's fault ledger adds to once at finalize: ``(family, help, ledger
+#: key)``.  A list-valued ledger entry counts its length.
 FAULT_COUNTERS = (
-    ("repro_job_experiments_total", "Experiments collected per job"),
-    ("repro_job_attempts_total", "Experiment attempts (retries included)"),
-    ("repro_job_retries_total", "Experiment re-runs after transient faults"),
-    ("repro_job_faults_injected_total", "Faults injected by chaos testing"),
-    ("repro_job_fallbacks_total", "Executor degradations taken"),
-    ("repro_job_failures_total", "Experiments that exhausted retries"),
-    ("repro_job_backoff_seconds_total", "Seconds slept in retry backoff"),
-    ("repro_job_chunks_total", "Shot-chunks planned per job"),
-    ("repro_job_chunks_completed_total", "Shot-chunks that finished"),
+    ("repro_job_experiments_total", "Experiments collected", "experiments"),
+    ("repro_job_attempts_total", "Experiment attempts (retries included)",
+     "attempts"),
+    ("repro_job_retries_total", "Experiment re-runs after transient faults",
+     "retries"),
+    ("repro_job_faults_injected_total", "Faults injected by chaos testing",
+     "faults_injected"),
+    ("repro_job_fallbacks_total", "Executor degradations taken",
+     "fallbacks"),
+    ("repro_job_failures_total", "Experiments that exhausted retries",
+     "failed_experiments"),
+    ("repro_job_backoff_seconds_total", "Seconds slept in retry backoff",
+     "backoff_total_s"),
+    ("repro_job_chunks_total", "Shot-chunks planned", "total_chunks"),
+    ("repro_job_chunks_completed_total", "Shot-chunks that finished",
+     "completed_chunks"),
     ("repro_job_chunks_resumed_total",
-     "Shot-chunks restored from a checkpoint ledger"),
+     "Shot-chunks restored from a checkpoint ledger", "resumed_chunks"),
 )
 
 
@@ -79,9 +88,6 @@ class JobTrace:
         self.finalized = False
         self.root = None
         self._dispatch_span = None
-        self._fallbacks: list = []
-        self._failed: list = []
-        self._per_experiment: dict = {}
         if self.enabled:
             self.root = Span(
                 "job", self.trace_id, "", 0,
@@ -140,7 +146,6 @@ class JobTrace:
 
     def record_fallback(self, transition: str) -> None:
         """Record one executor degradation as an ERROR child span."""
-        self._fallbacks.append(transition)
         if not self.enabled:
             return
         span = self.tracer.start_span(
@@ -163,66 +168,27 @@ class JobTrace:
             for payload in getattr(outcome, "spans", ()) or ():
                 store.add_dict(payload)
 
-    def finalize(self, outcomes, fallbacks=()) -> None:
-        """Close the trace and publish the job's metrics (exactly once).
+    def finalize(self, stats: dict) -> None:
+        """Close the trace and publish the job's ledger (exactly once).
 
-        Runs regardless of tracing state: the metrics registry is always
-        on.  Publishes the fault/retry counters (the registry-backed
-        ``job.fault_stats`` view reads them back), per-experiment DD
-        unique-table gauges when present, and ends the ``dispatch`` and
-        root ``job`` spans.
+        ``stats`` is the job's ``fault_stats``.  Runs regardless of
+        tracing state: the metrics registry is always on.  Adds the
+        ledger to the fleet-wide :data:`FAULT_COUNTERS` and ends the
+        ``dispatch`` and root ``job`` spans.
         """
         if self.finalized:
             return
         self.finalized = True
-        from repro.providers.retry import aggregate_fault_stats
-
-        stats = aggregate_fault_stats(outcomes, fallbacks)
-        self._fallbacks = list(stats["fallbacks"])
-        self._failed = list(stats["failed_experiments"])
-        self._per_experiment = {
-            name: dict(entry)
-            for name, entry in stats["per_experiment"].items()
-        }
         registry = get_metrics_registry()
-        labels = {"job": self.job_id}
-        values = {
-            "repro_job_experiments_total": stats["experiments"],
-            "repro_job_attempts_total": stats["attempts"],
-            "repro_job_retries_total": stats["retries"],
-            "repro_job_faults_injected_total": stats["faults_injected"],
-            "repro_job_fallbacks_total": len(stats["fallbacks"]),
-            "repro_job_failures_total": len(stats["failed_experiments"]),
-            "repro_job_backoff_seconds_total": stats["backoff_total_s"],
-            "repro_job_chunks_total": stats["total_chunks"],
-            "repro_job_chunks_completed_total": stats["completed_chunks"],
-            "repro_job_chunks_resumed_total": stats["resumed_chunks"],
-        }
-        for name, help_text in FAULT_COUNTERS:
-            registry.counter(name, help_text, labelnames=("job",)).inc(
-                values[name], labels=labels
+        for name, help_text, key in FAULT_COUNTERS:
+            value = stats[key]
+            registry.counter(name, help_text).inc(
+                len(value) if isinstance(value, list) else value
             )
-        dd_gauge = registry.gauge(
-            "repro_dd_table_stats",
-            "DD unique-table statistics per experiment",
-            labelnames=("job", "experiment", "stat"),
-        )
-        for outcome in outcomes:
-            data = outcome.data if isinstance(outcome.data, dict) else {}
-            table = data.get("dd_table_stats")
-            if not isinstance(table, dict):
-                continue
-            for stat, value in table.items():
-                if isinstance(value, (int, float)):
-                    dd_gauge.set(value, labels={
-                        "job": self.job_id,
-                        "experiment": outcome.circuit_name,
-                        "stat": stat,
-                    })
         if self.enabled:
             if self._dispatch_span is not None:
                 self._dispatch_span.set_attribute(
-                    "fallbacks", list(self._fallbacks)
+                    "fallbacks", list(stats["fallbacks"])
                 )
                 self.tracer.end_span(self._dispatch_span)
             self.root.set_attributes({
@@ -230,52 +196,13 @@ class JobTrace:
                 "attempts": stats["attempts"],
                 "retries": stats["retries"],
             })
-            if self._failed:
+            failed = stats["failed_experiments"]
+            if failed:
                 self.root.set_error(
-                    f"{len(self._failed)} experiment(s) failed: "
-                    f"{', '.join(self._failed)}"
+                    f"{len(failed)} experiment(s) failed: "
+                    f"{', '.join(failed)}"
                 )
             self.tracer.end_span(self.root)
-
-    def fault_stats_view(self) -> dict:
-        """The legacy ``fault_stats`` dictionary, read from the registry.
-
-        Numeric totals come from the job-labelled counter families
-        published at :meth:`finalize`; the list/detail fields
-        (``fallbacks``, ``failed_experiments``, ``per_experiment``) come
-        from the finalize-time snapshot.
-        """
-        registry = get_metrics_registry()
-        labels = {"job": self.job_id}
-
-        def value(name):
-            family = registry.get(name)
-            return family.value(labels) if family is not None else 0
-
-        return {
-            "experiments": int(value("repro_job_experiments_total")),
-            "attempts": int(value("repro_job_attempts_total")),
-            "retries": int(value("repro_job_retries_total")),
-            "backoff_total_s": round(
-                value("repro_job_backoff_seconds_total"), 6
-            ),
-            "faults_injected": int(
-                value("repro_job_faults_injected_total")
-            ),
-            "fallbacks": list(self._fallbacks),
-            "failed_experiments": list(self._failed),
-            "per_experiment": {
-                name: dict(entry)
-                for name, entry in self._per_experiment.items()
-            },
-            "total_chunks": int(value("repro_job_chunks_total")),
-            "completed_chunks": int(
-                value("repro_job_chunks_completed_total")
-            ),
-            "resumed_chunks": int(
-                value("repro_job_chunks_resumed_total")
-            ),
-        }
 
     def trace(self) -> Trace:
         """The job's :class:`~repro.telemetry.trace.Trace` as recorded so

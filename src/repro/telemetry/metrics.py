@@ -1,11 +1,16 @@
 """The unified metrics registry: counters, gauges, histograms with labels.
 
-One process-wide :class:`MetricsRegistry` absorbs the pipeline's
-previously scattered ledgers — the transpile-cache hit/miss counters,
-the DD unique-table statistics, the per-job fault/retry tallies — and
-re-exposes them behind a single API with two export surfaces:
+One process-wide :class:`MetricsRegistry` holds the pipeline's
+fleet-wide totals — the transpile-cache hit/miss gauges, the fault/retry
+counters summed over every finished job, the runtime service's queue
+and breaker series — behind two export surfaces:
 :meth:`MetricsRegistry.snapshot` (a JSON-compatible tree) and
 :meth:`MetricsRegistry.to_prometheus` (Prometheus text exposition).
+The registry is write-only for the pipeline: each layer keeps its own
+ledger (``job.fault_stats``, ``TranspileCache.stats()``) and publishes
+into the registry, and only the exporters read it.  No series is
+labelled by job, so the series count does not grow with the number of
+jobs.
 
 Metric families are created idempotently by name::
 

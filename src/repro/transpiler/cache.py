@@ -28,13 +28,14 @@ CLI invocations share compiles.
 
 Entries are kept in LRU order with hit/miss counters (memory and disk
 tiers separately) exposed for observability — ``execute`` surfaces them
-through job metadata and they are mirrored as
-``repro_transpile_cache_*`` gauges in the unified metrics registry.
+through job metadata, :meth:`TranspileCache.stats` returns them, and
+every update pushes them to the ``repro_transpile_cache_*`` gauges of
+the unified metrics registry, which the cache never reads back.
 
 Knobs: ``transpile(..., transpile_cache=False)`` bypasses the cache for
 one call; :func:`resize_transpile_cache` changes memory-tier capacity
 (0 disables) while preserving the cumulative hit/miss counters, so the
-registry-backed gauges stay monotone across resizes.
+gauges stay monotone across resizes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from collections import OrderedDict
 from repro.circuit.parameter import is_parameterized
 from repro.telemetry.metrics import get_metrics_registry
 
-#: Registry gauges mirroring the cache ledger (name -> stats key).
+#: Registry gauges the cache's counters are pushed to (name -> stats key).
 _GAUGES = (
     ("repro_transpile_cache_hits", "Transpile cache hits", "hits"),
     ("repro_transpile_cache_misses", "Transpile cache misses", "misses"),
@@ -275,13 +276,9 @@ class TranspileCache:
         return (circuit_fingerprint(circuit), target_key, options)
 
     def _sync_registry(self) -> None:
-        """Mirror the hit/miss/occupancy ledger into the metrics registry."""
+        """Push the hit/miss/occupancy counters to the registry gauges."""
         registry = get_metrics_registry()
-        values = {
-            "hits": self.hits, "misses": self.misses,
-            "disk_hits": self.disk_hits, "disk_misses": self.disk_misses,
-            "size": len(self._entries), "maxsize": self.maxsize,
-        }
+        values = self.stats()
         for name, help_text, stat in _GAUGES:
             registry.gauge(name, help_text).set(values[stat])
 
@@ -361,7 +358,7 @@ class TranspileCache:
         entries are evicted LRU-first.
 
         The cumulative hit/miss counters (both tiers) survive the
-        resize, so the registry-backed gauges stay monotone — a resize
+        resize, so they and their gauges stay monotone — a resize
         reshapes capacity, it does not restart observability.
         """
         self.maxsize = maxsize
@@ -370,17 +367,12 @@ class TranspileCache:
         self._sync_registry()
 
     def stats(self) -> dict:
-        """Hit/miss counters (memory and disk tiers) and current occupancy.
-
-        A thin view over the ``repro_transpile_cache_*`` gauges in the
-        unified metrics registry (synced here, so the dictionary and a
-        Prometheus dump always agree).
-        """
-        self._sync_registry()
-        registry = get_metrics_registry()
+        """Hit/miss counters (memory and disk tiers) and current
+        occupancy."""
         return {
-            stat: int(registry.get(name).value())
-            for name, _help, stat in _GAUGES
+            "hits": self.hits, "misses": self.misses,
+            "disk_hits": self.disk_hits, "disk_misses": self.disk_misses,
+            "size": len(self._entries), "maxsize": self.maxsize,
         }
 
     def clear(self) -> None:
@@ -424,9 +416,9 @@ def clear_transpile_cache() -> None:
 def resize_transpile_cache(maxsize: int) -> None:
     """Change memory-tier capacity; 0 disables memory caching entirely.
 
-    Cumulative hit/miss statistics are preserved across resizes (the
-    registry gauges must stay monotone); only capacity and the LRU
-    overflow change.
+    Cumulative hit/miss statistics are preserved across resizes (they
+    and their gauges stay monotone); only capacity and the LRU overflow
+    change.
     """
     _CACHE.resize(maxsize)
 

@@ -16,10 +16,8 @@ is not currently valid.  :class:`ConditionalController` and
 :class:`DoWhileController` schedule nested passes conditionally or to a
 fixed point, replacing hand-unrolled repeats in the preset pipelines.
 
-Legacy passes that subclass :class:`BasePass` directly keep the historical
-circuit-level contract: they receive a ``QuantumCircuit`` and must return
-one (the manager converts at the pass boundary and conservatively
-invalidates all analysis results).
+A pass that is neither an :class:`AnalysisPass` nor a
+:class:`TransformationPass` is rejected with a :class:`TranspilerError`.
 """
 
 from __future__ import annotations
@@ -57,12 +55,10 @@ class PropertySet(dict):
 
 
 class BasePass:
-    """Base class for transpiler passes.
+    """Attributes shared by transpiler passes.
 
-    Direct subclasses use the legacy circuit-level contract
-    (``run(circuit, property_set) -> circuit``).  New passes subclass
-    :class:`AnalysisPass` or :class:`TransformationPass` and run on the
-    DAG IR.
+    A pass subclasses :class:`AnalysisPass` or :class:`TransformationPass`
+    and runs on the DAG IR; the pass manager rejects any other pass.
     """
 
     #: Passes whose results must be valid before this one runs.
@@ -79,8 +75,8 @@ class BasePass:
         """Pass name (class name by default)."""
         return type(self).__name__
 
-    def run(self, circuit, property_set):
-        """Transform the input; analysis passes return None."""
+    def run(self, dag, property_set):
+        """Transform the DAG; analysis passes return None."""
         raise NotImplementedError
 
     def fingerprint(self):
@@ -160,8 +156,7 @@ class PassManager:
 
         The circuit is converted to the DAG IR once on entry and back to
         a flat circuit once on exit; every scheduled pass operates on the
-        DAG (legacy :class:`BasePass` subclasses get a converted circuit
-        at their own boundary).
+        DAG.
         """
         self.property_set = PropertySet()
         self._valid = set()
@@ -220,24 +215,16 @@ class PassManager:
                 self._valid.add(pass_.fingerprint())
             return dag
 
-        if isinstance(pass_, TransformationPass):
-            result = pass_.run(dag, self.property_set)
-            if result is None:
-                raise TranspilerError(
-                    f"pass {pass_.name} returned None instead of a DAG"
-                )
-            preserved = set(pass_.preserves)
-            self._valid = {
-                fp for fp in self._valid if fp[0] in preserved
-            }
-            return result
-
-        # Legacy circuit-level pass: convert at its boundary.
-        circuit = dag_to_circuit(dag)
-        result = pass_.run(circuit, self.property_set)
+        if not isinstance(pass_, TransformationPass):
+            raise TranspilerError(
+                f"pass {pass_.name} is neither an AnalysisPass nor a "
+                "TransformationPass"
+            )
+        result = pass_.run(dag, self.property_set)
         if result is None:
             raise TranspilerError(
-                f"pass {pass_.name} returned None instead of a circuit"
+                f"pass {pass_.name} returned None instead of a DAG"
             )
-        self._valid = set()
-        return circuit_to_dag(result)
+        preserved = set(pass_.preserves)
+        self._valid = {fp for fp in self._valid if fp[0] in preserved}
+        return result

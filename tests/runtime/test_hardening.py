@@ -328,6 +328,25 @@ class TestQuarantine:
         # The quarantine ledger stays for the audit trail.
         assert job.quarantine_record is not None
 
+    def test_requeued_clean_run_reports_its_own_ledger(self, tmp_path):
+        with RuntimeService(tmp_path, service_attempts=1) as service:
+            job = service.submit(_bell(), shots=500, seed=11,
+                                 fault_injector=_poison_injector(),
+                                 retry_policy=False)
+            with pytest.raises(JobQuarantinedError):
+                job.result(timeout=30)
+            assert job.fault_stats["faults_injected"] >= 1
+            assert job.fault_stats["failed_experiments"] == ["bell"]
+            service.requeue(job.job_id, fault_injector=None)
+            job.result(timeout=30)
+        # The clean re-run's ledger is its own, not the quarantined
+        # run's; the quarantine record keeps the first run's for audit.
+        assert job.status() == "DONE"
+        assert job.fault_stats["faults_injected"] == 0
+        assert job.fault_stats["failed_experiments"] == []
+        assert job.fault_stats["attempts"] == 1
+        assert job.quarantine_record["fault_stats"]["faults_injected"] >= 1
+
     def test_requeued_fix_survives_restart(self, tmp_path):
         with RuntimeService(tmp_path, service_attempts=1,
                             autostart=True) as service:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -278,6 +279,26 @@ class TestRecovery:
             assert recovered.status() == "DONE"
         finally:
             revived.shutdown()
+
+    def test_restart_dispatches_in_submission_order(self, tmp_path):
+        with RuntimeService(tmp_path, autostart=False) as service:
+            job_ids = [
+                service.submit(_bell(), shots=10, seed=seed).job_id
+                for seed in range(12)
+            ]
+        with RuntimeService(tmp_path, max_workers=1) as revived:
+            for job_id in job_ids:
+                revived.job(job_id).result(timeout=30)
+        # One worker runs the recovered jobs one by one, so the RUNNING
+        # records in the journal give the dispatch order: rt-2 before
+        # rt-10, not string order.
+        with open(os.path.join(tmp_path, "jobs.jsonl")) as handle:
+            records = [json.loads(line) for line in handle if line.strip()]
+        running = [
+            record["job_id"] for record in records
+            if record["type"] == "state" and record["state"] == "RUNNING"
+        ]
+        assert running == job_ids
 
     def test_done_jobs_reload_with_results(self, tmp_path):
         with RuntimeService(tmp_path) as service:

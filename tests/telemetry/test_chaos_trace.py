@@ -57,6 +57,23 @@ def _run_chaos_job(executor="processes"):
     return job
 
 
+def _prometheus_value(text, name):
+    """The value of the unlabelled series ``name`` in a Prometheus dump
+    (0 when the family has not been published yet)."""
+    for line in text.splitlines():
+        if line.startswith(f"{name} "):
+            return float(line.split()[1])
+    return 0.0
+
+
+def _snapshot_value(snapshot, name):
+    """The value of the unlabelled series ``name`` in a registry
+    snapshot (0 when the family has not been published yet)."""
+    series = snapshot.get(name, {"series": []})["series"]
+    assert all(entry["labels"] == {} for entry in series)
+    return sum(entry["value"] for entry in series)
+
+
 class TestChaosTrace:
     def test_processes_job_yields_one_connected_trace(self):
         enable_tracing(registry=MetricsRegistry())
@@ -106,6 +123,10 @@ class TestChaosTrace:
         assert processes == serial
 
     def test_exports_agree_with_legacy_fault_stats(self, tmp_path):
+        names = ("repro_job_attempts_total", "repro_job_retries_total",
+                 "repro_job_faults_injected_total")
+        text_before = prometheus_text()
+        snapshot_before = get_metrics_registry().snapshot()
         enable_tracing(registry=get_metrics_registry())
         try:
             job = _run_chaos_job("processes")
@@ -132,18 +153,25 @@ class TestChaosTrace:
             entry["status"] for entry in loaded if entry["name"] == "run"
         ]
         assert statuses == ["ERROR"] * 3
-        # The Prometheus dump carries the same per-job totals.
+        # The fleet-wide counters in the Prometheus dump grew by the
+        # job's totals.
         text = prometheus_text()
-        label = f'{{job="{job.job_id}"}}'
-        assert f"repro_job_attempts_total{label} 6" in text
-        assert f"repro_job_retries_total{label} 3" in text
-        assert f"repro_job_faults_injected_total{label} 3" in text
+        grown = [
+            _prometheus_value(text, name)
+            - _prometheus_value(text_before, name)
+            for name in names
+        ]
+        assert grown == [6, 3, 3]
         # And the JSON snapshot parses with the same numbers.
         snapshot = json.loads(json.dumps(
             get_metrics_registry().snapshot()
         ))
-        series = snapshot["repro_job_retries_total"]["series"]
-        assert {"labels": {"job": job.job_id}, "value": 3} in series
+        grown = [
+            _snapshot_value(snapshot, name)
+            - _snapshot_value(snapshot_before, name)
+            for name in names
+        ]
+        assert grown == [6, 3, 3]
 
     def test_fallback_recorded_as_error_span(self):
         tracer = enable_tracing(registry=MetricsRegistry())

@@ -15,6 +15,7 @@ from repro.telemetry import (
     disable_tracing,
     enable_tracing,
     get_metrics_registry,
+    reset_metrics,
 )
 from repro.transpiler import clear_transpile_cache, transpile
 
@@ -31,6 +32,12 @@ def _batch(size=3, num_qubits=4):
             circuit.measure(qubit, qubit)
         circuits.append(circuit)
     return circuits
+
+
+def _fleet_total(name):
+    """The fleet-wide counter ``name`` (0 before any job published it)."""
+    family = get_metrics_registry().get(name)
+    return 0 if family is None else family.value()
 
 
 def _traced_shape(executor):
@@ -109,13 +116,38 @@ class TestDisabledPath:
 
     def test_fault_stats_still_published_to_registry(self):
         backend = Aer.get_backend("qasm_simulator")
+        before = _fleet_total("repro_job_experiments_total")
         job = execute(_batch(size=2), backend, shots=32, seed=5)
         job.result()
         stats = job.fault_stats
         assert stats["experiments"] == 2
         assert stats["attempts"] == 2
-        counter = get_metrics_registry().get("repro_job_experiments_total")
-        assert counter.value(labels={"job": job.job_id}) == 2
+        assert _fleet_total("repro_job_experiments_total") - before == 2
+
+    def test_reset_metrics_leaves_fault_stats_unchanged(self):
+        backend = Aer.get_backend("qasm_simulator")
+        job = execute(_batch(size=2), backend, shots=32, seed=5)
+        job.result()
+        stats = job.fault_stats
+        assert stats["attempts"] == 2
+        reset_metrics()
+        assert job.fault_stats == stats
+
+    def test_registry_series_do_not_grow_with_jobs(self):
+        backend = Aer.get_backend("qasm_simulator")
+        registry = get_metrics_registry()
+
+        def series_count():
+            return sum(len(family.series())
+                       for family in registry.families())
+
+        backend.run(_batch(size=1), shots=32, seed=5).result()
+        series = series_count()
+        before = _fleet_total("repro_job_experiments_total")
+        for seed in range(20):
+            backend.run(_batch(size=1), shots=32, seed=seed).result()
+        assert series_count() == series
+        assert _fleet_total("repro_job_experiments_total") - before == 20
 
 
 class TestPassTimings:

@@ -11,7 +11,7 @@ from repro.transpiler.passes import (
     SetLayout,
     TrivialLayout,
 )
-from repro.transpiler.passmanager import BasePass
+from repro.transpiler.passmanager import BasePass, TransformationPass
 
 
 class TestLayout:
@@ -117,13 +117,13 @@ class TestPassManager:
     def test_passes_run_in_order(self, bell):
         order = []
 
-        class Recorder(BasePass):
+        class Recorder(TransformationPass):
             def __init__(self, tag):
                 self.tag = tag
 
-            def run(self, circuit, property_set):
+            def run(self, dag, property_set):
                 order.append(self.tag)
-                return circuit
+                return dag
 
         manager = PassManager([Recorder("a")])
         manager.append(Recorder("b")).append([Recorder("c")])
@@ -131,19 +131,27 @@ class TestPassManager:
         assert order == ["a", "b", "c"]
 
     def test_none_return_rejected(self, bell):
-        class Broken(BasePass):
-            def run(self, circuit, property_set):
+        class Broken(TransformationPass):
+            def run(self, dag, property_set):
                 return None
 
         with pytest.raises(TranspilerError):
             PassManager([Broken()]).run(bell)
 
+    def test_bare_base_pass_rejected(self, bell):
+        class Bare(BasePass):
+            def run(self, dag, property_set):
+                return dag
+
+        with pytest.raises(TranspilerError, match="neither"):
+            PassManager([Bare()]).run(bell)
+
     def test_property_set_fresh_per_run(self, bell):
-        class Setter(BasePass):
-            def run(self, circuit, property_set):
+        class Setter(TransformationPass):
+            def run(self, dag, property_set):
                 property_set.setdefault("runs", 0)
                 property_set["runs"] += 1
-                return circuit
+                return dag
 
         manager = PassManager([Setter()])
         manager.run(bell)
