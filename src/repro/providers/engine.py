@@ -355,8 +355,8 @@ class ExecutionEngine:
         return self.launch(self.prepare_pubs(backend, pubs, options))
 
     def compile_batch(self, backend, circuits, job_trace, *,
-                      optimization_level=1, seed=None,
-                      transpile_cache=True, cache_namespace=None):
+                      optimization_level=1, transpile_cache=True,
+                      cache_namespace=None):
         """Compile circuits for a device backend (``execute``'s old inline
         stage).
 
@@ -364,10 +364,12 @@ class ExecutionEngine:
         each one against a :class:`~repro.transpiler.target.Target` built
         from the backend's configuration and calibrations, with a
         ``transpile`` span (and its per-pass children) per circuit on the
-        job's trace.  Results are memoised in the two-tier content-hash
-        transpile cache, so warm sessions and repeated processes skip the
-        pass pipeline entirely.  ``cache_namespace`` isolates the cache
-        reads/writes to a private namespace (per-session sub-tier).
+        job's trace.  The run seed never reaches the router, so a circuit
+        compiles the same way for every run seed.  Results are memoised in
+        the two-tier content-hash transpile cache, so repeated runs, warm
+        sessions and repeated processes skip the pass pipeline entirely.
+        ``cache_namespace`` isolates the cache reads/writes to a private
+        namespace (per-session sub-tier).
         """
         if backend.configuration().simulator:
             return list(circuits)
@@ -386,7 +388,6 @@ class ExecutionEngine:
                     circuit,
                     target=target,
                     optimization_level=optimization_level,
-                    seed=seed,
                     transpile_cache=transpile_cache,
                     cache_namespace=cache_namespace,
                 )

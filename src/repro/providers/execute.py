@@ -38,8 +38,9 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
     circuits are compiled against a :class:`~repro.transpiler.target.Target`
     built from the backend's configuration and calibrations — the
     ``compile`` step of the paper's Section IV run-through.  Compiled
-    circuits are memoised in the content-hash transpile cache, so
-    re-executing an identical batch skips compilation entirely
+    circuits are memoised in the content-hash transpile cache, and
+    compilation does not depend on ``seed``, so re-executing an identical
+    batch with any seed skips compilation entirely
     (``transpile_cache=False`` opts out; the returned job carries the
     cache counters as ``job.transpile_cache_stats``).  The batch is then
     assembled into a Qobj and scheduled by the execution pipeline (see
@@ -74,10 +75,11 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
     ``job.fault_stats`` and supports ``result(timeout=..., partial=True)``
     to gather whatever finished before a deadline or cancel.
 
-    The batch ``seed`` is expanded into one derived seed per experiment at
-    assembly, so a seeded batch returns bit-identical results under every
-    executor.  The returned :class:`Job` exposes ``status()``, ``cancel()``,
-    and per-experiment timing/error metadata on its result.
+    The batch ``seed`` seeds the run only: it is expanded into one derived
+    seed per experiment at assembly, so a seeded batch returns
+    bit-identical results under every executor.  The returned
+    :class:`Job` exposes ``status()``, ``cancel()``, and per-experiment
+    timing/error metadata on its result.
 
     When tracing is enabled (:func:`repro.telemetry.enable_tracing`
     before this call) the job records a hierarchical trace — transpile
@@ -94,7 +96,7 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
     job_trace = JobTrace(Job.reserve_id(), backend.name())
     batch = engine.compile_batch(
         backend, batch, job_trace,
-        optimization_level=optimization_level, seed=seed,
+        optimization_level=optimization_level,
         transpile_cache=transpile_cache,
     )
     forwarded = {

@@ -150,9 +150,9 @@ def merge_chunk_outcomes(name, outcomes, total_chunks=None):
     merged histogram is bit-identical to an unchunked run — and memory
     lists concatenate in chunk order.  Non-shot payload keys (a density
     matrix, say) are identical across chunks and taken from the first
-    completed one.  Attempt/backoff/fault ledgers accumulate; fault
-    entries gain a ``c<chunk>:`` prefix so ``fault_stats`` stays
-    attributable per chunk.
+    completed one.  Attempt/backoff/fault ledgers accumulate (``retries``
+    counts each chunk's attempts past its first); fault entries gain a
+    ``c<chunk>:`` prefix so ``fault_stats`` stays attributable per chunk.
 
     Status: DONE only when every chunk of the layout completed; a chunk
     that failed makes the merge ERROR; otherwise a cancelled or
@@ -215,7 +215,10 @@ def merge_chunk_outcomes(name, outcomes, total_chunks=None):
     merged = ExperimentResult(name, shots, data, status=status, error=error)
     times = [o.time_taken for o in outcomes if o.time_taken is not None]
     merged.time_taken = sum(times) if times else None
-    merged.attempts = sum(getattr(o, "attempts", 1) or 0 for o in outcomes)
+    attempts = [getattr(o, "attempts", 1) or 0 for o in outcomes]
+    merged.attempts = sum(attempts)
+    # Each chunk's first attempt is a run, not a retry.
+    merged.retries = sum(max(0, count - 1) for count in attempts)
     merged.backoff_total = sum(
         getattr(o, "backoff_total", 0.0) or 0.0 for o in outcomes
     )

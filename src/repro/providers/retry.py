@@ -191,7 +191,9 @@ def aggregate_fault_stats(outcomes, fallbacks=()) -> dict:
         exp_backoff = getattr(outcome, "backoff_total", 0.0) or 0.0
         exp_faults = list(getattr(outcome, "faults", ()) or ())
         attempts += exp_attempts
-        retries += max(0, exp_attempts - 1)
+        # A merged chunked experiment carries its own count: every chunk
+        # has a first attempt.
+        retries += getattr(outcome, "retries", max(0, exp_attempts - 1))
         backoff_total += exp_backoff
         faults += len(exp_faults)
         # Chunk accounting: an outcome is either a merged experiment

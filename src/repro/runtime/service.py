@@ -1111,7 +1111,6 @@ class RuntimeService:
         batch = engine.compile_batch(
             backend, batch, job._trace,
             optimization_level=options.pop("optimization_level", 1),
-            seed=options.get("seed"),
             transpile_cache=options.pop("transpile_cache", True),
             cache_namespace=cache_namespace,
         )

@@ -96,7 +96,7 @@ class JobRecord:
     __slots__ = ("job_id", "tenant", "backend_spec", "priority", "session",
                  "kind", "payload", "options", "state", "result",
                  "submitted_at", "deadline", "attempts", "quarantine",
-                 "checkpoint")
+                 "checkpoint", "lines")
 
     def __init__(self, job_id, tenant, backend_spec, priority, session,
                  kind, payload, options, submitted_at=None, deadline=None):
@@ -120,6 +120,9 @@ class JobRecord:
         #: A non-terminal job's undecoded checkpoint records, as
         #: :func:`repro.providers.checkpoint.replay` holds them, or None.
         self.checkpoint = None
+        #: Compaction only: the job's latest ``job`` and ``result``
+        #: journal records as read, keyed by type.
+        self.lines = None
 
     def __repr__(self):
         return (
@@ -271,9 +274,14 @@ class JobStore:
         return records
 
     @staticmethod
-    def _replay(entries) -> dict:
+    def _replay(entries, raw=False) -> dict:
         """Apply journal records in order; returns ``{job_id:
-        JobRecord}``."""
+        JobRecord}``.
+
+        ``raw=True`` (compaction) unpickles nothing: payloads and results
+        stay None, and each record's ``lines`` holds its latest ``job``
+        and ``result`` records as read.
+        """
         records: dict = {}
         checkpoints: dict = {}
         for entry in entries:
@@ -286,10 +294,12 @@ class JobStore:
                         f"job store version {entry.get('version')} "
                         f"is not supported"
                     )
-                try:
-                    payload, options = decode(entry["payload"])
-                except Exception:  # noqa: BLE001 — torn/corrupt blob
-                    continue
+                payload = options = None
+                if not raw:
+                    try:
+                        payload, options = decode(entry["payload"])
+                    except Exception:  # noqa: BLE001 — torn/corrupt blob
+                        continue
                 record = JobRecord(
                     job_id, entry["tenant"], entry["backend"],
                     entry.get("priority", 0), entry.get("session"),
@@ -297,6 +307,8 @@ class JobStore:
                     submitted_at=entry.get("submitted_at"),
                     deadline=entry.get("deadline"),
                 )
+                if raw:
+                    record.lines = {"job": entry}
                 if job_id in records:  # a requeue keeps the audit trail
                     record.quarantine = records[job_id].quarantine
                 records[job_id] = record
@@ -311,6 +323,9 @@ class JobStore:
                     # now, so replay holds only pending checkpoints.
                     checkpoints.pop(job_id, None)
             elif kind == "result" and job_id in records:
+                if raw:
+                    records[job_id].lines["result"] = entry
+                    continue
                 try:
                     records[job_id].result = decode(entry["result"])
                 except Exception:  # noqa: BLE001
@@ -361,14 +376,16 @@ class JobStore:
 
     @staticmethod
     def _snapshot_lines(record: JobRecord) -> list:
-        """The minimal record sequence reproducing one job on replay."""
+        """The minimal record sequence reproducing one job on replay
+        (``record`` from a raw replay: its job and result records are
+        copied, not re-pickled)."""
         lines = [
-            _job_line(record),
+            record.lines["job"],
             _state_line(record.job_id, record.state,
                         record.attempts or None),
         ]
-        if record.result is not None:
-            lines.append(_result_line(record.job_id, record.result))
+        if "result" in record.lines:
+            lines.append(record.lines["result"])
         if record.quarantine is not None:
             lines.append(_quarantine_line(
                 record.job_id, record.quarantine["fault_stats"],
@@ -385,6 +402,10 @@ class JobStore:
         """Rewrite the journal to a last-state-wins snapshot; returns
         stats.
 
+        Each surviving job's latest ``job`` and ``result`` records are
+        copied as read: nothing is unpickled or pickled again while the
+        journal's exclusive lock holds every appender off, and
+        :meth:`load` still drops a job whose payload does not decode.
         ``retention`` prunes terminal jobs; ``now`` overrides the
         wall-clock reference for the ``max_age`` cut (tests).  Stats —
         ``records_in/out``, ``bytes_in/out``, ``jobs_kept``,
@@ -399,7 +420,7 @@ class JobStore:
         jobs = {}
 
         def snapshot(entries):
-            records = self._replay(entries)
+            records = self._replay(entries, raw=True)
             dropped = self._pruned(records, retention, now)
             for job_id in dropped:
                 del records[job_id]

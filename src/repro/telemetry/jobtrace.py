@@ -8,8 +8,8 @@ Two classes bridge the generic tracer to the execution pipeline:
   ``assemble`` / ``transpile`` / ``dispatch`` / ``collect`` stage spans,
   hands each experiment a serializable span context for the config
   payload, merges worker-recorded spans back at collect, and — tracing
-  enabled or not — adds the job's fault/retry tallies to the fleet-wide
-  counters of the process-wide metrics registry exactly once at
+  enabled or not — adds each provider job's fault/retry tallies to the
+  fleet-wide counters of the process-wide metrics registry at its
   :meth:`finalize`.  The job's own ledger is ``job.fault_stats``,
   computed from its outcomes; nothing reads the counters back.
 
@@ -45,8 +45,8 @@ from repro.telemetry.tracer import (
 )
 
 #: Fleet-wide counter families, one unlabelled series each, that every
-#: job's fault ledger adds to once at finalize: ``(family, help, ledger
-#: key)``.  A list-valued ledger entry counts its length.
+#: provider job's fault ledger adds to at its finalize: ``(family, help,
+#: ledger key)``.  A list-valued ledger entry counts its length.
 FAULT_COUNTERS = (
     ("repro_job_experiments_total", "Experiments collected", "experiments"),
     ("repro_job_attempts_total", "Experiment attempts (retries included)",
@@ -169,22 +169,24 @@ class JobTrace:
                 store.add_dict(payload)
 
     def finalize(self, stats: dict) -> None:
-        """Close the trace and publish the job's ledger (exactly once).
+        """Publish one provider job's ledger and close the trace.
 
-        ``stats`` is the job's ``fault_stats``.  Runs regardless of
-        tracing state: the metrics registry is always on.  Adds the
-        ledger to the fleet-wide :data:`FAULT_COUNTERS` and ends the
-        ``dispatch`` and root ``job`` spans.
+        ``stats`` is the provider job's ``fault_stats``.  Runs regardless
+        of tracing state: the metrics registry is always on.  Every call
+        adds its ledger to the fleet-wide :data:`FAULT_COUNTERS` — the
+        runtime service reuses a job's trace for a service retry or a
+        requeue, and each re-run is a provider job of its own — while the
+        ``dispatch`` and root ``job`` spans end at the first call only.
         """
-        if self.finalized:
-            return
-        self.finalized = True
         registry = get_metrics_registry()
         for name, help_text, key in FAULT_COUNTERS:
             value = stats[key]
             registry.counter(name, help_text).inc(
                 len(value) if isinstance(value, list) else value
             )
+        if self.finalized:
+            return
+        self.finalized = True
         if self.enabled:
             if self._dispatch_span is not None:
                 self._dispatch_span.set_attribute(

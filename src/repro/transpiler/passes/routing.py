@@ -16,6 +16,12 @@ All routers consume a DAG already rewritten over physical qubits
 (:class:`~repro.transpiler.passes.layout_passes.ApplyLayout`), schedule
 gates straight off the DAG's front layer, and record the final home->slot
 permutation in ``property_set['final_permutation']``.
+
+Final measurements come after routing: a measurement with no later
+operation on any of its wires (qubit, clbit, condition bits) is held back
+and emitted on its qubit's final slot once routing is done, so no SWAP
+follows it.  Measurements never enter swap scoring, so every router's
+swap choices are unchanged.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ class _RoutingState:
     """Shared bookkeeping for all routers."""
 
     def __init__(self, dag: DAGCircuit, coupling):
+        self.dag = dag
         self.coupling = coupling
         self.physical_qubits = dag.qubits
         if dag.num_qubits != coupling.num_qubits:
@@ -98,19 +105,40 @@ class _RoutingState:
         # pi[home] = current physical slot of the qubit that started at home.
         self.pi = list(range(coupling.num_qubits))
         self.out = dag.copy_empty_like()
+        #: Final measurements, held back until :meth:`finish`.
+        self._final: list[DAGOpNode] = []
 
     def current(self, qubit) -> int:
         """Current slot of a (home) physical-qubit wire."""
         return self.pi[self.index_of[qubit]]
 
     def emit(self, node: DAGOpNode):
-        """Emit one instruction remapped through the current permutation."""
+        """Emit one instruction remapped through the current permutation.
+
+        A final measurement (nothing follows it on any of its wires) is
+        held back for :meth:`finish`.
+        """
+        dag = self.dag
+        if node.operation.name == "measure" and not dag.successors(node):
+            self._final.append(node)
+            return
+        self._apply(node)
+
+    def _apply(self, node: DAGOpNode):
         new_qubits = [
             self.physical_qubits[self.current(q)] for q in node.qubits
         ]
         self.out.apply_operation_back(
             node.operation, new_qubits, list(node.clbits)
         )
+
+    def finish(self, property_set) -> DAGCircuit:
+        """Emit the final measurements, in their original order, on each
+        qubit's final slot; record ``final_permutation``."""
+        for node in sorted(self._final, key=lambda node: node.node_id):
+            self._apply(node)
+        property_set["final_permutation"] = list(self.pi)
+        return self.out
 
     def emit_swap(self, slot_a: int, slot_b: int):
         """Emit a SWAP on two current slots and update the permutation."""
@@ -128,6 +156,15 @@ class _RoutingState:
                 self.pi[home] = slot_b
             elif slot == slot_b:
                 self.pi[home] = slot_a
+
+    def walk_together(self, node: DAGOpNode):
+        """Swap a 2q gate's first qubit along a shortest path until it is
+        adjacent to the second."""
+        path = self.coupling.shortest_path(
+            *(self.current(q) for q in node.qubits)
+        )
+        for hop in range(len(path) - 2):
+            self.emit_swap(path[hop], path[hop + 1])
 
     def gate_distance(self, node: DAGOpNode) -> int:
         """Current undirected distance between a 2q gate's slots."""
@@ -149,15 +186,9 @@ class BasicSwap(TransformationPass):
         state = _RoutingState(dag, self._coupling)
         for node in dag.topological_op_nodes():
             if _is_routable_2q(node):
-                slot_a = state.current(node.qubits[0])
-                slot_b = state.current(node.qubits[1])
-                if self._coupling.distance(slot_a, slot_b) > 1:
-                    path = self._coupling.shortest_path(slot_a, slot_b)
-                    for hop in range(len(path) - 2):
-                        state.emit_swap(path[hop], path[hop + 1])
+                state.walk_together(node)
             state.emit(node)
-        property_set["final_permutation"] = list(state.pi)
-        return state.out
+        return state.finish(property_set)
 
 
 class SabreSwap(TransformationPass):
@@ -166,6 +197,14 @@ class SabreSwap(TransformationPass):
     With a calibrated :class:`~repro.transpiler.target.Target`, candidate
     swap edges are additionally penalized by their own CX error, steering
     traffic away from the device's worst couplers.
+
+    Ties between equally scored swaps are broken by a generator seeded
+    with ``seed`` (0 when None), so routing depends on the circuit and
+    the device alone.  After :attr:`RELEASE_FACTOR` × n consecutive swaps
+    that executed no gate (n = device qubits), a release valve
+    (LightSABRE, arXiv:2409.08368) walks the closest front-layer gate's
+    qubits together along a shortest path and resets the decay, so
+    routing always finishes; on inputs that do not cycle it never fires.
     """
 
     EXTENDED_SIZE = 20
@@ -173,6 +212,7 @@ class SabreSwap(TransformationPass):
     DECAY_STEP = 0.001
     DECAY_RESET_INTERVAL = 5
     ERROR_WEIGHT = 10.0
+    RELEASE_FACTOR = 10
 
     def __init__(self, coupling: CouplingMap, seed=None, target=None):
         self._coupling = coupling
@@ -183,11 +223,11 @@ class SabreSwap(TransformationPass):
         coupling = self._coupling
         state = _RoutingState(dag, coupling)
         scheduler = _FrontLayerScheduler(dag)
-        rng = np.random.default_rng(self._seed)
+        rng = np.random.default_rng(0 if self._seed is None else self._seed)
         decay = np.ones(coupling.num_qubits)
         since_reset = 0
-        stall_guard = 0
-        max_stall = 10 * max(1, len(scheduler.nodes)) * coupling.num_qubits
+        idle_swaps = 0
+        release_after = self.RELEASE_FACTOR * coupling.num_qubits
         while scheduler.remaining:
             progress = False
             for node in scheduler.ready():
@@ -197,13 +237,20 @@ class SabreSwap(TransformationPass):
                 scheduler.complete(node)
                 progress = True
             if progress:
-                stall_guard = 0
+                idle_swaps = 0
                 continue
             front = [
                 node for node in scheduler.ready() if _is_routable_2q(node)
             ]
             if not front:
                 raise TranspilerError("router stalled with no 2q gate in front")
+            if idle_swaps >= release_after:
+                # Release valve: walk the closest front gate into place.
+                state.walk_together(min(front, key=state.gate_distance))
+                decay[:] = 1.0
+                since_reset = 0
+                idle_swaps = 0
+                continue
             extended = self._extended_set(scheduler)
             best_score = None
             best_swaps = []
@@ -222,11 +269,8 @@ class SabreSwap(TransformationPass):
             if since_reset >= self.DECAY_RESET_INTERVAL:
                 decay[:] = 1.0
                 since_reset = 0
-            stall_guard += 1
-            if stall_guard > max_stall:
-                raise TranspilerError("router exceeded stall limit")
-        property_set["final_permutation"] = list(state.pi)
-        return state.out
+            idle_swaps += 1
+        return state.finish(property_set)
 
     def _extended_set(self, scheduler: _FrontLayerScheduler) -> list:
         extended = []
@@ -316,8 +360,7 @@ class LookaheadSwap(TransformationPass):
             swaps = self._astar(state.pi, front_pairs, lookahead_pairs)
             for swap in swaps:
                 state.emit_swap(*swap)
-        property_set["final_permutation"] = list(state.pi)
-        return state.out
+        return state.finish(property_set)
 
     def _lookahead_pairs(self, scheduler, state, limit=8):
         pairs = []

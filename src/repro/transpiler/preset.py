@@ -194,6 +194,12 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
     ``backend`` (a :class:`Target` is built from its configuration and
     calibrations), or the loose ``coupling_map``/``basis_gates`` kwargs.
 
+    ``seed`` seeds the SABRE router's tie-breaking; without one the
+    router uses a fixed seed, so compilation is deterministic either way.
+    Routing always finishes (SABRE has a release valve against swap
+    cycles), and final measurements are placed after routing, on each
+    qubit's final position: every measurement of the output is terminal.
+
     ``fuse_diagonals`` collapses adjacent diagonal-gate runs into single
     fused diagonal instructions; ``None`` (default) enables it exactly when
     the target natively supports ``diagonal`` (simulators do, devices do

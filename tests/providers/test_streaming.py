@@ -136,6 +136,44 @@ class TestMergeChunkOutcomes:
         assert merge_chunk_outcomes("exp", [solo], 1) is solo
 
 
+class TestChunkedRetries:
+    """Every chunk's first attempt is a run: ``retries`` counts only the
+    re-runs, however many chunks an experiment has."""
+
+    @staticmethod
+    def _ghz(width):
+        circuit = QuantumCircuit(width, width)
+        circuit.h(0)
+        for qubit in range(width - 1):
+            circuit.cx(qubit, qubit + 1)
+        for qubit in range(width):
+            circuit.measure(qubit, qubit)
+        circuit.name = f"ghz{width}"
+        return circuit
+
+    def test_fault_free_chunked_job_reports_no_retries(self):
+        job = Aer.get_backend("qasm_simulator").run(
+            [self._ghz(3), self._ghz(2)], shots=5000, seed=1,
+            shot_chunk_size=1000, shot_chunk_dispatch=True,
+        )
+        job.result()
+        assert job.fault_stats["attempts"] == 10
+        assert job.fault_stats["retries"] == 0
+
+    def test_one_retry_per_faulted_chunk(self):
+        injector = FaultInjector([FaultSpec("transient")], seed=CHAOS_SEED)
+        job = Aer.get_backend("qasm_simulator").run(
+            [_bell()], shots=3000, seed=1, shot_chunk_size=1000,
+            shot_chunk_dispatch=True, fault_injector=injector,
+            retry_policy=FAST_RETRY,
+        )
+        job.result()
+        stats = job.fault_stats
+        assert stats["faults_injected"] == 3
+        assert stats["attempts"] == 6
+        assert stats["retries"] == 3
+
+
 class TestChunkBitIdentity:
     """The tentpole invariant: one chunk layout, any scheduling."""
 

@@ -25,12 +25,13 @@ import threading
 import time
 
 from repro.circuit import QuantumCircuit
-from repro.providers import Aer, Job
+from repro.providers import Aer, Job, checkpoint, journal
 from repro.runtime import (
     JobRecord,
     JobStore,
     RetentionPolicy,
     RuntimeService,
+    store as store_module,
 )
 from repro.telemetry.jobtrace import JobTrace
 
@@ -79,7 +80,61 @@ def _record_types(path):
                 for entry in map(json.loads, handle)]
 
 
+def _loaded(store):
+    """Everything :meth:`JobStore.load` recovers, as comparable values."""
+    return {
+        job_id: (
+            record.tenant, record.backend_spec, record.priority,
+            record.session, record.kind, record.payload, record.options,
+            record.state, record.attempts, record.submitted_at,
+            record.deadline, record.quarantine, record.checkpoint,
+            None if record.result is None
+            else record.result.get_counts(),
+        )
+        for job_id, record in store.load().items()
+    }
+
+
 class TestCompactionBasics:
+    def test_compaction_copies_records_without_pickling(
+        self, tmp_path, monkeypatch
+    ):
+        store = JobStore(tmp_path)
+        result = Aer.get_backend("qasm_simulator").run(
+            _bell(), shots=100, seed=3,
+        ).result()
+        for index in range(3):
+            _running_job(store, f"rt-{index}", submitted_at=time.time())
+        store.append_result("rt-0", result)
+        store.append_state("rt-0", "DONE")
+        # rt-1 failed with a result, then was requeued with new options:
+        # the latest job record wins and the old result is gone.
+        store.append_result("rt-1", result)
+        store.append_state("rt-1", "ERROR")
+        record = store.load()["rt-1"]
+        store.requeue(record, {"shots": 20})
+        store.append_quarantine("rt-2", {"faults_injected": 1}, "boom")
+        store.append_state("rt-2", "QUARANTINED")
+        _running_job(store, "rt-3")
+        stream = _chunked_run(store.path, "rt-3", 300, 100).stream()
+        next(stream)
+        before = _loaded(store)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compaction must not (un)pickle")
+
+        for module in (journal, checkpoint, store_module):
+            for name in ("encode", "decode"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        stats = store.compact()
+        monkeypatch.undo()
+        assert stats["jobs_kept"] == 4
+        assert _loaded(JobStore(tmp_path)) == before
+        requeued = JobStore(tmp_path).load()["rt-1"]
+        assert requeued.options == {"shots": 20}
+        assert requeued.result is None
+
     def test_compact_shrinks_and_preserves_replay(self, tmp_path):
         store = JobStore(tmp_path)
         for index in range(5):

@@ -21,6 +21,7 @@ from repro.exceptions import (
 )
 from repro.providers import Aer, FaultInjector, FaultSpec, RetryPolicy
 from repro.runtime import BreakerState, CircuitBreaker, RuntimeService
+from repro.telemetry.metrics import get_metrics_registry
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -346,6 +347,29 @@ class TestQuarantine:
         assert job.fault_stats["failed_experiments"] == []
         assert job.fault_stats["attempts"] == 1
         assert job.quarantine_record["fault_stats"]["faults_injected"] >= 1
+
+    def test_requeued_rerun_adds_to_the_fleet_counters(self, tmp_path):
+        def fleet():
+            registry = get_metrics_registry()
+            return [
+                registry.counter(name).value()
+                for name in ("repro_job_attempts_total",
+                             "repro_job_experiments_total")
+            ]
+
+        before = fleet()
+        with RuntimeService(tmp_path, service_attempts=1) as service:
+            job = service.submit(_bell(), shots=500, seed=11,
+                                 fault_injector=_poison_injector(),
+                                 retry_policy=False)
+            with pytest.raises(JobQuarantinedError):
+                job.result(timeout=30)
+            service.requeue(job.job_id, fault_injector=None)
+            job.result(timeout=30)
+        # Two provider jobs ran, the quarantined one and the clean
+        # re-run, one attempt at one experiment each.
+        assert [after - start for after, start in zip(fleet(), before)] \
+            == [2, 2]
 
     def test_requeued_fix_survives_restart(self, tmp_path):
         with RuntimeService(tmp_path, service_attempts=1,

@@ -126,6 +126,61 @@ def test_transpile_cache_preserves_counts_bit_identically():
     clear_transpile_cache()
 
 
+def test_execute_hits_the_cache_across_run_seeds():
+    """The run seed does not reach the router: re-running a batch with a
+    new seed reuses its compiled circuits."""
+    clear_transpile_cache()
+    dev = IBMQ.get_backend("ibmqx4")
+    batch = [bv_circuit("1011"), qft_circuit(4)]
+    for circuit in batch:
+        circuit.measure_all()
+    first = execute(batch, dev, shots=100, seed=13)
+    second = execute(batch, dev, shots=100, seed=14)
+    assert second.transpile_cache_stats["misses"] == \
+        first.transpile_cache_stats["misses"]
+    assert second.transpile_cache_stats["hits"] == \
+        first.transpile_cache_stats["hits"] + len(batch)
+    clear_transpile_cache()
+
+
+def test_uncached_execute_counts_repeat_across_processes():
+    """Compilation is deterministic without a router seed: two fresh
+    processes (different hash seeds) compile and sample identically."""
+    import os
+    import subprocess
+    import sys
+
+    child = (
+        "import json\n"
+        "from repro.algorithms.qft import qft_circuit\n"
+        "from repro.providers import IBMQ, execute\n"
+        "from repro.circuit.random_circuit import random_circuit\n"
+        "batch = [qft_circuit(5), random_circuit(5, 8, seed=3)]\n"
+        "batch[0].measure_all()\n"
+        "batch[1].measure_all()\n"
+        "job = execute(batch, IBMQ.get_backend('ibmqx4'), shots=256,\n"
+        "              seed=21, transpile_cache=False)\n"
+        "result = job.result()\n"
+        "print(json.dumps([result.get_counts(c) for c in batch]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (env.get("PYTHONPATH"), src) if p
+        )
+        env.pop("REPRO_TRANSPILE_CACHE_DIR", None)
+        completed = subprocess.run(
+            [sys.executable, "-c", child], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_cache_distinguishes_options():
     clear_transpile_cache()
     circuit = qft_circuit(3)
