@@ -8,8 +8,6 @@ the conventional-quantum hybrid loop of the paper's Aqua description.
 
 from __future__ import annotations
 
-import math
-
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import AlgorithmError
 from repro.quantum_info.pauli import Pauli, PauliSumOp
@@ -56,8 +54,47 @@ def expectation_from_counts(pauli: Pauli, counts: dict) -> float:
     return accumulator / total
 
 
+def measurement_terms(hamiltonian: PauliSumOp):
+    """Split ``H`` into its constant and its measured Pauli terms.
+
+    Returns ``(constant, terms)``: ``constant`` sums the identity terms'
+    real coefficients in term order, and ``terms`` lists ``(index, coeff,
+    pauli)`` for every other term.  :class:`ExpectationEstimator` and the
+    backend's shots-mode PUBs both estimate from these terms, each
+    sampled on its :func:`measurement_circuit`.
+    """
+    constant = 0.0
+    terms = []
+    for index, (coeff, pauli) in enumerate(hamiltonian.terms):
+        if abs(coeff.imag) > 1e-9:
+            raise AlgorithmError("shot estimation needs real coefficients")
+        if pauli.support:
+            terms.append((index, coeff.real, pauli))
+        else:
+            constant += coeff.real
+    return constant, terms
+
+
+def measurement_circuit(circuit: QuantumCircuit, index: int,
+                        pauli: Pauli) -> QuantumCircuit:
+    """``circuit``, then ``pauli``'s basis change and a measurement of its
+    support (qubit ``q`` into clbit ``q``), named ``term-<index>``."""
+    measured = QuantumCircuit(circuit.num_qubits, circuit.num_qubits,
+                              name=f"term-{index}")
+    measured.compose(circuit, qubits=measured.qubits, inplace=True)
+    measurement_basis_change(pauli, measured)
+    for qubit in pauli.support:
+        measured.measure(qubit, qubit)
+    return measured
+
+
 class ExpectationEstimator:
-    """Evaluates <H> for circuits, exactly or by sampling.
+    """Evaluates <H> for one circuit at a time, exactly or by sampling.
+
+    This is the scalar reference: a batch of bindings of one template is
+    an :class:`~repro.primitives.EstimatorV2` PUB, one ``run_pubs`` job,
+    whose shots-mode binding ``b`` equals ``ExpectationEstimator(H,
+    "shots", shots, seed=derived[b]).estimate(bound_b)`` bit for bit.
 
     Args:
         hamiltonian: the :class:`PauliSumOp` observable.
@@ -96,97 +133,27 @@ class ExpectationEstimator:
             return self.hamiltonian.expectation(state)
         return self._estimate_shots(circuit)
 
-    def estimate_many(self, circuit: QuantumCircuit, parameter_values,
-                      parameters=None) -> list[float]:
-        """<H> for every binding of a parameterized template, batched.
-
-        One broadcast pass replaces ``batch`` sequential :meth:`estimate`
-        calls.  Exact mode: row ``b`` is bitwise identical to
-        ``estimate(circuit.bind_parameters(row_b))``.  Shot mode: each
-        binding gets its own seed derived from ``self.seed`` (a
-        :meth:`estimate` loop reuses ``self.seed`` verbatim per call);
-        templates the broadcast path cannot reproduce, and noisy
-        estimation, fall back to exactly that per-binding loop.
-        """
-        import numpy as np
-
-        from repro.qobj.assembler import derive_experiment_seeds
-        from repro.simulators.batched import (
-            broadcast_supported,
-            estimate_broadcast_shots,
-            estimator_broadcastable,
-            evolve_broadcast,
-        )
-
-        if circuit.num_qubits != self.hamiltonian.num_qubits:
-            raise AlgorithmError(
-                "circuit width does not match the Hamiltonian"
-            )
-        values = np.asarray(parameter_values, dtype=float)
-        if values.ndim == 1:
-            values = values.reshape(1, -1)
-        batch = values.shape[0]
-        if self.mode == "exact" and broadcast_supported(circuit):
-            states = evolve_broadcast(circuit, values, parameters)
-            self.evaluations += batch
-            return [
-                self.hamiltonian.expectation(row) for row in states
-            ]
-        if (
-            self.mode == "shots"
-            and self.noise_model is None
-            and broadcast_supported(circuit)
-            and estimator_broadcastable(circuit)
-        ):
-            seeds = derive_experiment_seeds(self.seed, batch)
-            energies = estimate_broadcast_shots(
-                circuit, values, parameters, self.hamiltonian,
-                self.shots, seeds,
-            )
-            self.evaluations += batch
-            return energies
-        if parameters is None:
-            from repro.circuit.parameterbinding import get_bind_plan
-
-            parameters = list(get_bind_plan(circuit).ordered)
-        return [
-            self.estimate(
-                circuit.bind_parameters(dict(zip(parameters, row)))
-            )
-            for row in values
-        ]
-
     def _estimate_shots(self, circuit: QuantumCircuit) -> float:
         """One batched submission covering every measured Pauli term.
 
-        Each term still needs its own basis-change circuit, but the whole
-        fan-out goes through the pipeline as a single job (one seed per
-        experiment derived from the estimator seed), so parallel executors
-        can spread the terms across cores.
+        Each term needs its own basis-change circuit
+        (:func:`measurement_circuit`), but the whole fan-out goes through
+        the pipeline as a single job (one seed per term derived from the
+        estimator seed), so parallel executors can spread the terms
+        across cores.
         """
-        energy = 0.0
-        batch = []
-        for index, (coeff, pauli) in enumerate(self.hamiltonian.terms):
-            if abs(coeff.imag) > 1e-9:
-                raise AlgorithmError("shot estimation needs real coefficients")
-            if not pauli.support:
-                energy += coeff.real
-                continue
-            measured = QuantumCircuit(circuit.num_qubits, circuit.num_qubits,
-                                      name=f"term-{index}")
-            measured.compose(circuit, qubits=measured.qubits, inplace=True)
-            measurement_basis_change(pauli, measured)
-            for qubit in pauli.support:
-                measured.measure(qubit, qubit)
-            batch.append((coeff.real, pauli, measured))
-        if not batch:
+        energy, terms = measurement_terms(self.hamiltonian)
+        if not terms:
             return energy
+        circuits = [
+            measurement_circuit(circuit, index, pauli)
+            for index, _coeff, pauli in terms
+        ]
         result = self._qasm_backend.run(
-            [measured for _coeff, _pauli, measured in batch],
-            shots=self.shots, seed=self.seed,
+            circuits, shots=self.shots, seed=self.seed,
             noise_model=self.noise_model,
         ).result()
-        for coeff, pauli, measured in batch:
+        for (_index, coeff, pauli), measured in zip(terms, circuits):
             energy += coeff * expectation_from_counts(
                 pauli, result.get_counts(measured.name)
             )

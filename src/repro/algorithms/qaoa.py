@@ -13,6 +13,7 @@ from repro.algorithms.optimizers import BatchableObjective, COBYLA, Optimizer
 from repro.circuit.parameter import Parameter
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import AlgorithmError
+from repro.primitives import EstimatorV2
 from repro.quantum_info.pauli import PauliSumOp
 from repro.simulators.statevector_simulator import StatevectorSimulator
 
@@ -89,6 +90,7 @@ class QAOA:
         self._betas = [Parameter(f"β[{p}]") for p in range(reps)]
         self._template = self._build_template()
         self._engine = StatevectorSimulator()
+        self._estimator = EstimatorV2()
 
     def _build_template(self) -> QuantumCircuit:
         circuit = QuantumCircuit(self.num_nodes)
@@ -122,20 +124,16 @@ class QAOA:
     def energy_many(self, points) -> np.ndarray:
         """Cost expectations at a batch of (gamma..., beta...) points.
 
-        The whole batch evolves in one broadcast pass over the template;
-        entry ``b`` is bitwise identical to ``energy(points[b])``.
+        The batch is one exact-mode
+        :class:`~repro.primitives.EstimatorV2` pub over the template, so
+        it evolves in one broadcast pass; entry ``b`` is bitwise identical
+        to ``energy(points[b])``.
         """
-        from repro.simulators.batched import evolve_broadcast
-
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        states = evolve_broadcast(
-            self._template, points, self._gammas + self._betas
-        )
-        return np.array([
-            self.hamiltonian.expectation(row) for row in states
-        ])
+        job = self._estimator.run([(
+            self._template, self.hamiltonian, points,
+            self._gammas + self._betas,
+        )])
+        return job.result()[0].data.evs
 
     def run(self, initial_point=None, shots: int = 4096) -> QAOAResult:
         """Optimize the angles, then sample candidate cuts."""

@@ -4,19 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import AlgorithmError, BackendError
-from repro.primitives.containers import (
-    DataBin,
-    EstimatorPub,
-    PrimitiveResult,
-    PubResult,
-)
-from repro.primitives.job import PrimitiveJob, raise_on_error
-from repro.simulators.batched import (
-    broadcast_chunk_bounds,
-    broadcast_supported,
-    estimator_broadcastable,
-)
+from repro.exceptions import AlgorithmError
+from repro.primitives.containers import DataBin, EstimatorPub, PubResult
+from repro.primitives.job import PrimitiveJob, submit_pubs
 
 _MODE_BACKENDS = {
     "exact": "statevector_simulator",
@@ -27,24 +17,23 @@ _MODE_BACKENDS = {
 class EstimatorV2:
     """Estimates ``<H>`` for every binding of every pub.
 
-    One pub — ``(circuit, observable, parameter_values[, parameters])``
-    — evaluates its whole batch axis in one broadcast experiment.  Two
-    modes:
+    Every call is one ``backend.run_pubs`` job; each pub — ``(circuit,
+    observable, parameter_values[, parameters])`` — evaluates its whole
+    batch axis inside its own experiment(s).  Two modes:
 
     * ``"exact"`` (default) — statevector backend; all bindings evolve in
       one ``(batch, 2**n)`` vectorized pass and each row takes a
-      matrix-free ``<psi|H|psi>``.
-    * ``"shots"`` — qasm backend; per-term measurement circuits share the
-      evolved prefix across the batch, and every binding's energy is
-      bit-identical to
-      ``ExpectationEstimator(H, "shots", shots, seed=derived[b])`` on the
-      bound circuit, with per-binding seeds derived from the batch seed
-      exactly like ``backend.run`` derives per-experiment seeds.
-
-    Shots-mode templates the broadcast path cannot reproduce (idle
-    qubits, measurements in the template) fall back to that
-    per-binding :class:`~repro.algorithms.expectation.ExpectationEstimator`
-    loop — same seeds, same energies, just slower.
+      matrix-free ``<psi|H|psi>``, bitwise equal to evolving the bound
+      circuit alone.
+    * ``"shots"`` — qasm backend; every binding's energy is bit-identical
+      to ``ExpectationEstimator(H, "shots", shots, seed=derived[b])`` on
+      the bound circuit, with per-binding seeds derived from the batch
+      seed exactly like ``backend.run`` derives per-experiment seeds.
+      Per-term measurement circuits share the evolved prefix across the
+      batch; templates the broadcast path cannot reproduce (idle qubits,
+      measurements in the template) run that estimator's term loop per
+      binding in the same experiment instead, and ``metadata["path"]``
+      says which ran.
     """
 
     def __init__(self, backend=None, *, mode=None,
@@ -87,92 +76,24 @@ class EstimatorV2:
             raise AlgorithmError("no pubs to estimate")
         shots = self._default_shots if shots is None else int(shots)
         seed = self._seed if seed is None else seed
-        if self._mode == "shots" and not all(
-            broadcast_supported(pub.circuit)
-            and estimator_broadcastable(pub.circuit)
-            for pub in coerced
-        ):
-            return self._run_loop_shots(coerced, shots, seed, options)
-        return self._run_broadcast(coerced, shots, seed, options)
-
-    def _metadata(self, seed, shots):
-        meta = {
+        metadata = {
             "backend": self._backend.name(), "mode": self._mode,
             "seed": seed,
         }
         if self._mode == "shots":
-            meta["shots"] = shots
-        return meta
+            metadata["shots"] = shots
 
-    def _run_broadcast(self, pubs, shots, seed, options) -> PrimitiveJob:
-        chunk_counts = [
-            len(broadcast_chunk_bounds(pub.batch_size,
-                                       pub.circuit.num_qubits))
-            for pub in pubs
-        ]
-        job = self._backend.run_pubs(
-            [
-                (pub.circuit, pub.parameter_values, pub.parameters,
-                 pub.observable)
-                for pub in pubs
-            ],
+        def make_result(_pub, rows, pub_metadata):
+            return PubResult(DataBin(evs=np.asarray(rows, dtype=float)),
+                             pub_metadata)
+
+        return submit_pubs(
+            self._backend, coerced,
+            [(pub.circuit, pub.parameter_values, pub.parameters,
+              pub.observable) for pub in coerced],
+            "broadcast_evs", make_result, metadata,
             shots=shots, seed=seed, **options,
         )
-
-        def collate(result):
-            raise_on_error(result)
-            pub_results = []
-            cursor = 0
-            for pub, chunks in zip(pubs, chunk_counts):
-                energies = []
-                for outcome in result.results[cursor:cursor + chunks]:
-                    energies.extend(outcome.data["broadcast_evs"])
-                cursor += chunks
-                pub_results.append(PubResult(
-                    DataBin(evs=np.asarray(energies, dtype=float)),
-                    {"num_bindings": pub.batch_size, "chunks": chunks,
-                     "path": "broadcast"},
-                ))
-            return PrimitiveResult(pub_results, self._metadata(seed, shots))
-
-        return PrimitiveJob(job, collate)
-
-    def _run_loop_shots(self, pubs, shots, seed, options) -> PrimitiveJob:
-        if options.get("noise_model") is not None:
-            raise BackendError(
-                "the estimator primitive is noise-free; use "
-                "ExpectationEstimator directly for noisy estimation"
-            )
-
-        def collate(_ignored):
-            # Per-binding seeds match the broadcast path: derived from the
-            # batch seed over the concatenated binding axis.
-            from repro.algorithms.expectation import ExpectationEstimator
-            from repro.qobj.assembler import derive_experiment_seeds
-
-            total = sum(pub.batch_size for pub in pubs)
-            seeds = derive_experiment_seeds(seed, total)
-            pub_results = []
-            offset = 0
-            for pub in pubs:
-                energies = []
-                for row_index, row in enumerate(pub.parameter_values):
-                    bound = pub.circuit.bind_parameters(
-                        dict(zip(pub.parameters, row))
-                    )
-                    estimator = ExpectationEstimator(
-                        pub.observable, mode="shots", shots=shots,
-                        seed=seeds[offset + row_index],
-                    )
-                    energies.append(estimator.estimate(bound))
-                offset += pub.batch_size
-                pub_results.append(PubResult(
-                    DataBin(evs=np.asarray(energies, dtype=float)),
-                    {"num_bindings": pub.batch_size, "path": "loop"},
-                ))
-            return PrimitiveResult(pub_results, self._metadata(seed, shots))
-
-        return PrimitiveJob(None, collate)
 
     def __repr__(self):
         return (

@@ -1,21 +1,22 @@
-"""The primitive job: a provider job plus pub-level result collation."""
+"""The primitive job: a ``run_pubs`` provider job plus pub-level collation."""
 
 from __future__ import annotations
 
 from repro.exceptions import BackendError
+from repro.primitives.containers import PrimitiveResult
 from repro.providers.executor import JobStatus
+from repro.simulators.batched import broadcast_chunk_bounds
 
 
 class PrimitiveJob:
-    """Wraps a provider :class:`~repro.providers.backend.Job`.
+    """Wraps the provider :class:`~repro.providers.backend.Job` of a
+    ``run_pubs`` submission.
 
     ``result()`` collects the underlying experiment outcomes and regroups
     them into one :class:`~repro.primitives.containers.PubResult` per
     submitted pub (merging memory-cap chunks back along the batch axis).
-
-    The synchronous fallback paths (unsupported templates run per
-    binding in-process) construct the job with ``job=None`` and a
-    collate thunk that does the work at first ``result()`` call.
+    Every pub runs through that one job, so retries, fault stats, traces
+    and service scheduling apply to all of them.
     """
 
     def __init__(self, job, collate):
@@ -26,11 +27,7 @@ class PrimitiveJob:
     def result(self, timeout=None):
         """Block for and return the :class:`PrimitiveResult`."""
         if self._result is None:
-            provider_result = (
-                None if self._job is None
-                else self._job.result(timeout=timeout)
-            )
-            self._result = self._collate(provider_result)
+            self._result = self._collate(self._job.result(timeout=timeout))
         return self._result
 
     def stream(self):
@@ -39,55 +36,69 @@ class PrimitiveJob:
         Each memory-cap chunk of the pub batch surfaces as its own
         experiment event the moment its worker finishes; call
         :meth:`result` afterwards for the collated pub-level view.
-        Synchronous fallback jobs yield nothing — their work happens at
-        ``result()``.
         """
-        if self._job is None:
-            return
         yield from self._job.stream()
 
     def status(self) -> str:
-        """Provider job status (synchronous jobs report DONE once run)."""
-        if self._job is None:
-            return (
-                JobStatus.DONE if self._result is not None
-                else JobStatus.INITIALIZING
-            )
+        """Provider job status."""
         return self._job.status()
 
     def cancel(self) -> bool:
         """Cancel the underlying job if it has not started."""
-        if self._job is None:
-            return False
         return self._job.cancel()
 
     @property
     def provider_job(self):
-        """The wrapped provider job (None on synchronous fallback)."""
+        """The wrapped provider job."""
         return self._job
 
     @property
     def fault_stats(self) -> dict:
         """The provider job's fault/retry ledger."""
-        if self._job is None:
-            return {}
         return self._job.fault_stats
 
     def trace(self):
-        """The provider job's telemetry trace (see ``Job.trace``).
-
-        Raises :class:`~repro.exceptions.BackendError` on synchronous
-        fallback jobs, which never touch the provider pipeline.
-        """
-        if self._job is None:
-            raise BackendError(
-                "synchronous primitive jobs record no trace"
-            )
+        """The provider job's telemetry trace (see ``Job.trace``)."""
         return self._job.trace()
 
     def __repr__(self):
-        inner = "sync" if self._job is None else repr(self._job)
-        return f"PrimitiveJob({inner})"
+        return f"PrimitiveJob({self._job!r})"
+
+
+def submit_pubs(backend, pubs, pub_tuples, key, make_result, metadata,
+                **run_options) -> PrimitiveJob:
+    """Submit coerced ``pubs`` as one ``backend.run_pubs`` job.
+
+    ``pub_tuples`` are the provider-level pub tuples, in ``pubs`` order.
+    At collation each pub's chunk outcomes are concatenated along the
+    batch axis (their ``data[key]`` rows), and ``make_result(pub, rows,
+    pub_metadata)`` builds its
+    :class:`~repro.primitives.containers.PubResult`; ``pub_metadata``
+    holds ``num_bindings``, ``chunks`` and the ``path`` the backend took.
+    """
+    chunk_counts = [
+        len(broadcast_chunk_bounds(pub.batch_size, pub.circuit.num_qubits))
+        for pub in pubs
+    ]
+    job = backend.run_pubs(pub_tuples, **run_options)
+
+    def collate(result):
+        raise_on_error(result)
+        pub_results = []
+        cursor = 0
+        for pub, chunks in zip(pubs, chunk_counts):
+            outcomes = result.results[cursor:cursor + chunks]
+            cursor += chunks
+            rows = []
+            for outcome in outcomes:
+                rows.extend(outcome.data[key])
+            pub_results.append(make_result(pub, rows, {
+                "num_bindings": pub.batch_size, "chunks": chunks,
+                "path": outcomes[0].data["path"],
+            }))
+        return PrimitiveResult(pub_results, metadata)
+
+    return PrimitiveJob(job, collate)
 
 
 def raise_on_error(result) -> None:

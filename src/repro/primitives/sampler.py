@@ -3,33 +3,23 @@
 from __future__ import annotations
 
 from repro.exceptions import AlgorithmError
-from repro.primitives.containers import (
-    DataBin,
-    PrimitiveResult,
-    PubResult,
-    SamplerPub,
-)
-from repro.primitives.job import PrimitiveJob, raise_on_error
-from repro.simulators.batched import (
-    broadcast_chunk_bounds,
-    broadcast_supported,
-)
+from repro.primitives.containers import DataBin, PubResult, SamplerPub
+from repro.primitives.job import PrimitiveJob, submit_pubs
 
 
 class SamplerV2:
     """Samples measurement counts for every binding of every pub.
 
-    One pub — ``(circuit, parameter_values[, parameters])`` — runs its
-    whole batch axis as a single broadcast experiment: the template is
-    transpiled/serialized once, binding-independent gates apply to all
-    statevectors in one vectorized pass, and each binding is sampled with
-    its own derived seed.  Counts are bit-identical to running the
-    equivalent list of bound circuits through ``backend.run`` with the
-    same batch seed, on any executor.
-
-    Templates the broadcast engine cannot take (conditionals, resets,
-    mid-circuit measurement) fall back to exactly that bound-circuit
-    loop, transparently and with the same seed layout.
+    Every call is one ``backend.run_pubs`` job, and each pub — ``(circuit,
+    parameter_values[, parameters])`` — runs its whole batch axis inside
+    its own experiment(s).  Where the template allows, that is one
+    broadcast pass: the template is serialized once, binding-independent
+    gates apply to all statevectors together, and each binding is sampled
+    with its own derived seed.  Templates the broadcast engine cannot
+    take (conditionals, resets, mid-circuit measurement) run per binding
+    in the same experiment instead; ``metadata["path"]`` says which.
+    Either way counts are bit-identical to running the bound circuits
+    through ``backend.run`` with the same batch seed, on any executor.
     """
 
     def __init__(self, backend=None, *, default_shots: int = 1024,
@@ -51,7 +41,7 @@ class SamplerV2:
         """Submit pubs; returns a :class:`PrimitiveJob`.
 
         ``options`` (``executor``, ``max_workers``, ``retry_policy``,
-        ``fault_injector``, ...) forward to the provider layer.
+        ``fault_injector``, ...) forward to ``run_pubs``.
         """
         coerced = [SamplerPub.coerce(pub) for pub in pubs]
         if not coerced:
@@ -60,76 +50,21 @@ class SamplerV2:
         if shots < 1:
             raise AlgorithmError("shots must be positive")
         seed = self._seed if seed is None else seed
-        if all(broadcast_supported(pub.circuit) for pub in coerced):
-            return self._run_broadcast(coerced, shots, seed, options)
-        return self._run_loop(coerced, shots, seed, options)
 
-    def _metadata(self, seed):
-        return {"backend": self._backend.name(), "seed": seed}
+        def make_result(pub, rows, metadata):
+            return PubResult(
+                DataBin(counts=[row["counts"] for row in rows], shots=shots),
+                dict(metadata, shots=shots),
+            )
 
-    def _run_broadcast(self, pubs, shots, seed, options) -> PrimitiveJob:
-        chunk_counts = [
-            len(broadcast_chunk_bounds(pub.batch_size,
-                                       pub.circuit.num_qubits))
-            for pub in pubs
-        ]
-        job = self._backend.run_pubs(
-            [
-                (pub.circuit, pub.parameter_values, pub.parameters)
-                for pub in pubs
-            ],
+        return submit_pubs(
+            self._backend, coerced,
+            [(pub.circuit, pub.parameter_values, pub.parameters)
+             for pub in coerced],
+            "broadcast_counts", make_result,
+            {"backend": self._backend.name(), "seed": seed},
             shots=shots, seed=seed, **options,
         )
-
-        def collate(result):
-            raise_on_error(result)
-            pub_results = []
-            cursor = 0
-            for pub, chunks in zip(pubs, chunk_counts):
-                rows = []
-                for outcome in result.results[cursor:cursor + chunks]:
-                    rows.extend(outcome.data["broadcast_counts"])
-                cursor += chunks
-                pub_results.append(PubResult(
-                    DataBin(counts=[row["counts"] for row in rows],
-                            shots=shots),
-                    {"shots": shots, "num_bindings": pub.batch_size,
-                     "chunks": chunks, "path": "broadcast"},
-                ))
-            return PrimitiveResult(pub_results, self._metadata(seed))
-
-        return PrimitiveJob(job, collate)
-
-    def _run_loop(self, pubs, shots, seed, options) -> PrimitiveJob:
-        # Same seed layout as the broadcast path: one derived seed per
-        # binding, concatenated across pubs — so supported pubs produce
-        # identical counts either way.
-        bound = []
-        for pub in pubs:
-            for row in pub.parameter_values:
-                bound.append(pub.circuit.bind_parameters(
-                    dict(zip(pub.parameters, row))
-                ))
-        job = self._backend.run(bound, shots=shots, seed=seed, **options)
-
-        def collate(result):
-            raise_on_error(result)
-            pub_results = []
-            cursor = 0
-            for pub in pubs:
-                batch = pub.batch_size
-                counts = [
-                    outcome.data["counts"]
-                    for outcome in result.results[cursor:cursor + batch]
-                ]
-                cursor += batch
-                pub_results.append(PubResult(
-                    DataBin(counts=counts, shots=shots),
-                    {"shots": shots, "num_bindings": batch, "path": "loop"},
-                ))
-            return PrimitiveResult(pub_results, self._metadata(seed))
-
-        return PrimitiveJob(job, collate)
 
     def __repr__(self):
         return (

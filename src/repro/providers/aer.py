@@ -11,6 +11,13 @@ from __future__ import annotations
 from repro.exceptions import BackendError
 from repro.providers.backend import BackendConfiguration, BaseBackend
 from repro.providers.result import ExperimentResult
+from repro.qobj.assembler import derive_experiment_seeds, seeded_shot_chunks
+from repro.simulators.batched import (
+    broadcast_supported,
+    estimate_broadcast_shots,
+    estimator_broadcastable,
+    sample_broadcast,
+)
 from repro.simulators.dd_simulator import DDSimulator
 from repro.simulators.density_matrix_simulator import DensityMatrixSimulator
 from repro.simulators.qasm_simulator import QasmSimulator
@@ -75,37 +82,70 @@ class QasmSimulatorBackend(_AerBackend):
         return ExperimentResult(circuit.name, payload["shots"], payload)
 
     def _run_broadcast(self, circuit, options, broadcast):
-        from repro.simulators.batched import (
-            estimate_broadcast_shots,
-            sample_broadcast,
+        """Run one chunk of a PUB: the vectorized engine when the template
+        allows it, else a per-binding loop inside this experiment.
+
+        ``data["path"]`` records which of the two ran.  Both give every
+        binding what ``run`` gives its bound circuit under the binding's
+        seed and shot-chunk layout.
+        """
+        shots = options.get("shots", 1024)
+        elide = options.get("elide_diagonals", True)
+        values = broadcast["values"]
+        parameters = broadcast["parameters"]
+        seeds = broadcast["seeds"]
+        bounds = broadcast["shot_bounds"]
+        observable = broadcast["observable"]
+        if observable is None and broadcast_supported(circuit):
+            path = "broadcast"
+            rows = sample_broadcast(circuit, values, parameters, shots, seeds,
+                                    elide_diagonals=elide, shot_bounds=bounds)
+        elif observable is not None and estimator_broadcastable(circuit):
+            path = "broadcast"
+            rows = estimate_broadcast_shots(circuit, values, parameters,
+                                            observable, shots, seeds, bounds)
+        else:
+            path = "loop"
+            rows = [
+                self._run_bound(
+                    circuit.bind_parameters(dict(zip(parameters, row))),
+                    observable, shots, seed, bounds, elide,
+                )
+                for row, seed in zip(values, seeds)
+            ]
+        key = "broadcast_counts" if observable is None else "broadcast_evs"
+        return ExperimentResult(circuit.name, shots, {
+            key: rows, "shots": shots, "path": path,
+        })
+
+    def _run_bound(self, circuit, observable, shots, seed, bounds, elide):
+        """One binding of the loop path.
+
+        Without an observable: ``run``'s engine call on the bound circuit,
+        seeded like its experiment.  With one: ``ExpectationEstimator(
+        observable, "shots", shots, seed).estimate(circuit)`` — each term
+        circuit under its derived seed, through the same engine call.
+        """
+        from repro.algorithms.expectation import (
+            expectation_from_counts,
+            measurement_circuit,
+            measurement_terms,
         )
 
-        shots = options.get("shots", 1024)
-        if broadcast.get("observable") is not None:
-            energies = estimate_broadcast_shots(
-                circuit,
-                broadcast["values"],
-                broadcast["parameters"],
-                broadcast["observable"],
-                shots,
-                broadcast["seeds"],
+        if observable is None:
+            return self._engine.run(
+                circuit, shots=shots, elide_diagonals=elide,
+                shot_chunks=seeded_shot_chunks(bounds, seed),
             )
-            return ExperimentResult(
-                circuit.name, shots,
-                {"broadcast_evs": energies, "shots": shots},
-            )
-        outcomes = sample_broadcast(
-            circuit,
-            broadcast["values"],
-            broadcast["parameters"],
-            shots,
-            broadcast["seeds"],
-            elide_diagonals=options.get("elide_diagonals", True),
-        )
-        return ExperimentResult(
-            circuit.name, shots,
-            {"broadcast_counts": outcomes, "shots": shots},
-        )
+        energy, terms = measurement_terms(observable)
+        term_seeds = derive_experiment_seeds(seed, len(terms))
+        for (index, coeff, pauli), term_seed in zip(terms, term_seeds):
+            counts = self._engine.run(
+                measurement_circuit(circuit, index, pauli), shots=shots,
+                shot_chunks=seeded_shot_chunks(bounds, term_seed),
+            )["counts"]
+            energy += coeff * expectation_from_counts(pauli, counts)
+        return energy
 
 
 class StatevectorSimulatorBackend(_AerBackend):
@@ -128,15 +168,13 @@ class StatevectorSimulatorBackend(_AerBackend):
             )
             observable = broadcast.get("observable")
             if observable is not None:
-                energies = [
+                data = {"broadcast_evs": [
                     observable.expectation(state) for state in states
-                ]
-                return ExperimentResult(
-                    circuit.name, 1, {"broadcast_evs": energies}
-                )
-            return ExperimentResult(
-                circuit.name, 1, {"broadcast_statevectors": states}
-            )
+                ]}
+            else:
+                data = {"broadcast_statevectors": states}
+            data["path"] = "broadcast"
+            return ExperimentResult(circuit.name, 1, data)
         state = self._engine.run(circuit)
         return ExperimentResult(circuit.name, 1, {"statevector": state})
 

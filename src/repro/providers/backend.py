@@ -473,12 +473,13 @@ class BaseBackend:
         a qasm backend samples per-binding counts and a statevector
         backend returns per-binding states.
 
-        The whole batch axis of a pub runs as **one** experiment through
-        the vectorized broadcast engine
-        (:mod:`repro.simulators.batched`), split into several experiments
-        only when ``batch * 2**n`` amplitudes exceed the engine's memory
-        cap — so the executor fleet parallelizes across pubs/chunks while
-        each chunk is one big vectorized pass.
+        The whole batch axis of a pub runs as **one** experiment, split
+        into several only when ``batch * 2**n`` amplitudes exceed the
+        broadcast engine's memory cap — so the executor fleet
+        parallelizes across pubs/chunks.  Inside a chunk the backend runs
+        one vectorized pass (:mod:`repro.simulators.batched`) when the
+        template allows it, and otherwise loops over the bindings; the
+        chunk's ``data["path"]`` says which.
 
         Determinism matches :meth:`run` exactly: the batch ``seed`` is
         expanded into one derived seed per *binding* (concatenated across
@@ -486,8 +487,9 @@ class BaseBackend:
         through ``run(bound_circuits, seed=seed)``.  Retries re-run a
         chunk with its original per-binding seeds, so fault recovery is
         bit-identical.  ``retry_policy`` / ``fault_injector`` /
-        ``executor`` / ``max_workers`` behave as in :meth:`run`;
-        ``noise_model`` is rejected (the broadcast engine is noise-free).
+        ``executor`` / ``max_workers`` behave as in :meth:`run`, and each
+        binding draws its shots in :meth:`run`'s ``shot_chunk_size``
+        layout; ``noise_model`` is rejected (pubs are noise-free).
         """
         from repro.providers.engine import get_execution_engine
 

@@ -146,6 +146,7 @@ class ExecutionEngine:
         from repro.qobj.assembler import (
             assemble,
             derive_chunk_seeds,
+            seeded_shot_chunks,
             shot_chunk_bounds,
         )
 
@@ -191,8 +192,8 @@ class ExecutionEngine:
                     "chunk": None, "chunks": 1,
                 })
                 continue
-            seeds = derive_chunk_seeds(exp_seed, len(bounds))
             if support == "dispatch" or force_dispatch:
+                seeds = derive_chunk_seeds(exp_seed, len(bounds))
                 for chunk, ((start, stop), seed) in enumerate(
                     zip(bounds, seeds)
                 ):
@@ -211,13 +212,7 @@ class ExecutionEngine:
                 # layout (same seeds) itself — bit-identical to dispatch
                 # mode, without re-deriving the state per chunk.
                 config = dict(base, seed=exp_seed)
-                config["shot_chunks"] = [
-                    {"index": chunk, "start": start, "stop": stop,
-                     "seed": seed}
-                    for chunk, ((start, stop), seed) in enumerate(
-                        zip(bounds, seeds)
-                    )
-                ]
+                config["shot_chunks"] = seeded_shot_chunks(bounds, exp_seed)
                 payloads.append((experiment, config))
                 plan.append({
                     "experiment_index": index, "name": name,
@@ -262,13 +257,16 @@ class ExecutionEngine:
         derives one seed per *binding* (concatenated across pubs, exactly
         the bound-circuit layout), splits each batch axis at the
         broadcast engine's memory cap, and resolves the executor.  Every
-        payload is one plan entry (an unchunked experiment).
+        payload is one plan entry (an unchunked experiment) whose config
+        also carries the shot-chunk bounds ``run`` would give each
+        binding's experiment.
         """
         import numpy as np
 
         from repro.qobj.assembler import (
             circuit_to_experiment,
             derive_experiment_seeds,
+            shot_chunk_bounds,
         )
         from repro.simulators.batched import broadcast_chunk_bounds
 
@@ -278,8 +276,8 @@ class ExecutionEngine:
             raise BackendError("no pubs to run")
         if options.get("noise_model") is not None:
             raise BackendError(
-                "broadcast execution does not support noise models; bind "
-                "the circuits and use run() instead"
+                "pubs run noise-free and take no noise model; bind the "
+                "circuits and use run() instead"
             )
         normalized = []
         for pub in pubs:
@@ -305,6 +303,7 @@ class ExecutionEngine:
             backend, [pub[0] for pub in normalized], options
         )
         engine_options["shots"] = shots
+        shot_bounds = shot_chunk_bounds(shots, options.get("shot_chunk_size"))
         total_bindings = sum(pub[1].shape[0] for pub in normalized)
         all_seeds = derive_experiment_seeds(
             options.get("seed"), total_bindings
@@ -335,6 +334,7 @@ class ExecutionEngine:
                         "seeds": all_seeds[offset + start:offset + stop],
                         "observable": observable,
                         "binding_start": start,
+                        "shot_bounds": shot_bounds,
                     }
                     config["seed"] = all_seeds[offset + start]
                     config["experiment_index"] = index

@@ -180,6 +180,21 @@ def derive_chunk_seeds(experiment_seed, count: int) -> list:
     return derive_experiment_seeds(experiment_seed, count)
 
 
+def seeded_shot_chunks(bounds, seed) -> list:
+    """An experiment's inline shot-chunk layout for ``QasmSimulator.run``.
+
+    ``bounds`` come from :func:`shot_chunk_bounds` and each chunk's seed
+    from :func:`derive_chunk_seeds` of the experiment ``seed``: one
+    ``{"start", "stop", "seed"}`` descriptor per chunk.
+    """
+    return [
+        {"start": start, "stop": stop, "seed": chunk_seed}
+        for (start, stop), chunk_seed in zip(
+            bounds, derive_chunk_seeds(seed, len(bounds))
+        )
+    ]
+
+
 def assemble(circuits, shots: int = 1024, seed=None,
              memory: bool = False) -> dict:
     """Bundle circuits into a Qobj-style dictionary.

@@ -41,8 +41,8 @@ import numpy as np
 
 from repro.circuit.gate import Gate
 from repro.circuit.parameterbinding import get_bind_plan
-from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import SimulatorError
+from repro.qobj.assembler import derive_experiment_seeds, seeded_shot_chunks
 from repro.simulators import kernels
 from repro.simulators.qasm_simulator import (
     QasmSimulator,
@@ -70,16 +70,17 @@ def broadcast_chunk_bounds(batch, num_qubits, cap=None):
 
 
 def broadcast_supported(circuit) -> bool:
-    """True when every operation is a gate, a barrier, or a measurement."""
-    for item in circuit.data:
-        op = item.operation
-        if op.name in ("barrier", "measure"):
-            continue
-        if op.condition is not None or op.name == "reset":
-            return False
-        if not isinstance(op, Gate):
-            return False
-    return True
+    """True when one broadcast pass can stand in for the per-binding runs.
+
+    Every operation must be a gate, a barrier or a measurement, and the
+    circuit must be samplable (no condition, reset, gate after a
+    measurement on its qubit, or clbit written twice).
+    """
+    return QasmSimulator._samplable(circuit) and all(
+        item.operation.name in ("barrier", "measure")
+        or isinstance(item.operation, Gate)
+        for item in circuit.data
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,52 +110,11 @@ def _batch_view(states, targets, num_qubits):
     return states.reshape(shape), [position[qubit] for qubit in targets]
 
 
-def _shared_diag_tiled(states, diagonal, targets, num_qubits):
-    """Row-wise mirror of :func:`kernels._apply_diag_tiled` (batch=1 shape).
-
-    The tiled pattern of one state divides each row exactly, so one
-    broadcast multiply covers all rows with the same per-element arithmetic.
-    """
-    dim = states.shape[1]
-    low = [t for t in targets if (1 << t) < kernels._DIAG_TILE_RUN]
-    high = sorted(t for t in targets if t not in low)
-    length = 1 << (max(low) + 1)
-    offsets = np.arange(length)
-    pattern = np.zeros(length, dtype=np.intp)
-    for position, target in enumerate(targets):
-        if target in low:
-            pattern += ((offsets // (1 << target)) & 1) << position
-    block = (1 << min(high)) if high else dim
-    repeats = 1
-    while length * repeats * 2 <= min(block, kernels._DIAG_TILE_TARGET):
-        repeats *= 2
-    if high:
-        view, axes = _batch_view(states, high, num_qubits)
-    for bits in range(1 << len(high)):
-        offset = 0
-        for position, target in enumerate(targets):
-            if target in low:
-                continue
-            offset |= ((bits >> high.index(target)) & 1) << position
-        entries = diagonal[pattern + offset]
-        if np.all(entries == 1):
-            continue
-        tile = np.tile(entries, repeats)
-        if high:
-            index = [slice(None)] * view.ndim
-            for rank, axis in enumerate(axes):
-                index[axis] = (bits >> rank) & 1
-            sub = view[tuple(index)]
-            sub.reshape(sub.shape[:-1] + (-1, tile.size))[...] *= tile
-        else:
-            states.reshape(-1, tile.size)[...] *= tile
-
-
 def _apply_shared_sliced(states, descriptor, targets, num_qubits):
     """Apply a non-dense shared descriptor to every row at once."""
     if descriptor[0] == "diag":
         if kernels._diag_tile_selected(states.shape[1], targets, 1):
-            _shared_diag_tiled(states, descriptor[1], targets, num_qubits)
+            _diag_tiled(states, descriptor[1][None, :], targets, num_qubits)
             return
         if len(targets) == 1:
             d0, d1 = descriptor[1]
@@ -376,9 +336,17 @@ def _apply_bound_dense1(states, scratch, mats, target):
     return scratch, states
 
 
-def _bound_diag_tiled(states, entries, targets, num_qubits):
-    """Per-binding analogue of :func:`_shared_diag_tiled`."""
+def _diag_tiled(states, entries, targets, num_qubits):
+    """Row-wise mirror of :func:`kernels._apply_diag_tiled` (batch=1 shape).
+
+    ``entries`` is ``(rows, 2**k)``: one row per binding, or a single row
+    that broadcasting applies to every binding (a shared diagonal).  The
+    tiled pattern of one state divides each row exactly, so either way
+    every amplitude sees one multiply by the same value as the
+    single-state path.
+    """
     count, dim = states.shape
+    rows = entries.shape[0]
     low = [t for t in targets if (1 << t) < kernels._DIAG_TILE_RUN]
     high = sorted(t for t in targets if t not in low)
     length = 1 << (max(low) + 1)
@@ -410,7 +378,7 @@ def _bound_diag_tiled(states, entries, targets, num_qubits):
             sub = view[tuple(index)]
             reshaped = sub.reshape(sub.shape[:-1] + (-1, tile.shape[1]))
             reshaped *= tile.reshape(
-                (count,) + (1,) * (reshaped.ndim - 2) + (tile.shape[1],)
+                (rows,) + (1,) * (reshaped.ndim - 2) + (tile.shape[1],)
             )
         else:
             states.reshape(count, -1, tile.shape[1])[...] *= tile[:, None, :]
@@ -425,7 +393,7 @@ def _apply_bound_diag(states, entries, targets, num_qubits):
     """
     count, dim = states.shape
     if kernels._diag_tile_selected(dim, targets, 1):
-        _bound_diag_tiled(states, entries, targets, num_qubits)
+        _diag_tiled(states, entries, targets, num_qubits)
         return
     if len(targets) == 1:
         stride = 1 << targets[0]
@@ -679,13 +647,40 @@ def evolve_broadcast(circuit, parameter_values, parameters=None):
     return out
 
 
+def _template_diagonal(op) -> bool:
+    """Whether ``op`` is diagonal for every binding of the template.
+
+    A parameterized gate counts only when it is diagonal at every angle
+    (the ``bdiag`` builders); ``ry(a)`` is not, even though ``ry(0)`` is.
+    Gates without free parameters are classified like bound ones.
+    """
+    if op.is_parameterized():
+        entry = _BOUND_BUILDERS.get(op.name)
+        return entry is not None and entry[0] == "bdiag"
+    return kernels.gate_is_diagonal(op)
+
+
+def _sample_chunks(state, chunks):
+    """Outcome indices of ``state``, one fresh generator per shot-chunk."""
+    parts = [
+        _sample_outcomes(state, chunk["stop"] - chunk["start"],
+                         np.random.default_rng(chunk["seed"]))
+        for chunk in chunks
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
-                     elide_diagonals=True):
+                     elide_diagonals=True, shot_bounds=None):
     """Sampled counts per binding, one statevector pass for the whole batch.
 
     Entry ``b`` is bitwise identical to
-    ``QasmSimulator().run(bound_b, shots, seed=seeds[b])`` (noise-free,
-    samplable circuits only).  Returns ``[{"counts", "shots"}, ...]``.
+    ``QasmSimulator().run(bound_b, shots, shot_chunks=seeded_shot_chunks(
+    shot_bounds, seeds[b]))`` (noise-free, samplable circuits only);
+    ``shot_bounds`` are ``(start, stop)`` shot-chunks, one by default.
+    Terminal diagonals are elided on the template (see
+    :func:`_template_diagonal`), so the choice holds for every binding.
+    Returns ``[{"counts", "shots"}, ...]``.
     """
     if shots < 1:
         raise SimulatorError("shots must be positive")
@@ -696,7 +691,7 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
             "qasm simulation needs classical bits; add measurements"
         )
     stripped = QasmSimulator._strip_idle_qubits(circuit)
-    if not QasmSimulator._samplable(stripped):
+    if not broadcast_supported(stripped):
         raise SimulatorError(
             "broadcast sampling requires a samplable circuit "
             "(no reset, conditions, or mid-circuit measurement)"
@@ -704,11 +699,11 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
     program = BroadcastProgram(stripped, parameter_values, parameters)
     if len(seeds) != program.batch:
         raise SimulatorError("need one seed per parameter binding")
-    if elide_diagonals:
-        bound0 = stripped.bind_parameters(list(program.values[0]))
-        elided = QasmSimulator._terminal_diagonals(bound0.data)
-    else:
-        elided = set()
+    bounds = shot_bounds or [(0, shots)]
+    elided = (
+        QasmSimulator._terminal_diagonals(stripped.data, _template_diagonal)
+        if elide_diagonals else set()
+    )
     positions = [
         p for p in range(len(stripped.data)) if p not in elided
     ]
@@ -725,8 +720,9 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
                 states, scratch, positions, slice(start, stop)
             )
             for row in range(stop - start):
-                rng = np.random.default_rng(seeds[start + row])
-                outcomes = _sample_outcomes(states[row], shots, rng)
+                outcomes = _sample_chunks(
+                    states[row], seeded_shot_chunks(bounds, seeds[start + row])
+                )
                 values = _zeros_for_width(shots, width)
                 for qubit, clbit in program.measures.items():
                     bits = (outcomes >> qubit) & 1
@@ -743,7 +739,8 @@ def estimator_broadcastable(circuit) -> bool:
     ``QasmSimulator.run``, which strips idle qubits; a template leaving any
     qubit untouched would then be sampled at a smaller width than the
     broadcast evolution uses.  Measurements in the template land
-    mid-circuit after composition.  Both cases fall back to the loop.
+    mid-circuit after composition.  The backend runs both cases per
+    binding instead.
     """
     if not broadcast_supported(circuit):
         return False
@@ -756,21 +753,25 @@ def estimator_broadcastable(circuit) -> bool:
 
 
 def estimate_broadcast_shots(circuit, parameter_values, parameters,
-                             observable, shots, seeds):
+                             observable, shots, seeds, shot_bounds=None):
     """Shots-mode ``<H>`` per binding via shared-prefix broadcast sampling.
 
     Entry ``b`` is bitwise identical to
     ``ExpectationEstimator(observable, mode="shots", shots=shots,
-    seed=seeds[b]).estimate(bound_b)``: same derived per-term seeds, same
-    terminal-diagonal elision, same float accumulation order.
+    seed=seeds[b]).estimate(bound_b)``: same term circuits and derived
+    per-term seeds, same shot-chunk layout (``shot_bounds``, one chunk by
+    default), same float accumulation order.  Terminal diagonals are
+    elided on the template, so the choice holds for every binding.
 
     The ansatz positions every term's elision would drop form a tail
     ``[split, len)``; everything before ``split`` is evolved once per chunk
     and each term replays only its non-elided tail plus its basis-change
     rotations before sampling.
     """
-    from repro.algorithms.expectation import measurement_basis_change
-    from repro.qobj.assembler import derive_experiment_seeds
+    from repro.algorithms.expectation import (
+        measurement_circuit,
+        measurement_terms,
+    )
 
     num_qubits = circuit.num_qubits
     if observable.num_qubits != num_qubits:
@@ -783,61 +784,50 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
     program = BroadcastProgram(circuit, parameter_values, parameters)
     if len(seeds) != program.batch:
         raise SimulatorError("need one seed per parameter binding")
-    bound0 = circuit.bind_parameters(list(program.values[0]))
-
-    base = 0.0
-    measured_terms = []  # (coeff_real, pauli, suffix_positions, rot_steps)
+    bounds = shot_bounds or [(0, shots)]
+    base, terms = measurement_terms(observable)
+    if not terms:
+        return [base] * program.batch
+    template_size = len(circuit.data)
     tail: set = set()
-    term_infos = []
-    for index, (coeff, pauli) in enumerate(observable.terms):
-        if abs(coeff.imag) > 1e-9:
-            raise SimulatorError("shot estimation needs real coefficients")
-        if not pauli.support:
-            base += coeff.real
-            continue
-        composed = QuantumCircuit(num_qubits, num_qubits,
-                                  name=f"term-{index}")
-        composed.compose(bound0, qubits=composed.qubits, inplace=True)
-        measurement_basis_change(pauli, composed)
-        for qubit in pauli.support:
-            composed.measure(qubit, qubit)
+    term_plans = []  # (coeff, parity mask, elided positions, rotations)
+    rotation_steps: dict = {}  # (gate name, qubit) -> compiled shared step
+    for index, coeff, pauli in terms:
+        # One term circuit at a time: it is only read for its elision and
+        # rotations, and dropping it before the next keeps the allocation
+        # count (and so the collector's work) flat.
+        measured = measurement_circuit(circuit, index, pauli)
         elided = {
             p
-            for p in QasmSimulator._terminal_diagonals(composed.data)
-            if p < len(circuit.data)
+            for p in QasmSimulator._terminal_diagonals(
+                measured.data, _template_diagonal
+            )
+            if p < template_size
         }
         tail |= elided
-        term_infos.append((coeff.real, pauli, elided))
-    if not term_infos:
-        return [base] * program.batch
-    split = min(tail) if tail else len(circuit.data)
-    for coeff_real, pauli, elided in term_infos:
-        suffix = [
-            p for p in range(split, len(circuit.data)) if p not in elided
-        ]
-        rot_steps = []
-        for qubit in range(num_qubits):
-            char = pauli.char(qubit)
-            if char == "X":
-                rot_steps.append(("h", qubit))
-            elif char == "Y":
-                rot_steps.append(("sdg", qubit))
-                rot_steps.append(("h", qubit))
-        measured_terms.append((coeff_real, pauli, suffix, rot_steps))
+        qubit_index = {q: i for i, q in enumerate(measured.qubits)}
+        rotations = []
+        for item in measured.data[template_size:]:
+            if item.operation.name == "measure":
+                continue
+            key = (item.operation.name, qubit_index[item.qubits[0]])
+            if key not in rotation_steps:
+                rotation_steps[key] = _make_shared_step(
+                    item.operation, [key[1]], num_qubits
+                )
+            rotations.append(rotation_steps[key])
+        mask = 0
+        for qubit in pauli.support:
+            mask |= 1 << qubit
+        term_plans.append((coeff, mask, elided, rotations))
+    split = min(tail) if tail else template_size
+    term_plans = [
+        (coeff, mask,
+         [p for p in range(split, template_size) if p not in elided],
+         rotations)
+        for coeff, mask, elided, rotations in term_plans
+    ]
 
-    from repro.circuit.library.standard_gates import get_standard_gate
-
-    rot_step_cache: dict = {}
-
-    def shared_rot_step(name, qubit):
-        key = (name, qubit)
-        if key not in rot_step_cache:
-            rot_step_cache[key] = _make_shared_step(
-                get_standard_gate(name), [qubit], num_qubits
-            )
-        return rot_step_cache[key]
-
-    term_count = len(measured_terms)
     energies = [base] * program.batch
     prefix_positions = range(split)
     for start, stop in broadcast_chunk_bounds(program.batch, num_qubits):
@@ -851,16 +841,15 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
             )
             work = np.empty_like(prefix)
             term_seeds = [
-                derive_experiment_seeds(seeds[start + row], term_count)
+                derive_experiment_seeds(seeds[start + row], len(term_plans))
                 for row in range(stop - start)
             ]
-            for term_index, (coeff_real, pauli, suffix, rot_steps) in enumerate(
-                measured_terms
+            for term_index, (coeff, mask, suffix, rotations) in enumerate(
+                term_plans
             ):
                 np.copyto(work, prefix)
                 states, aux = program.apply(work, scratch, suffix, rows)
-                for name, qubit in rot_steps:
-                    step = shared_rot_step(name, qubit)
+                for step in rotations:
                     if step[0] == "sdense":
                         states, aux = _apply_shared_dense(
                             states, aux, step[1], step[2]
@@ -874,16 +863,14 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                 # parity tally straight off the outcome integers reproduces
                 # expectation_from_counts(bin_counts(...)) bitwise while
                 # skipping the bitstring rendering entirely.
-                mask = 0
-                for qubit in pauli.support:
-                    mask |= 1 << qubit
                 for row in range(stop - start):
-                    rng = np.random.default_rng(term_seeds[row][term_index])
-                    outcomes = _sample_outcomes(states[row], shots, rng)
+                    outcomes = _sample_chunks(states[row], seeded_shot_chunks(
+                        bounds, term_seeds[row][term_index]
+                    ))
                     odd = int(
                         (np.bitwise_count(outcomes & mask) & 1).sum()
                     )
-                    energies[start + row] += coeff_real * (
+                    energies[start + row] += coeff * (
                         (shots - 2 * odd) / shots
                     )
                 # Dense ping-pong permutes {work, scratch}; prefix is never
@@ -891,3 +878,4 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                 # distinct for the next term's copy.
                 work, scratch = states, aux
     return energies
+

@@ -278,7 +278,8 @@ class QasmSimulator:
         return True
 
     @staticmethod
-    def _terminal_diagonals(data) -> set:
+    def _terminal_diagonals(data, is_diagonal=kernels.gate_is_diagonal
+                            ) -> set:
         """Positions of diagonal gates followed only by measurement.
 
         Scanning backwards, a qubit is *terminal* while everything after
@@ -286,7 +287,8 @@ class QasmSimulator:
         elided diagonal gate.  A diagonal (unitary) gate whose qubits are
         all terminal scales amplitudes by phases only, so dropping it
         leaves ``|amplitude|**2`` — and therefore every sampled outcome —
-        unchanged.
+        unchanged.  ``is_diagonal`` classifies a gate (the broadcast
+        engine passes one that holds for every binding of a template).
         """
         terminal: set = set()
         for item in data:
@@ -300,7 +302,7 @@ class QasmSimulator:
             if (
                 isinstance(op, Gate)
                 and all(q in terminal for q in item.qubits)
-                and kernels.gate_is_diagonal(op)
+                and is_diagonal(op)
             ):
                 elided.add(position)
                 continue

@@ -329,9 +329,8 @@ class LookaheadSwap(TransformationPass):
     MAX_EXPANSIONS = 20_000
     LOOKAHEAD_WEIGHT = 0.1
 
-    def __init__(self, coupling: CouplingMap, seed=None):
+    def __init__(self, coupling: CouplingMap):
         self._coupling = coupling
-        self._seed = seed
 
     def run(self, dag: DAGCircuit, property_set) -> DAGCircuit:
         coupling = self._coupling

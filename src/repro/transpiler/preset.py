@@ -81,23 +81,13 @@ def build_pass_manager(coupling_map=None, basis_gates=IBMQX_BASIS,
         else:
             raise TranspilerError(f"unknown layout method '{layout_method}'")
         manager.append(ApplyLayout(coupling_map))
-        if routing_method is None:
-            routing_method = (
-                "basic"
-                if optimization_level == 0
-                else "lookahead"
-                if optimization_level == 3
-                else "sabre"
-            )
+        routing_method = _resolve_routing(routing_method, optimization_level)
         if routing_method not in _ROUTERS:
             raise TranspilerError(f"unknown routing method '{routing_method}'")
-        router_cls = _ROUTERS[routing_method]
-        if routing_method == "basic":
-            manager.append(router_cls(coupling_map))
-        elif routing_method == "sabre":
-            manager.append(router_cls(coupling_map, seed=seed, target=target))
+        if routing_method == "sabre":
+            manager.append(SabreSwap(coupling_map, seed=seed, target=target))
         else:
-            manager.append(router_cls(coupling_map, seed=seed))
+            manager.append(_ROUTERS[routing_method](coupling_map))
         if "cx" not in basis_gates:
             raise TranspilerError(
                 "coupling-mapped transpilation needs 'cx' in the basis"
@@ -134,6 +124,13 @@ def build_pass_manager(coupling_map=None, basis_gates=IBMQX_BASIS,
     if fuse_diagonals:
         manager.append(FuseDiagonalGates())
     return manager
+
+
+def _resolve_routing(routing_method, optimization_level):
+    """The router a compile uses: the pinned one, else the level's."""
+    if routing_method is not None:
+        return routing_method
+    return {0: "basic", 3: "lookahead"}.get(optimization_level, "sabre")
 
 
 def _layout_key(initial_layout):
@@ -196,6 +193,8 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
 
     ``seed`` seeds the SABRE router's tie-breaking; without one the
     router uses a fixed seed, so compilation is deterministic either way.
+    No other pass reads it, so the result cache keys on ``seed`` only for
+    compiles that run SABRE.
     Routing always finishes (SABRE has a release valve against swap
     cycles), and final measurements are placed after routing, on each
     qubit's final position: every measurement of the output is terminal.
@@ -230,6 +229,18 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
             target is not None and target.instruction_supported("diagonal")
         )
 
+    # Only SabreSwap reads the seed, so only a compile that runs it keys
+    # on the seed: a routed one whose router resolves to sabre, or the
+    # unpinned level-3 portfolio (which tries sabre too).
+    portfolio = (
+        optimization_level == 3
+        and coupling_map is not None
+        and initial_layout is None
+    )
+    runs_sabre = coupling_map is not None and (
+        _resolve_routing(routing_method, optimization_level) == "sabre"
+        or (portfolio and routing_method is None)
+    )
     cache = get_transpile_cache()
     cache_key = None
     if transpile_cache and (cache.maxsize > 0 or cache.disk is not None):
@@ -239,7 +250,7 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
             _layout_key(initial_layout),
             optimization_level,
             routing_method,
-            seed,
+            seed if runs_sabre else None,
             bool(fuse_diagonals),
         )
         cache_key = cache.make_key(circuit, target, options_key)
@@ -283,11 +294,7 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
         )
         return result
 
-    if (
-        optimization_level == 3
-        and coupling_map is not None
-        and initial_layout is None
-    ):
+    if portfolio:
         # Portfolio: try layout/router combinations, keep the cheapest
         # (fewest CNOTs, then total size, then depth).  When the routing
         # method is pinned there is only one router to try per layout —

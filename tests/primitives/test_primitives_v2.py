@@ -141,6 +141,80 @@ class TestSamplerV2:
             reference.results[i].data["counts"] for i in range(len(bound))
         ]
 
+    def test_mid_circuit_measurement_runs_per_binding(self):
+        # Not samplable, so the backend loops over the bindings instead
+        # of failing the pub in the broadcast sampler.
+        a = Parameter("a")
+        template = QuantumCircuit(1, 2)
+        template.ry(a, 0)
+        template.measure(0, 0)
+        template.ry(a, 0)
+        template.measure(0, 1)
+        values = np.array([[0.3], [1.2]])
+        bound = [template.bind_parameters({a: row[0]}) for row in values]
+        reference = Aer.get_backend("qasm_simulator").run(
+            bound, shots=200, seed=SEED
+        ).result()
+        result = SamplerV2(seed=SEED).run(
+            [(template, values, [a])], shots=200
+        ).result()
+        assert result[0].metadata["path"] == "loop"
+        assert result[0].data.counts == [
+            reference.results[i].data["counts"] for i in range(2)
+        ]
+
+    def test_pubs_match_bound_loop_above_chunk_size(self, measured):
+        # 20000 shots is two shot-chunks: run() seeds each chunk from
+        # derive_chunk_seeds, and both paths of a pub draw with that
+        # layout too.  The conditional pub runs per binding in the same
+        # job (as trajectories, so it stays one qubit and one binding).
+        circuit, parameters, values = measured
+        conditional = QuantumCircuit(1, 1)
+        conditional.ry(parameters[0], 0)
+        conditional.measure(0, 0)
+        conditional.x(0)
+        conditional.data[-1].operation.condition = (
+            conditional.cregs[0], 0
+        )
+        pubs = [(circuit, values, parameters),
+                (conditional, values[:1, :1], parameters[:1])]
+        bound = [
+            template.bind_parameters(dict(zip(names, row)))
+            for template, rows, names in pubs for row in rows
+        ]
+        reference = Aer.get_backend("qasm_simulator").run(
+            bound, shots=20000, seed=SEED
+        ).result()
+        result = SamplerV2(seed=SEED).run(pubs, shots=20000).result()
+        assert [pub.metadata["path"] for pub in result] == [
+            "broadcast", "loop",
+        ]
+        assert result[0].data.counts + result[1].data.counts == [
+            reference.results[i].data["counts"] for i in range(len(bound))
+        ]
+
+    def test_elision_is_decided_on_the_template(self):
+        # ry(0) is diagonal and ry(pi/2) is not: eliding what binding 0
+        # allows from every row would drop binding 1's rotation.
+        a = Parameter("a")
+        template = QuantumCircuit(1, 1)
+        template.h(0)
+        template.ry(a, 0)
+        template.measure(0, 0)
+        values = np.array([[0.0], [np.pi / 2]])
+        bound = [template.bind_parameters({a: row[0]}) for row in values]
+        reference = Aer.get_backend("qasm_simulator").run(
+            bound, shots=1000, seed=3
+        ).result()
+        result = SamplerV2(seed=3).run(
+            [(template, values, [a])], shots=1000
+        ).result()
+        assert result[0].metadata["path"] == "broadcast"
+        assert result[0].data.counts == [
+            reference.results[i].data["counts"] for i in range(2)
+        ]
+        assert result[0].data.counts[1] == {"1": 1000}
+
 
 class TestEstimatorV2:
     @pytest.fixture(scope="class")
@@ -181,6 +255,56 @@ class TestEstimatorV2:
             ).estimate(bound)
             assert evs[idx] == reference
 
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_shots_evs_bitwise_above_chunk_size(self, executor, setup):
+        # Two shot-chunks per term, on both paths: the idle-qubit pub
+        # runs the per-binding term loop in the same job.
+        form, values, hamiltonian = setup
+        idle = QuantumCircuit(4)
+        idle.h(0)
+        idle.ry(form.parameters[0], 1)
+        pubs = [
+            (form.circuit, hamiltonian, values[:3], form.parameters),
+            (idle, hamiltonian, values[:2, :1], form.parameters[:1]),
+        ]
+        result = EstimatorV2(mode="shots", seed=SEED).run(
+            pubs, shots=20000, executor=executor,
+        ).result()
+        assert [pub.metadata["path"] for pub in result] == [
+            "broadcast", "loop",
+        ]
+        seeds = iter(derive_experiment_seeds(SEED, 5))
+        for (circuit, _, rows, parameters), pub in zip(pubs, result):
+            for row, value in zip(rows, pub.data.evs):
+                bound = circuit.bind_parameters(dict(zip(parameters, row)))
+                assert value == ExpectationEstimator(
+                    hamiltonian, mode="shots", shots=20000,
+                    seed=next(seeds),
+                ).estimate(bound)
+
+    def test_elision_is_decided_on_the_template(self):
+        # At a = pi/2 the state is |11>, so <ZZ + 0.5 ZI> is exactly 0.5;
+        # eliding binding 0's ry(0) from every row would measure |++>.
+        a = Parameter("a")
+        template = QuantumCircuit(2)
+        for qubit in range(2):
+            template.h(qubit)
+        for qubit in range(2):
+            template.ry(a, qubit)
+        hamiltonian = PauliSumOp.from_dict({"ZZ": 1.0, "ZI": 0.5})
+        values = np.array([[0.0], [np.pi / 2]])
+        result = EstimatorV2(mode="shots", seed=3).run(
+            [(template, hamiltonian, values, [a])], shots=1000
+        ).result()
+        assert result[0].metadata["path"] == "broadcast"
+        seeds = derive_experiment_seeds(3, 2)
+        for idx in range(2):
+            reference = ExpectationEstimator(
+                hamiltonian, mode="shots", shots=1000, seed=seeds[idx]
+            ).estimate(template.bind_parameters({a: values[idx, 0]}))
+            assert result[0].data.evs[idx] == reference
+        assert result[0].data.evs[1] == 0.5
+
     def test_idle_qubit_falls_back_with_same_seeds(self):
         a = Parameter("a")
         template = QuantumCircuit(3)
@@ -206,21 +330,6 @@ class TestEstimatorV2:
             EstimatorV2(
                 backend=Aer.get_backend("qasm_simulator"), mode="exact"
             )
-
-
-class TestEstimateMany:
-    def test_exact_matches_scalar_loop(self):
-        form = ry_ansatz(3, reps=1)
-        hamiltonian = PauliSumOp.from_dict({"ZZI": 0.5, "IXX": -0.3})
-        estimator = ExpectationEstimator(hamiltonian)
-        rng = np.random.default_rng(23)
-        values = rng.uniform(-np.pi, np.pi, size=(4, form.num_parameters))
-        batched_energies = estimator.estimate_many(
-            form.circuit, values, form.parameters
-        )
-        for row, energy in zip(values, batched_energies):
-            assert energy == estimator.estimate(form.bind(row))
-        assert estimator.evaluations == 8
 
 
 class TestAlgorithmBatching:

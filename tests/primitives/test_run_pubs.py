@@ -101,6 +101,24 @@ class TestRunPubsSampler:
         rows = result.results[0].data["broadcast_counts"]
         assert [row["counts"] for row in rows] == expected
 
+    def test_shot_chunk_size_matches_run(self, sampler_setup):
+        # A pub draws each binding's shots in run()'s shot-chunk layout,
+        # including a caller's shot_chunk_size.
+        measured, parameters, values, _ = sampler_setup
+        backend = Aer.get_backend("qasm_simulator")
+        bound = [
+            measured.bind_parameters(dict(zip(parameters, row)))
+            for row in values
+        ]
+        reference = backend.run(bound, shots=300, seed=SEED,
+                                shot_chunk_size=128).result()
+        job = backend.run_pubs([(measured, values, parameters)], shots=300,
+                               seed=SEED, shot_chunk_size=128)
+        rows = job.result().results[0].data["broadcast_counts"]
+        assert [row["counts"] for row in rows] == [
+            reference.results[i].data["counts"] for i in range(len(bound))
+        ]
+
     def test_chunked_pub_reassembles_identically(self, sampler_setup,
                                                  monkeypatch):
         measured, parameters, values, expected = sampler_setup

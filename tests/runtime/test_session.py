@@ -136,3 +136,33 @@ class TestSession:
                 result = job.result(timeout=30)
         for ours, theirs in zip(result, reference):
             assert ours.data.counts == theirs.data.counts
+
+    def test_idle_qubit_estimator_pub_is_one_service_job(self, tmp_path):
+        from repro.algorithms.expectation import ExpectationEstimator
+        from repro.primitives import EstimatorV2
+        from repro.qobj.assembler import derive_experiment_seeds
+        from repro.quantum_info.pauli import PauliSumOp
+
+        a = Parameter("a")
+        template = QuantumCircuit(3)
+        template.h(0)
+        template.ry(a, 1)  # qubit 2 idle: the per-binding loop path
+        hamiltonian = PauliSumOp.from_dict({"ZZI": 0.5, "IIZ": 0.3})
+        values = np.linspace(0.1, 1.3, 4).reshape(4, 1)
+        references = [
+            ExpectationEstimator(
+                hamiltonian, mode="shots", shots=200, seed=seed,
+            ).estimate(template.bind_parameters({a: row[0]}))
+            for row, seed in zip(values, derive_experiment_seeds(11, 4))
+        ]
+
+        with RuntimeService(tmp_path) as service:
+            with service.session() as session:
+                estimator = EstimatorV2(session, mode="shots", seed=11)
+                job = estimator.run(
+                    [(template, hamiltonian, values, [a])], shots=200
+                )
+                result = job.result(timeout=30)
+            assert len(service.jobs()) == 1
+        assert result[0].metadata["path"] == "loop"
+        assert list(result[0].data.evs) == references

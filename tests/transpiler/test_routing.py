@@ -27,7 +27,7 @@ from repro.transpiler.passes import (
 ROUTERS = {
     "basic": lambda coupling: BasicSwap(coupling),
     "sabre": lambda coupling: SabreSwap(coupling, seed=7),
-    "lookahead": lambda coupling: LookaheadSwap(coupling, seed=7),
+    "lookahead": lambda coupling: LookaheadSwap(coupling),
 }
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))

@@ -186,6 +186,24 @@ class TestTranspileCache:
         )
         clear_transpile_cache()
 
+    def test_seed_keys_only_compiles_that_run_sabre(self):
+        clear_transpile_cache()
+        circuit = qft_circuit(4)
+        # Level 0 routes with BasicSwap, which never reads the seed.
+        first = transpile(circuit, coupling_map="ibmqx4",
+                          optimization_level=0, seed=1)
+        second = transpile(circuit, coupling_map="ibmqx4",
+                           optimization_level=0, seed=2)
+        stats = get_transpile_cache().stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
+        assert second.qasm() == first.qasm()
+        # Level 1 routes with SabreSwap, so its seeds still key apart.
+        transpile(circuit, coupling_map="ibmqx4", seed=1)
+        transpile(circuit, coupling_map="ibmqx4", seed=2)
+        stats = get_transpile_cache().stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 3, 3)
+        clear_transpile_cache()
+
     def test_resize_preserves_cumulative_stats(self):
         """Resizing reshapes capacity only: the hit/miss counters (and
         therefore the registry-backed gauges) stay monotone."""
