@@ -4,6 +4,9 @@ Run as a script to emit ``BENCH_execution.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_execution.py [--fast]
 
+(``--fast`` writes ``BENCH_execution.fast.json`` instead, so a smoke run
+leaves the checked-in numbers alone.)
+
 A seeded 16-circuit QFT batch is pushed through ``QasmSimulatorBackend``
 once per executor (serial, threads, processes).  Three things are
 reported:
@@ -220,8 +223,10 @@ def main(argv=None) -> int:
             "target_applies": multi_core,
         },
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {OUTPUT_PATH}")
+    # A --fast smoke run never overwrites the checked-in full-run numbers.
+    output = OUTPUT_PATH.with_suffix(".fast.json") if fast else OUTPUT_PATH
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"written to {output}")
     if not multi_core:
         status = "informational (single-core host)"
     elif speedups["processes"] >= PROCESS_SPEEDUP_TARGET:

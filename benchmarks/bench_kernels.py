@@ -4,6 +4,9 @@ Run as a script to emit ``BENCH_kernels.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--fast]
 
+(``--fast`` writes ``BENCH_kernels.fast.json`` instead, so a smoke run
+leaves the checked-in numbers alone.)
+
 What is measured, and against what baseline:
 
 * **Gate application** (op/s): the kernel layer with ``mutate=True`` — the
@@ -336,8 +339,10 @@ def main(argv=None) -> int:
         "trajectory": trajectory,
         "acceptance": acceptance,
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {OUTPUT_PATH}")
+    # A --fast smoke run never overwrites the checked-in full-run numbers.
+    output = OUTPUT_PATH.with_suffix(".fast.json") if fast else OUTPUT_PATH
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"written to {output}")
     for label, speedup in acceptance["gate_n16_targets"].items():
         status = "ok" if speedup >= 5.0 else "BELOW TARGET (>=5x)"
         print(f"  n=16 {label}: {speedup:.1f}x mean  [{status}]")

@@ -4,6 +4,9 @@ Run as a script to emit ``BENCH_primitives.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_primitives.py [--fast]
 
+(``--fast`` writes ``BENCH_primitives.fast.json`` instead, so a smoke run
+leaves the checked-in numbers alone.)
+
 The headline is the PUB fast path: a 256-point parameter sweep of a
 12-qubit RY ansatz against a 23-term Hamiltonian (ZZ chain + transverse
 X), estimated in shots mode by ``EstimatorV2`` as **one broadcast PUB**
@@ -273,8 +276,10 @@ def main(argv=None) -> int:
             "target_applies": not fast,
         },
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {OUTPUT_PATH}")
+    # A --fast smoke run never overwrites the checked-in full-run numbers.
+    output = OUTPUT_PATH.with_suffix(".fast.json") if fast else OUTPUT_PATH
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"written to {output}")
     if fast:
         status = "informational (fast mode)"
     elif headline >= BROADCAST_SPEEDUP_TARGET:

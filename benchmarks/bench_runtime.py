@@ -5,6 +5,9 @@ Run as a script to emit ``BENCH_runtime.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py [--fast]
 
+(``--fast`` writes ``BENCH_runtime.fast.json`` instead, so a smoke run
+leaves the checked-in numbers alone.)
+
 Two sections:
 
 * **disk-tier compile speedup** — the same transpile workload is timed
@@ -420,8 +423,10 @@ def main(argv=None) -> int:
             "compaction_replay_preserved": True,  # asserted above
         },
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {OUTPUT_PATH}")
+    # A --fast smoke run never overwrites the checked-in full-run numbers.
+    output = OUTPUT_PATH.with_suffix(".fast.json") if fast else OUTPUT_PATH
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"written to {output}")
     status = (
         "ok" if speedup >= DISK_SPEEDUP_TARGET
         else f"BELOW TARGET (>={DISK_SPEEDUP_TARGET}x)"

@@ -4,6 +4,9 @@ Run as a script to emit ``BENCH_streaming.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--fast]
 
+(``--fast`` writes ``BENCH_streaming.fast.json`` instead, so a smoke run
+leaves the checked-in numbers alone.)
+
 One noisy trajectory experiment (the paper's few-circuits/many-shots
 regime) is run three ways:
 
@@ -215,8 +218,10 @@ def main(argv=None) -> int:
             "target_applies": multi_core,
         },
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {OUTPUT_PATH}")
+    # A --fast smoke run never overwrites the checked-in full-run numbers.
+    output = OUTPUT_PATH.with_suffix(".fast.json") if fast else OUTPUT_PATH
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"written to {output}")
     if not multi_core:
         status = "informational (single-core host)"
     elif speedups["processes_chunked"] >= PARALLEL_SPEEDUP_TARGET:

@@ -4,6 +4,9 @@ Run as a script to emit ``BENCH_telemetry.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_telemetry.py [--fast]
 
+(``--fast`` writes ``BENCH_telemetry.fast.json`` instead, so a smoke run
+leaves the checked-in numbers alone.)
+
 The question this answers: what does the instrumentation cost when nobody
 is looking?  The pipeline calls into the tracer unconditionally — every
 stage, every experiment attempt, every transpiler pass — so the no-op
@@ -176,7 +179,9 @@ def main(argv=None) -> int:
         },
         "bit_identity": "asserted",
     }
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    # A --fast smoke run never overwrites the checked-in full-run numbers.
+    output = OUTPUT_PATH.with_suffix(".fast.json") if fast else OUTPUT_PATH
+    output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
 
     assert disabled_overhead_pct < DISABLED_OVERHEAD_LIMIT_PCT, (

@@ -4,6 +4,9 @@ Run as a script to emit ``BENCH_transpiler.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_transpiler.py [--fast]
 
+(``--fast`` writes ``BENCH_transpiler.fast.json`` instead, so a smoke run
+leaves the checked-in numbers alone.)
+
 Three aspects are measured:
 
 * **Per-level compilation quality** — CX count, depth, total size, and
@@ -166,9 +169,13 @@ def main() -> None:
         "cache": bench_cache(args.fast),
         "fusion": bench_fusion(args.fast),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    # A --fast smoke run never overwrites the checked-in full-run numbers.
+    output = (
+        OUTPUT_PATH.with_suffix(".fast.json") if args.fast else OUTPUT_PATH
+    )
+    output.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
-    print(f"\nwrote {OUTPUT_PATH}")
+    print(f"\nwrote {output}")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ class SamplerV2:
     in the same experiment instead; ``metadata["path"]`` says which.
     Either way counts are bit-identical to running the bound circuits
     through ``backend.run`` with the same batch seed, on any executor.
+    The backend must be ``qasm_simulator`` (or a session on it), the one
+    that samples pubs.
     """
 
     def __init__(self, backend=None, *, default_shots: int = 1024,
@@ -28,6 +30,11 @@ class SamplerV2:
             from repro.providers.aer import Aer
 
             backend = Aer.get_backend("qasm_simulator")
+        if backend.name() != "qasm_simulator":
+            raise AlgorithmError(
+                f"SamplerV2 needs the qasm_simulator backend, got "
+                f"'{backend.name()}'"
+            )
         self._backend = backend
         self._default_shots = int(default_shots)
         self._seed = seed

@@ -65,7 +65,7 @@ class Job:
 
     _id_counter = itertools.count()
 
-    def __init__(self, backend, dispatch, plan, trace, preloaded=None):
+    def __init__(self, backend, dispatch, plan, trace, preloaded):
         self._backend = backend
         self._dispatch = dispatch
         self._result = None
@@ -73,7 +73,7 @@ class Job:
         #: ``{"experiment_index", "name", "chunk": int|None, "chunks"}``.
         self._plan = plan
         #: Checkpoint-restored outcomes keyed by plan position (resume).
-        self._preloaded = dict(preloaded or {})
+        self._preloaded = preloaded
         #: Plan position of each dispatch payload (the positions that
         #: were not restored from a checkpoint).
         self._dispatch_positions = [
@@ -97,66 +97,36 @@ class Job:
     def resume(cls, checkpoint_path, executor=None, max_workers=None):
         """Restart a checkpointed job, re-running only the missing chunks.
 
-        Loads the checkpoint journal a previous submission wrote (the job
-        must have been run with ``checkpoint=<path>``; the latest job in
-        it is resumed), rebuilds the backend from its provider spec, and
-        dispatches exactly the ``(experiment, chunk)`` units that have no
-        DONE record — each with its original config (derived seed, retry
-        policy, fault schedule), so the merged result is bit-identical to
-        an uninterrupted run.  Restored chunks count as
-        ``resumed_chunks`` in ``fault_stats`` and stream first from
-        :meth:`stream`.  The resumed job appends new completions to the
-        same journal, so resume is itself resumable.
+        Prepares the latest job in the journal a ``checkpoint=<path>``
+        submission wrote again from its ``job`` record — reproducing
+        every payload (derived seeds, retry policy, fault schedule) — on
+        a backend rebuilt from its provider spec, and launches it with
+        the DONE chunks recorded after that record preloaded, so the
+        merged result is bit-identical to an uninterrupted run.  The job
+        gets a fresh id and runs serially unless ``executor`` says
+        otherwise; restored chunks count as ``resumed_chunks`` in
+        ``fault_stats`` and stream first from :meth:`stream`, and new
+        completions append under the checkpointed job's id, so resume
+        is itself resumable.
 
         A ledger with no missing units dispatches no payloads: the
         returned job is DONE immediately and ``result()`` just merges the
         restored chunks.
         """
         from repro.providers.checkpoint import load_ledger
+        from repro.providers.engine import get_execution_engine
+        from repro.providers.executor import resolve_backend
 
-        return cls._from_checkpoint(load_ledger(checkpoint_path),
-                                    checkpoint_path, executor, max_workers)
-
-    @classmethod
-    def _from_checkpoint(cls, checkpoint, path, executor=None,
-                         max_workers=None):
-        """The resumed job for a decoded ``(header, chunks)`` checkpoint
-        whose new chunk records go to the journal at ``path``."""
-        from repro.providers.executor import (
-            Dispatch,
-            resolve_backend,
-            resolve_executor,
+        job, chunks = load_ledger(checkpoint_path)
+        circuits, options = job["payload"]
+        options = dict(options, executor=executor, max_workers=max_workers,
+                       checkpoint=checkpoint_path)
+        engine = get_execution_engine()
+        prepared = engine.prepare(
+            resolve_backend(tuple(job["backend"])), circuits, options,
+            checkpoint_id=job["job_id"],
         )
-        from repro.telemetry.jobtrace import JobTrace
-
-        header, chunks = checkpoint
-        payloads = header["payloads"]
-        plan = header["plan"]
-        backend = resolve_backend(tuple(header["backend"]))
-        kind = resolve_executor(executor)
-        preloaded: dict = {}
-        resumed = []
-        for position, entry in enumerate(plan):
-            outcome = chunks.get(
-                (entry["experiment_index"], entry["chunk"] or 0)
-            )
-            if outcome is not None:
-                outcome.resumed = True
-                preloaded[position] = outcome
-                continue
-            experiment, config = payloads[position]
-            config = dict(config)
-            # The original trace died with the original process, and the
-            # ledger may have been moved: re-point the checkpoint and drop
-            # the stale span context.
-            config.pop("span_context", None)
-            if "checkpoint" in config:
-                config["checkpoint"] = dict(config["checkpoint"], path=path)
-            resumed.append((experiment, config))
-        job_trace = JobTrace(cls.reserve_id(), backend.name())
-        job_trace.dispatch_started(kind, len(resumed))
-        dispatch = Dispatch(backend, resumed, kind, max_workers, job_trace)
-        return cls(backend, dispatch, plan, job_trace, preloaded=preloaded)
+        return engine.launch(prepared, chunks)
 
     def _weave(self, raw) -> list:
         """Interleave dispatch outcomes with checkpoint-restored ones,
@@ -447,11 +417,12 @@ class BaseBackend:
           workers) even where the engine prefers to loop chunks inline;
           the merged counts are bit-identical either way.
         * ``checkpoint`` — path of a JSON-lines journal
-          (:mod:`~repro.providers.checkpoint`); the job's header is
-          appended at submission and every completed
+          (:mod:`~repro.providers.checkpoint`); the job's ``job`` record
+          (its id, backend spec, and pickled circuits and run options)
+          is appended at submission and every completed
           ``(experiment, chunk)`` unit as it finishes, and
-          :meth:`Job.resume` restarts the job re-running only the
-          missing units.
+          :meth:`Job.resume` prepares the job again from that record,
+          re-running only the missing units.
         * ``job_trace`` — a pre-created
           :class:`~repro.telemetry.jobtrace.JobTrace` to attach this run
           to (``execute`` passes one so transpile spans join the job's

@@ -1,15 +1,14 @@
-"""Chunk checkpoints: the header and chunk records behind ``Job.resume``.
+"""Chunk checkpoints: the job and chunk records behind ``Job.resume``.
 
 A checkpointed job writes two kinds of records into a
 :class:`~repro.providers.journal.Journal`:
 
-* a **header**, appended once at submission (before dispatch), carrying
-  everything needed to reconstruct the job in a fresh process: the job
-  id, the backend's ``(provider, name)`` spec, the full payload list
-  (base64-pickled — configs embed derived seeds, retry policies, fault
-  injectors, and chunk descriptors, so a resumed chunk re-runs with
-  byte-identical inputs), and the dispatch plan that maps payload
-  positions to ``(experiment, chunk)`` units;
+* a **job** record (:func:`job_line` is its one writer): the job id, the
+  backend's ``(provider, name)`` spec, and the base64-pickled
+  ``(circuits, run options)`` pair.  ``backend.run(checkpoint=path)``
+  appends one at submission; the runtime store appends the same record,
+  with its own tenant, priority, session and deadline fields, at every
+  submission and requeue;
 * one **chunk** record per completed unit, keyed by
   ``(job id, experiment index, chunk index)``, appended by the worker
   that ran it.  The embedded outcome is the full
@@ -18,14 +17,16 @@ A checkpointed job writes two kinds of records into a
   exist so a human — or ``grep`` — can audit the journal without
   unpickling anything.
 
-``backend.run(checkpoint=path)`` makes ``path`` a journal with one job
-in it; the runtime service writes the same records into its store's
-``jobs.jsonl``, keyed by the ``rt-N`` job id.  :func:`replay` holds the
-rule both read them by: a job's checkpoint is its latest header plus the
-chunk records after it, keeping the first DONE record per
-``(experiment, chunk)`` — so a re-run chunk never double-counts — and a
-``job`` record (a service submission or requeue) clears it.  A new
-header appends rather than truncating: the latest one wins.
+A resume prepares the job again from its job record and hands the
+restored chunks to :meth:`~repro.providers.engine.ExecutionEngine
+.launch`, which preloads them and dispatches the rest.  Preparing again
+reproduces every payload: experiment and chunk seeds derive from the
+recorded ``seed``, the fault schedule hashes the pickled injector, and
+compilation ignores the run seed.  :func:`replay` holds the rule every
+reader applies: a job's checkpoint is its latest ``job`` record plus the
+first DONE chunk record per ``(experiment, chunk)`` after it, so a
+re-run chunk never double-counts; the ``header`` records of older
+journals are skipped.
 """
 
 from __future__ import annotations
@@ -37,22 +38,29 @@ from repro.providers.journal import Journal, decode, encode
 LEDGER_VERSION = 1
 
 
-def write_header(path: str, job_id: str, backend_spec, payloads,
-                 plan) -> None:
-    """Start a job's checkpoint: record its identity, payloads, and plan."""
+def job_line(job_id: str, backend_spec, payload: str, **fields) -> dict:
+    """The ``job`` record for ``payload``, the :func:`encode`-d
+    ``(circuits_or_pubs, options)`` pair, plus ``fields``."""
     if backend_spec is None:
         raise BackendError(
             "checkpointing requires a backend with a provider spec "
             "(Aer/IBMQ registry backends)"
         )
-    Journal(path).append({
-        "type": "header",
-        "version": LEDGER_VERSION,
-        "job_id": job_id,
-        "backend": list(backend_spec),
-        "plan": plan,
-        "payloads": encode(payloads),
-    })
+    return dict({"type": "job", "version": LEDGER_VERSION,
+                 "job_id": job_id, "backend": list(backend_spec)},
+                **fields, payload=payload)
+
+
+def write_job(path: str, job_id: str, backend_spec, circuits,
+              options: dict) -> None:
+    """Start a direct job's checkpoint: append its ``job`` record (less
+    the ``checkpoint`` and ``job_trace`` options, which belong to one
+    run)."""
+    options = {key: value for key, value in options.items()
+               if key not in ("checkpoint", "job_trace")}
+    Journal(path).append(job_line(job_id, backend_spec,
+                                  encode((circuits, options)),
+                                  kind="circuits"))
 
 
 def append_chunk(path: str, job_id: str, experiment: int, chunk: int,
@@ -74,57 +82,50 @@ def append_chunk(path: str, job_id: str, experiment: int, chunk: int,
 
 
 def replay(checkpoints: dict, record: dict) -> None:
-    """Apply one journal record to ``{job_id: (header, chunks)}``.
-
-    ``header`` is the raw header record and ``chunks`` maps
-    ``(experiment, chunk)`` to the first DONE chunk record after it;
-    records of other types leave the map alone, except ``job``, which
-    clears that job's checkpoint.  Nothing is unpickled here.
+    """Apply one journal record to ``{job_id: (job, chunks)}``: a ``job``
+    record (of a known version, else :class:`BackendError`) starts that
+    job's checkpoint afresh, and ``chunks`` keeps the first DONE chunk
+    record per ``(experiment, chunk)`` after it.  Nothing is unpickled.
     """
     kind = record.get("type")
     job_id = record.get("job_id")
-    if kind == "header":
+    if kind == "job":
+        if record.get("version") != LEDGER_VERSION:
+            raise BackendError(
+                f"job record version {record.get('version')} "
+                f"is not supported"
+            )
         checkpoints[job_id] = (record, {})
-    elif kind == "job":
-        checkpoints.pop(job_id, None)
     elif kind == "chunk" and record.get("status") == "DONE" \
             and job_id in checkpoints:
         key = (int(record["experiment"]), int(record["chunk"]))
         checkpoints[job_id][1].setdefault(key, record)
 
 
-def restore(checkpoint):
-    """Decode one job's ``(header, chunks)`` checkpoint records.
-
-    Returns the header with ``payloads`` unpickled and a map from
-    ``(experiment, chunk)`` to the recorded
+def restore(records: dict) -> dict:
+    """Decode ``(experiment, chunk)``-keyed chunk records into their
     :class:`~repro.providers.result.ExperimentResult`; a chunk whose
-    outcome does not unpickle is left out, so resume re-runs it.
-    """
-    header, records = checkpoint
-    if header.get("version") != LEDGER_VERSION:
-        raise BackendError(
-            f"checkpoint ledger version {header.get('version')} "
-            f"is not supported"
-        )
+    outcome does not unpickle is left out, so resume re-runs it."""
     chunks: dict = {}
     for key, record in records.items():
         try:
             chunks[key] = decode(record["outcome"])
         except Exception:  # noqa: BLE001 — torn/corrupt payload
             continue
-    return dict(header, payloads=decode(header["payloads"])), chunks
+    return chunks
 
 
 def load_ledger(path: str):
-    """Read the checkpoint of the latest job in the journal at ``path``
-    as ``(header, chunks)`` (see :func:`restore`)."""
+    """The checkpoint of the latest job in the journal at ``path``:
+    its ``job`` record with ``payload`` unpickled to the ``(circuits,
+    options)`` pair, and its restored chunks (see :func:`restore`)."""
     checkpoints: dict = {}
     latest = None
     for record in Journal(path).replay():
         replay(checkpoints, record)
-        if record.get("type") == "header":
+        if record.get("type") == "job":
             latest = record.get("job_id")
-    if latest not in checkpoints:
-        raise BackendError(f"no checkpoint header in '{path}'")
-    return restore(checkpoints[latest])
+    if latest is None:
+        raise BackendError(f"no job record to resume in '{path}'")
+    job, records = checkpoints[latest]
+    return dict(job, payload=decode(job["payload"])), restore(records)

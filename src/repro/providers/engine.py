@@ -13,7 +13,9 @@ that split:
   plan, the resolved executor kind, and the job's telemetry hub — without
   running anything;
 * :meth:`ExecutionEngine.launch` creates the dispatch for a prepared
-  execution and returns the live :class:`~repro.providers.backend.Job`;
+  execution, preloading any chunks a checkpoint restored (a resume is
+  ``prepare`` + ``launch``), and returns the live
+  :class:`~repro.providers.backend.Job` — the one place either is built;
 * :meth:`ExecutionEngine.run` is both in sequence — exactly what
   ``BaseBackend.run`` did before the refactor, bit for bit;
 * :meth:`ExecutionEngine.compile_batch` is the device-compile stage that
@@ -134,14 +136,16 @@ class ExecutionEngine:
         return PreparedExecution(backend, payloads, plan, kind,
                                  options.get("max_workers"), job_trace)
 
-    def prepare(self, backend, circuits, options) -> PreparedExecution:
+    def prepare(self, backend, circuits, options,
+                checkpoint_id=None) -> PreparedExecution:
         """Validate, assemble, and plan a circuit batch (runs nothing).
 
         This is the submission half of ``BaseBackend.run``: it derives
         per-experiment (and per-chunk) seeds, builds the payload list and
-        dispatch plan, resolves the executor kind, injects span contexts,
-        and writes the checkpoint header when asked — leaving only
-        dispatch creation to :meth:`launch`.
+        dispatch plan, resolves the executor kind, and injects span
+        contexts — leaving only dispatch creation to :meth:`launch`.
+        Each payload of a ``checkpoint`` job appends its chunk record
+        under ``checkpoint_id`` (default: the job's own id).
         """
         from repro.qobj.assembler import (
             assemble,
@@ -218,37 +222,54 @@ class ExecutionEngine:
                     "experiment_index": index, "name": name,
                     "chunk": None, "chunks": len(bounds),
                 })
-        prepared = self._end(backend, payloads, plan, kind, options,
-                             job_trace)
         checkpoint = options.get("checkpoint")
         if checkpoint:
-            from repro.providers.checkpoint import write_header
-
-            for (experiment, config), entry in zip(payloads, plan):
+            for (_experiment, config), entry in zip(payloads, plan):
                 config["checkpoint"] = {
                     "path": checkpoint,
-                    "job_id": job_trace.job_id,
+                    "job_id": checkpoint_id or job_trace.job_id,
                     "experiment": entry["experiment_index"],
                     "chunk": entry["chunk"] or 0,
                 }
-            write_header(checkpoint, job_trace.job_id,
-                         backend._backend_spec(), payloads, plan)
-        return prepared
+        return self._end(backend, payloads, plan, kind, options, job_trace)
 
-    def launch(self, prepared: PreparedExecution):
-        """Create the dispatch for a prepared batch; returns the live Job."""
+    def launch(self, prepared: PreparedExecution, restored=None):
+        """Create the dispatch for a prepared batch; returns the live Job.
+
+        The ``restored`` checkpoint outcomes (see
+        :func:`~repro.providers.checkpoint.restore`) are preloaded and
+        marked ``resumed``; only the other units are dispatched.
+        """
         from repro.providers.backend import Job
 
+        restored = restored or {}
+        preloaded = {}
+        for position, entry in enumerate(prepared.plan):
+            outcome = restored.get(
+                (entry["experiment_index"], entry["chunk"] or 0)
+            )
+            if outcome is not None:
+                outcome.resumed = True
+                preloaded[position] = outcome
         dispatch = Dispatch(
-            prepared.backend, prepared.payloads, prepared.kind,
-            prepared.max_workers, prepared.job_trace,
+            prepared.backend,
+            [payload for position, payload in enumerate(prepared.payloads)
+             if position not in preloaded],
+            prepared.kind, prepared.max_workers, prepared.job_trace,
         )
         return Job(prepared.backend, dispatch, prepared.plan,
-                   prepared.job_trace)
+                   prepared.job_trace, preloaded)
 
     def run(self, backend, circuits, options):
-        """Prepare and launch in one step (the ``BaseBackend.run`` path)."""
-        return self.launch(self.prepare(backend, circuits, options))
+        """Prepare and launch in one step (the ``BaseBackend.run`` path);
+        a ``checkpoint`` journal gets the job's ``job`` record first."""
+        prepared = self.prepare(backend, circuits, options)
+        if options.get("checkpoint"):
+            from repro.providers.checkpoint import write_job
+
+            write_job(options["checkpoint"], prepared.job_trace.job_id,
+                      backend._backend_spec(), circuits, options)
+        return self.launch(prepared)
 
     def prepare_pubs(self, backend, pubs, options) -> PreparedExecution:
         """Validate and plan a broadcast-pub batch (runs nothing).
@@ -278,6 +299,11 @@ class ExecutionEngine:
             raise BackendError(
                 "pubs run noise-free and take no noise model; bind the "
                 "circuits and use run() instead"
+            )
+        if options.get("checkpoint"):
+            raise BackendError(
+                "pubs jobs do not checkpoint; bind the circuits and use "
+                "run() for a resumable job"
             )
         normalized = []
         for pub in pubs:
@@ -365,9 +391,11 @@ class ExecutionEngine:
         from the backend's configuration and calibrations, with a
         ``transpile`` span (and its per-pass children) per circuit on the
         job's trace.  The run seed never reaches the router, so a circuit
-        compiles the same way for every run seed.  Results are memoised in
-        the two-tier content-hash transpile cache, so repeated runs, warm
-        sessions and repeated processes skip the pass pipeline entirely.
+        compiles the same way for every run seed, and a resumed job
+        compiles to the circuits its first run had.  Results are memoised
+        in the content-hash transpile cache, so repeated runs and warm
+        sessions skip the pass pipeline entirely (and, where its disk
+        tier is enabled, so do repeated processes).
         ``cache_namespace`` isolates the cache reads/writes to a private
         namespace (per-session sub-tier).
         """

@@ -1,10 +1,10 @@
 """The JSON-lines journal: one append/replay/compact primitive.
 
 Every durable record goes through a :class:`Journal`: the runtime
-store's job, state, result and quarantine records, and the checkpoint
-header and chunk records ``Job.resume`` restarts from.  A journal is one
-file of JSON objects, one per line, plus a sibling ``<path>.lock`` file
-that coordinates writers across threads and processes:
+store's job, state, result and quarantine records, and the job and
+chunk records ``Job.resume`` restarts from.  A journal is one file of
+JSON objects, one per line, plus a sibling ``<path>.lock`` file that
+coordinates writers across threads and processes:
 
 * **append** — one ``os.write`` of newline-terminated lines on an
   ``O_APPEND`` descriptor, under a *shared* ``flock`` on the lock file.

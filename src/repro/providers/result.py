@@ -248,12 +248,6 @@ class Result:
         self.job_id = job_id
         self._results = list(experiment_results)
 
-    @classmethod
-    def merge_chunks(cls, name, outcomes, total_chunks=None):
-        """Merge per-chunk outcomes of one experiment (see
-        :func:`merge_chunk_outcomes`)."""
-        return merge_chunk_outcomes(name, outcomes, total_chunks)
-
     @property
     def success(self) -> bool:
         """Whether every experiment in the batch completed without error."""

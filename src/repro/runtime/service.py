@@ -10,13 +10,14 @@ a *warm* backend instance through the same
 ``backend.run`` calls — so a service-scheduled job is bit-identical to
 the equivalent direct submission.
 
-Durability: every job's payload lands in the store's journal,
+Durability: every job's ``job`` record lands in the store's journal,
 ``jobs.jsonl``, before it is queued, and every circuits job checkpoints
 its chunks into the same journal.  A service constructed over an
 existing store directory **recovers** from one replay of it: unfinished
-jobs re-queue, and a job that died mid-run resumes from the checkpoint
-that replay holds — re-running only the missing chunks, with merged
-results bit-identical to an uninterrupted run.
+jobs re-queue, and a job that died mid-run is prepared again from its
+``job`` record with the chunks that replay holds preloaded — re-running
+only the missing chunks, with merged results bit-identical to an
+uninterrupted run.
 
 **Overload and failure containment** (the production-hardening layer):
 
@@ -1077,11 +1078,11 @@ class RuntimeService:
     def _dispatch(self, job: RuntimeJob):
         """Launch the provider job for one runtime job.
 
-        A circuits job checkpoints into the store's journal; one whose
-        replay held a checkpoint resumes from it instead of running
-        afresh, so only the missing chunks execute.
+        A circuits job compiles, prepares and runs under the runtime
+        job's own trace, checkpointing its chunks into the store's
+        journal; when replay held a checkpoint (a restart), the restored
+        chunks are preloaded and only the missing ones run.
         """
-        from repro.providers.backend import Job
         from repro.providers.checkpoint import restore
         from repro.providers.engine import get_execution_engine
 
@@ -1096,16 +1097,9 @@ class RuntimeService:
             # The broadcast engine has no chunk checkpoint; recovery
             # re-runs.
             return engine.run_pubs(backend, record.payload, options)
-        checkpoint, record.checkpoint = record.checkpoint, None
-        if checkpoint is not None:
-            return Job._from_checkpoint(
-                restore(checkpoint), self._store.path,
-                executor=options.get("executor"),
-                max_workers=options.get("max_workers"),
-            )
         # Device backends compile first, exactly like ``execute`` —
-        # through the shared transpile cache (memory + disk tiers), which
-        # is what keeps a session's repeat compiles warm.
+        # through the shared transpile cache, which is what keeps a
+        # session's repeat compiles warm.
         single = not isinstance(record.payload, (list, tuple))
         batch = [record.payload] if single else list(record.payload)
         batch = engine.compile_batch(
@@ -1115,7 +1109,12 @@ class RuntimeService:
             cache_namespace=cache_namespace,
         )
         options["checkpoint"] = self._store.path
-        return engine.run(backend, batch[0] if single else batch, options)
+        checkpoint, record.checkpoint = record.checkpoint, None
+        prepared = engine.prepare(backend, batch[0] if single else batch,
+                                  options)
+        return engine.launch(
+            prepared, restore(checkpoint[1]) if checkpoint else None
+        )
 
     # -- maintenance -----------------------------------------------------
 

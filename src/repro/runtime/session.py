@@ -5,9 +5,12 @@ session reserves a device window so consecutive jobs skip the cold
 queue, and the service keeps compiled artifacts warm between them.
 :class:`Session` reproduces the local analogue — it pins every job to
 the service's *warm* backend instance (whose gate-matrix caches persist
-across jobs) and shares the process transpile cache plus its on-disk
-tier, so the session's second job never recompiles what the first one
-did.
+across jobs) and shares the process transpile cache, so the session's
+second job never recompiles what the first one did in this process.
+The cache's on-disk tier, which carries compiles across processes, is
+on only where ``REPRO_TRANSPILE_CACHE_DIR`` or an explicit
+:func:`~repro.transpiler.cache.configure_disk_cache` call enabled it;
+``cache_namespace`` then gives the session a private subdirectory.
 
 A session quacks like a backend: it exposes ``run``/``run_pubs``/
 ``name``/``configuration``, so the V2 primitives run over the service

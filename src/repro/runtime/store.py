@@ -4,11 +4,14 @@ A store directory holds one :class:`~repro.providers.journal.Journal`,
 ``jobs.jsonl`` (with its ``jobs.jsonl.lock``), however many jobs run.
 Its record types:
 
-- ``job`` — written at submission and again by every requeue: job id,
-  tenant, backend ``(provider, name)`` spec, priority, session id,
-  payload kind (``circuits`` or ``pubs``), optional wall-clock deadline,
-  and the base64-pickled ``(payload, options)`` pair — everything needed
-  to re-run the job in a fresh process;
+- ``job`` — written at submission and again by every requeue, through
+  the checkpoint module's one writer
+  (:func:`~repro.providers.checkpoint.job_line`): job id, backend
+  ``(provider, name)`` spec, payload kind (``circuits`` or ``pubs``),
+  the base64-pickled ``(payload, options)`` pair, and the store's own
+  fields — tenant, priority, session id, submission time and optional
+  wall-clock deadline.  It is everything needed to run the job again in
+  a fresh process, and the start of a circuits job's checkpoint;
 - ``state`` — one per lifecycle transition (``SUBMITTED -> QUEUED ->
   RUNNING -> DONE/ERROR/CANCELLED/EXPIRED/QUARANTINED``); the last one
   wins.  A ``QUEUED`` record may carry the service-level ``attempt``
@@ -19,21 +22,24 @@ Its record types:
 - ``quarantine`` — a dead-lettered job's plain-JSON fault ledger
   (``job.fault_stats``) and final error text, readable without
   unpickling anything;
-- ``header`` / ``chunk`` — a circuits job's chunk checkpoint
+- ``chunk`` — one per finished unit of a circuits job
   (:mod:`repro.providers.checkpoint`), keyed by job id; workers append
-  chunk records from pool processes too.
+  them from pool processes too.
 
-Job ids are ``rt-<N>``, ``N`` continuing from the largest id in the
-journal.  :meth:`JobStore.load` replays the journal once: a ``job``
-record starts its job afresh (only the quarantine record carries over,
-for the audit trail) and clears its checkpoint, so a requeued job never
-resumes a poisoned one; a non-terminal job keeps its checkpoint records
-undecoded until the service resumes it.  :meth:`JobStore.compact`
-rewrites the journal as a last-state-wins snapshot that keeps checkpoint
-records only for non-terminal jobs, and a :class:`RetentionPolicy`
-prunes terminal jobs (by age and/or count) during compaction — never
-pending ones.  Compaction statistics land in the unified metrics
-registry (``repro_runtime_compaction_*``).
+A circuits job's checkpoint is therefore its latest ``job`` record plus
+the DONE ``chunk`` records after it; ``header`` records, which older
+journals hold, are skipped.  Job ids are ``rt-<N>``, ``N`` continuing
+from the largest id in the journal.  :meth:`JobStore.load` replays the
+journal once: a ``job`` record starts its job afresh (only the
+quarantine record carries over, for the audit trail) and starts a fresh
+checkpoint, so a requeued job never resumes a poisoned one; a
+non-terminal job keeps its chunk records undecoded until the service
+resumes it.  :meth:`JobStore.compact` rewrites the journal as a
+last-state-wins snapshot that keeps chunk records only for non-terminal
+jobs, and a :class:`RetentionPolicy` prunes terminal jobs (by age
+and/or count) during compaction — never pending ones.  Compaction
+statistics land in the unified metrics registry
+(``repro_runtime_compaction_*``).
 """
 
 from __future__ import annotations
@@ -45,9 +51,6 @@ import time
 from repro.exceptions import BackendError
 from repro.providers import checkpoint
 from repro.providers.journal import Journal, decode, encode
-
-#: Store schema version, bumped on incompatible record changes.
-STORE_VERSION = 1
 
 #: Lifecycle states a ``state`` record may carry.
 JOB_STATES = ("SUBMITTED", "QUEUED", "RUNNING", "DONE", "ERROR",
@@ -117,8 +120,9 @@ class JobRecord:
         self.attempts = 0
         #: The plain-JSON quarantine record (fault ledger + error text).
         self.quarantine = None
-        #: A non-terminal job's undecoded checkpoint records, as
-        #: :func:`repro.providers.checkpoint.replay` holds them, or None.
+        #: A non-terminal job's undecoded ``(job, chunks)`` checkpoint
+        #: records, as :func:`repro.providers.checkpoint.replay` holds
+        #: them, or None when it has no DONE chunk.
         self.checkpoint = None
         #: Compaction only: the job's latest ``job`` and ``result``
         #: journal records as read, keyed by type.
@@ -134,19 +138,13 @@ class JobRecord:
 def _job_line(record: JobRecord, blob: str = None) -> dict:
     """The ``job`` record: everything needed to re-run the job (``blob``:
     the pair already encoded, if the caller has it)."""
-    return {
-        "type": "job",
-        "version": STORE_VERSION,
-        "job_id": record.job_id,
-        "tenant": record.tenant,
-        "backend": list(record.backend_spec),
-        "priority": record.priority,
-        "session": record.session,
-        "kind": record.kind,
-        "submitted_at": record.submitted_at,
-        "deadline": record.deadline,
-        "payload": blob or encode((record.payload, record.options)),
-    }
+    return checkpoint.job_line(
+        record.job_id, record.backend_spec,
+        blob or encode((record.payload, record.options)),
+        tenant=record.tenant, priority=record.priority,
+        session=record.session, kind=record.kind,
+        submitted_at=record.submitted_at, deadline=record.deadline,
+    )
 
 
 def _state_line(job_id: str, state: str, attempt: int = None) -> dict:
@@ -289,11 +287,6 @@ class JobStore:
             kind = entry.get("type")
             job_id = entry.get("job_id")
             if kind == "job":
-                if entry.get("version") != STORE_VERSION:
-                    raise BackendError(
-                        f"job store version {entry.get('version')} "
-                        f"is not supported"
-                    )
                 payload = options = None
                 if not raw:
                     try:
@@ -301,7 +294,7 @@ class JobStore:
                     except Exception:  # noqa: BLE001 — torn/corrupt blob
                         continue
                 record = JobRecord(
-                    job_id, entry["tenant"], entry["backend"],
+                    job_id, entry.get("tenant", "default"), entry["backend"],
                     entry.get("priority", 0), entry.get("session"),
                     entry.get("kind", "circuits"), payload, options,
                     submitted_at=entry.get("submitted_at"),
@@ -336,7 +329,9 @@ class JobStore:
                     "error": entry.get("error"),
                 }
         for job_id, record in records.items():
-            record.checkpoint = checkpoints.get(job_id)
+            held = checkpoints.get(job_id)
+            # A checkpoint without chunks has nothing to resume from.
+            record.checkpoint = held if held is not None and held[1] else None
         return records
 
     # -- compaction and retention ----------------------------------------
@@ -392,9 +387,7 @@ class JobStore:
                 record.quarantine["error"],
             ))
         if record.checkpoint is not None:
-            header, chunks = record.checkpoint
-            lines.append(header)
-            lines.extend(chunks.values())
+            lines.extend(record.checkpoint[1].values())
         return lines
 
     def compact(self, retention: RetentionPolicy = None,

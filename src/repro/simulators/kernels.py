@@ -579,7 +579,8 @@ def _dispatch(flat, descriptor, targets, num_qubits, batch, mutate):
     if kind == "dense":
         matrix = descriptor[1]
         if matrix.shape[0] == 2:
-            return _dispatch_dense_1q(flat, matrix, targets[0], batch, mutate)
+            return _apply_dense_contiguous(flat, matrix, targets[0], batch,
+                                           mutate)
         # Contiguous multi-qubit block (guaranteed by apply_unitary); reorder
         # the gate's qubits to match ascending targets, then use the 1q
         # machinery with a wider matrix.
@@ -608,12 +609,6 @@ def _dispatch(flat, descriptor, targets, num_qubits, batch, mutate):
     view, axes = _compact_view(flat, targets, num_qubits, batch)
     _dispatch_sliced(view, axes, descriptor)
     return flat
-
-
-def _dispatch_dense_1q(flat, matrix, target, batch, mutate):
-    if batch == 1 and target <= _KRON_GEMM_MAX_TARGET:
-        return _apply_dense_low(flat, matrix, target, batch, mutate)
-    return _apply_dense_high(flat, matrix, target, batch, mutate)
 
 
 def _dispatch_sliced(view, axes, descriptor):

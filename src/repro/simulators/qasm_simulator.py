@@ -1,10 +1,15 @@
 """Shot-based simulator — the ``qasm_simulator`` of the paper's Section IV.
 
-Two execution strategies:
+Three execution strategies, tried in this order:
 
-* **Sampling**: when the circuit is ideal (no noise, reset, conditions, or
-  mid-circuit measurement), the statevector is evolved once and ``shots``
-  outcomes are sampled from the final distribution.
+* **Sampling**: when the circuit is free of gate noise, reset,
+  conditions and mid-circuit measurement, the statevector is evolved
+  once and ``shots`` outcomes are sampled from the final distribution
+  (readout errors flip the sampled bits).
+* **Batched unitary noise**: when every gate error is a mixture of
+  unitaries and measurements are terminal, all shots evolve together as
+  the columns of one ``(2**n, shots)`` array, each column taking its own
+  sampled noise branch; outcomes are drawn per column.
 * **Trajectories**: otherwise each shot is simulated individually; noise
   channels are applied by Monte-Carlo sampling one Kraus branch per
   application (quantum-trajectory method), and measurements collapse the
@@ -82,6 +87,27 @@ def _zeros_for_width(shots: int, num_clbits: int) -> np.ndarray:
     (rare) wide case falls back to object dtype and arbitrary precision.
     """
     return np.zeros(shots, dtype=np.int64 if num_clbits <= 63 else object)
+
+
+def _measured_values(outcomes, qubit_to_clbit, num_clbits, rng,
+                     noise_model=None) -> list[int]:
+    """Classical values from sampled basis-state ``outcomes``: each
+    measured qubit's bit lands on its clbit, flipped by the qubit's
+    readout error (one draw per shot, in ``qubit_to_clbit`` order)."""
+    shots = len(outcomes)
+    values = _zeros_for_width(shots, num_clbits)
+    for qubit, clbit in qubit_to_clbit.items():
+        bits = (outcomes >> qubit) & 1
+        if noise_model is not None:
+            readout = noise_model.readout_error(qubit)
+            if readout is not None:
+                confusion = readout.probabilities
+                flips = rng.random(shots)
+                p_one = np.where(bits == 1, confusion[1][1],
+                                 confusion[0][1])
+                bits = (flips < p_one).astype(np.int64)
+        values |= bits.astype(values.dtype) << clbit
+    return values.tolist()
 
 
 def bin_counts(shot_values, width: int, *, memory: bool = False):
@@ -167,9 +193,9 @@ class QasmSimulator:
             )
 
             def run_chunk(chunk_shots, rng):
-                return self._sample_values(
-                    state, qubit_to_clbit, circuit.num_clbits,
-                    chunk_shots, rng, noise_model,
+                return _measured_values(
+                    _sample_outcomes(state, chunk_shots, rng),
+                    qubit_to_clbit, circuit.num_clbits, rng, noise_model,
                 )
         elif self._samplable(circuit) and self._batchable(circuit, noise_model):
             # Probabilistic-unitary noise with terminal measurement: evolve
@@ -343,36 +369,6 @@ class QasmSimulator:
             )
         return state, qubit_to_clbit
 
-    @staticmethod
-    def _sample_values(state, qubit_to_clbit, num_clbits, shots, rng,
-                       noise_model=None) -> list[int]:
-        """Draw ``shots`` classical values from a final state (readout
-        noise applied to the sampled bits)."""
-        outcomes = _sample_outcomes(state, shots, rng)
-        values = _zeros_for_width(shots, num_clbits)
-        for qubit, clbit in qubit_to_clbit.items():
-            bits = (outcomes >> qubit) & 1
-            if noise_model is not None:
-                readout = noise_model.readout_error(qubit)
-                if readout is not None:
-                    confusion = readout.probabilities
-                    flips = rng.random(shots)
-                    p_one = np.where(bits == 1, confusion[1][1],
-                                     confusion[0][1])
-                    bits = (flips < p_one).astype(np.int64)
-            values |= bits.astype(values.dtype) << clbit
-        return values.tolist()
-
-    def _run_sampling(self, circuit, shots, rng, noise_model=None, *,
-                      elide_diagonals=True) -> list[int]:
-        state, qubit_to_clbit = self._evolve_sampling_state(
-            circuit, elide_diagonals=elide_diagonals
-        )
-        return self._sample_values(
-            state, qubit_to_clbit, circuit.num_clbits, shots, rng,
-            noise_model,
-        )
-
     # -- batched trajectory strategy ---------------------------------------------------
 
     def _batchable(self, circuit, noise_model) -> bool:
@@ -438,19 +434,8 @@ class QasmSimulator:
         cumulative = np.cumsum(probabilities, axis=0)
         draws = rng.random(shots)
         outcomes = (cumulative < draws[None, :]).sum(axis=0)
-        values = _zeros_for_width(shots, circuit.num_clbits)
-        for qubit, clbit in qubit_to_clbit.items():
-            bits = (outcomes >> qubit) & 1
-            if noise_model is not None:
-                readout = noise_model.readout_error(qubit)
-                if readout is not None:
-                    confusion = readout.probabilities
-                    flips = rng.random(shots)
-                    p_one = np.where(bits == 1, confusion[1][1],
-                                     confusion[0][1])
-                    bits = (flips < p_one).astype(np.int64)
-            values |= bits.astype(values.dtype) << clbit
-        return values.tolist()
+        return _measured_values(outcomes, qubit_to_clbit,
+                                circuit.num_clbits, rng, noise_model)
 
     # -- trajectory strategy ----------------------------------------------------------
 

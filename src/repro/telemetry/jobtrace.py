@@ -32,7 +32,12 @@ import os
 
 from repro.exceptions import BackendError
 from repro.telemetry.metrics import get_metrics_registry
-from repro.telemetry.span import Span, SpanContext, derive_trace_id
+from repro.telemetry.span import (
+    Span,
+    SpanContext,
+    SpanStatus,
+    derive_trace_id,
+)
 from repro.telemetry.trace import Trace
 from repro.telemetry.tracer import (
     RecordingTracer,
@@ -85,9 +90,11 @@ class JobTrace:
         self.job_id = job_id
         self.trace_id = derive_trace_id(job_id)
         self.backend_name = backend_name
-        self.finalized = False
         self.root = None
+        #: The current run's ``dispatch`` span, and how many runs (a
+        #: service retry, a requeue, a resume) this trace has seen.
         self._dispatch_span = None
+        self._runs = 0
         if self.enabled:
             self.root = Span(
                 "job", self.trace_id, "", 0,
@@ -105,11 +112,17 @@ class JobTrace:
                                 attributes=attributes)
 
     def dispatch_started(self, kind: str, experiments: int):
-        """Open the ``dispatch`` span (ends at :meth:`finalize`)."""
+        """Open this run's ``dispatch`` span (ends at :meth:`finalize`).
+
+        Its seq is the run's number under this trace, so the spans of a
+        re-run (a service retry, a requeue, a restart's resume) never
+        share ids with an earlier run's.
+        """
         self._dispatch_span = self.tracer.start_span(
-            "dispatch", parent=self.root, seq=0,
+            "dispatch", parent=self.root, seq=self._runs,
             attributes={"executor": kind, "experiments": experiments},
         )
+        self._runs += 1
         return self._dispatch_span
 
     def set_executor(self, kind: str) -> None:
@@ -169,14 +182,16 @@ class JobTrace:
                 store.add_dict(payload)
 
     def finalize(self, stats: dict) -> None:
-        """Publish one provider job's ledger and close the trace.
+        """Publish one run's ledger and close its spans.
 
         ``stats`` is the provider job's ``fault_stats``.  Runs regardless
         of tracing state: the metrics registry is always on.  Every call
         adds its ledger to the fleet-wide :data:`FAULT_COUNTERS` — the
-        runtime service reuses a job's trace for a service retry or a
-        requeue, and each re-run is a provider job of its own — while the
-        ``dispatch`` and root ``job`` spans end at the first call only.
+        runtime service reuses a job's trace for a service retry, a
+        requeue or a restart's resume, and each re-run is a provider job
+        of its own.  The call ends that run's ``dispatch`` span, and the
+        root ``job`` span takes the latest run's tallies and status and
+        ends with it.
         """
         registry = get_metrics_registry()
         for name, help_text, key in FAULT_COUNTERS:
@@ -184,27 +199,27 @@ class JobTrace:
             registry.counter(name, help_text).inc(
                 len(value) if isinstance(value, list) else value
             )
-        if self.finalized:
+        if not self.enabled:
             return
-        self.finalized = True
-        if self.enabled:
-            if self._dispatch_span is not None:
-                self._dispatch_span.set_attribute(
-                    "fallbacks", list(stats["fallbacks"])
-                )
-                self.tracer.end_span(self._dispatch_span)
-            self.root.set_attributes({
-                "experiments": stats["experiments"],
-                "attempts": stats["attempts"],
-                "retries": stats["retries"],
-            })
-            failed = stats["failed_experiments"]
-            if failed:
-                self.root.set_error(
-                    f"{len(failed)} experiment(s) failed: "
-                    f"{', '.join(failed)}"
-                )
-            self.tracer.end_span(self.root)
+        if self._dispatch_span is not None:
+            self._dispatch_span.set_attribute(
+                "fallbacks", list(stats["fallbacks"])
+            )
+            self.tracer.end_span(self._dispatch_span)
+        self.root.set_attributes({
+            "experiments": stats["experiments"],
+            "attempts": stats["attempts"],
+            "retries": stats["retries"],
+        })
+        failed = stats["failed_experiments"]
+        self.root.status, self.root.error = SpanStatus.OK, None
+        if failed:
+            self.root.set_error(
+                f"{len(failed)} experiment(s) failed: {', '.join(failed)}"
+            )
+        # The root spans every run so far: re-end it at this one.
+        self.root.duration = None
+        self.tracer.end_span(self.root)
 
     def trace(self) -> Trace:
         """The job's :class:`~repro.telemetry.trace.Trace` as recorded so

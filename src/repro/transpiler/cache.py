@@ -20,11 +20,12 @@ Two tiers share that key:
   entry; readers treat unreadable/corrupt files as misses and drop them.
   A disk hit is promoted into the memory tier.
 
-Enable the disk tier with :func:`configure_disk_cache` (a
-:class:`~repro.runtime.Session`'s service does this for its store
-directory) or the ``REPRO_TRANSPILE_CACHE_DIR`` environment variable,
-which is honoured at interpreter start — the knob that makes separate
-CLI invocations share compiles.
+The disk tier is off unless enabled, by an explicit
+:func:`configure_disk_cache` call or by the ``REPRO_TRANSPILE_CACHE_DIR``
+environment variable, which is honoured at interpreter start — the knob
+that makes separate CLI invocations share compiles.  Nothing in the
+package turns it on: a runtime service and its sessions compile through
+whichever tiers the process has.
 
 Entries are kept in LRU order with hit/miss counters (memory and disk
 tiers separately) exposed for observability — ``execute`` surfaces them

@@ -187,13 +187,6 @@ def _measure_properties(properties, qubit):
     )
 
 
-def coupling_from_target(target: Target):
-    """The target's coupling map (None for all-to-all simulators)."""
-    if target is None:
-        return None
-    return target.coupling_map
-
-
 def target_from_coupling(coupling_map, basis_gates, name="") -> Target:
     """A calibration-free Target from loose kwargs (legacy entry path)."""
     target = Target(

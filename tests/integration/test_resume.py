@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -24,7 +25,8 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
 FAST_RETRY = RetryPolicy(base_delay=0.0)
 
 SHOTS = 3000
-CHUNK = 1024  # -> 3 chunks
+CHUNK = 1024
+CHUNKS = 3
 
 
 def _bell(name="bell"):
@@ -227,6 +229,32 @@ class TestServiceRestart:
         finally:
             revived.shutdown()
 
+    def test_resumed_service_job_traces_its_run(self, tmp_path):
+        from repro.telemetry import disable_tracing, enable_tracing
+
+        store, job_id = _crash_service(tmp_path, consume=2)
+        enable_tracing()
+        try:
+            revived = RuntimeService(str(store))
+            try:
+                job = revived.job(job_id)
+                assert job.result(timeout=60).get_counts() == _reference()
+                trace = job.trace()
+            finally:
+                revived.shutdown()
+        finally:
+            disable_tracing()
+        # The resume runs as the runtime job itself, under its trace:
+        # one dispatch span, with a chunk span for every chunk that ran
+        # again.
+        stats = job.provider_job.fault_stats
+        assert job.provider_job.job_id == job_id
+        dispatch = trace.find_one("dispatch")
+        assert dispatch is not None
+        chunks = [span for span in trace.children(dispatch)
+                  if span.name == "chunk"]
+        assert len(chunks) == CHUNKS - stats["resumed_chunks"] >= 1
+
     def test_restart_without_crash_reloads_the_result(self, tmp_path):
         store = tmp_path / "store"
         with RuntimeService(str(store)) as service:
@@ -243,3 +271,75 @@ class TestServiceRestart:
             )
         finally:
             revived.shutdown()
+
+
+class TestServiceCrashPoints:
+    """A crash at every persistence point of a service circuits job.
+
+    One 3-chunk dispatched job runs to DONE; each test restarts a
+    service on a copy of its journal cut where a crash would have left
+    it — after the RUNNING state, or after the k-th chunk record (the
+    last of which is also just before the result) — and the job must
+    finish with the uninterrupted counts, resuming exactly the chunks
+    the cut kept.
+    """
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("store")
+        with RuntimeService(str(store)) as service:
+            job = service.submit(_bell(), shots=SHOTS, seed=42,
+                                 shot_chunk_size=CHUNK,
+                                 shot_chunk_dispatch=True,
+                                 executor="serial")
+            counts = job.result(timeout=60).get_counts()
+        with open(store / "jobs.jsonl", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        return job.job_id, lines, counts
+
+    @staticmethod
+    def _points(lines):
+        """Line indices of the RUNNING state and of the chunk records."""
+        records = [json.loads(line) for line in lines]
+        running = [index for index, record in enumerate(records)
+                   if record.get("state") == "RUNNING"]
+        chunks = [index for index, record in enumerate(records)
+                  if record["type"] == "chunk"]
+        assert len(running) == 1 and len(chunks) == CHUNKS
+        return running[0], chunks
+
+    @staticmethod
+    def _restart(tmp_path, job_id, lines):
+        """Finish ``job_id`` on a service over a journal of ``lines``."""
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "jobs.jsonl").write_text("".join(lines), encoding="utf-8")
+        with RuntimeService(str(store)) as revived:
+            job = revived.job(job_id)
+            counts = job.result(timeout=60).get_counts()
+            assert job.status() == "DONE"
+            return counts, job.provider_job.fault_stats["resumed_chunks"]
+
+    @pytest.mark.parametrize("kept", range(CHUNKS + 1))
+    def test_cut_journal_resumes_bit_identically(self, tmp_path, finished,
+                                                 kept):
+        job_id, lines, counts = finished
+        running, chunks = self._points(lines)
+        cut = (chunks[kept - 1] if kept else running) + 1
+        assert "result" not in {json.loads(line)["type"]
+                                for line in lines[:cut]}
+        assert self._restart(tmp_path, job_id, lines[:cut]) == (counts, kept)
+
+    def test_older_journal_with_a_header_record_resumes(self, tmp_path,
+                                                        finished):
+        # Journals written before the job record was the checkpoint hold
+        # a ``header`` record after RUNNING; replay skips it.
+        job_id, lines, counts = finished
+        running, chunks = self._points(lines)
+        header = json.dumps({
+            "type": "header", "version": 1, "job_id": job_id,
+            "backend": ["aer", "qasm_simulator"], "plan": [],
+            "payloads": "",
+        }) + "\n"
+        old = lines[:running + 1] + [header] + lines[running + 1:chunks[0] + 1]
+        assert self._restart(tmp_path, job_id, old) == (counts, 1)

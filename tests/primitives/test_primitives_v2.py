@@ -101,6 +101,10 @@ class TestSamplerV2:
         values = rng.uniform(-np.pi, np.pi, size=(5, form.num_parameters))
         return circuit, list(form.parameters), values
 
+    def test_refuses_a_backend_that_does_not_sample(self):
+        with pytest.raises(AlgorithmError, match="qasm_simulator"):
+            SamplerV2(Aer.get_backend("statevector_simulator"))
+
     def test_broadcast_matches_bound_loop(self, measured):
         circuit, parameters, values = measured
         backend = Aer.get_backend("qasm_simulator")

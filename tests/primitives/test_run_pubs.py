@@ -182,6 +182,15 @@ class TestRunPubsValidation:
                 [(measured, values, parameters)], noise_model=object()
             )
 
+    def test_rejects_checkpoint(self, sampler_setup, tmp_path):
+        measured, parameters, values, _ = sampler_setup
+        backend = Aer.get_backend("qasm_simulator")
+        path = tmp_path / "ledger.jsonl"
+        with pytest.raises(BackendError, match="checkpoint"):
+            backend.run_pubs([(measured, values, parameters)],
+                             checkpoint=str(path))
+        assert not path.exists()
+
     def test_rejects_malformed_pub(self):
         backend = Aer.get_backend("qasm_simulator")
         with pytest.raises(BackendError, match="pub"):

@@ -19,7 +19,7 @@ from repro.providers import (
 from repro.providers.checkpoint import (
     append_chunk,
     load_ledger,
-    write_header,
+    write_job,
 )
 from repro.providers.result import merge_chunk_outcomes
 from repro.qobj import (
@@ -359,82 +359,105 @@ class TestCancelDuringStream:
         assert stats["completed_chunks"] == 2
 
 
+def _write_job(path, job_id, options=None):
+    write_job(path, job_id, ("aer", "qasm_simulator"), [_bell()],
+              options or {"shots": 8, "seed": 7})
+
+
 class TestCheckpointLedger:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
-        payloads = [({"header": {"name": "exp"}}, {"seed": 7})]
-        plan = [{"experiment_index": 0, "name": "exp",
-                 "chunk": 0, "chunks": 2}]
-        write_header(path, "job-1", ("aer", "qasm_simulator"),
-                     payloads, plan)
+        _write_job(path, "job-1", {"shots": 8, "seed": 7,
+                                   "checkpoint": path})
         outcome = ExperimentResult("exp", 8, {"counts": {"00": 8}})
         append_chunk(path, "job-1", 0, 0, outcome)
-        header, chunks = load_ledger(path)
-        assert header["job_id"] == "job-1"
-        assert header["backend"] == ["aer", "qasm_simulator"]
-        assert header["payloads"] == payloads
-        assert header["plan"] == plan
+        job, chunks = load_ledger(path)
+        assert job["job_id"] == "job-1"
+        assert job["backend"] == ["aer", "qasm_simulator"]
+        # The checkpoint path belongs to the run, not to the job.
+        assert job["payload"] == ([_bell()], {"shots": 8, "seed": 7})
         restored = chunks[(0, 0)]
         assert restored.circuit_name == "exp"
         assert restored.data["counts"] == {"00": 8}
 
     def test_duplicate_chunk_records_keep_first(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
-        write_header(path, "job-1", ("aer", "qasm_simulator"), [], [])
+        _write_job(path, "job-1")
         append_chunk(path, "job-1", 0, 0,
                      ExperimentResult("exp", 1, {"counts": {"0": 1}}))
         append_chunk(path, "job-1", 0, 0,
                      ExperimentResult("exp", 1, {"counts": {"1": 1}}))
-        _header, chunks = load_ledger(path)
+        _job, chunks = load_ledger(path)
         assert chunks[(0, 0)].data["counts"] == {"0": 1}
 
     def test_torn_tail_line_is_ignored(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
-        write_header(path, "job-1", ("aer", "qasm_simulator"), [], [])
+        _write_job(path, "job-1")
         append_chunk(path, "job-1", 0, 1,
                      ExperimentResult("exp", 1, {"counts": {"0": 1}}))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "chunk", "experiment": 0, "chu')
-        _header, chunks = load_ledger(path)
+        _job, chunks = load_ledger(path)
         assert set(chunks) == {(0, 1)}
 
-    def test_new_header_appends_and_the_latest_wins(self, tmp_path):
+    def test_new_job_record_appends_and_the_latest_wins(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
-        write_header(path, "job-1", ("aer", "qasm_simulator"), [], [])
+        _write_job(path, "job-1")
         append_chunk(path, "job-1", 0, 0,
                      ExperimentResult("exp", 1, {"counts": {"0": 1}}))
-        write_header(path, "job-2", ("aer", "qasm_simulator"), [], [])
+        _write_job(path, "job-2")
         append_chunk(path, "job-2", 0, 1,
                      ExperimentResult("exp", 1, {"counts": {"1": 1}}))
-        header, chunks = load_ledger(path)
-        assert header["job_id"] == "job-2"
+        job, chunks = load_ledger(path)
+        assert job["job_id"] == "job-2"
         assert set(chunks) == {(0, 1)}
         with open(path, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 4  # nothing truncated
 
     def test_job_record_clears_the_checkpoint(self, tmp_path):
         # A runtime requeue appends a fresh ``job`` record: the stale
-        # checkpoint before it must never be resumed.
+        # chunks before it must never be resumed.
+        path = str(tmp_path / "ledger.jsonl")
+        _write_job(path, "rt-1")
+        append_chunk(path, "rt-1", 0, 0,
+                     ExperimentResult("exp", 1, {"counts": {"0": 1}}))
+        _write_job(path, "rt-1")
+        append_chunk(path, "rt-1", 0, 1,
+                     ExperimentResult("exp", 1, {"counts": {"1": 1}}))
+        _job, chunks = load_ledger(path)
+        assert set(chunks) == {(0, 1)}
+
+    def test_header_records_are_skipped(self, tmp_path):
+        # Journals written before the job record was the checkpoint hold
+        # ``header`` records: replay skips them, and a ledger with only
+        # headers has no job to resume.
         from repro.exceptions import BackendError
         from repro.providers.journal import Journal
 
         path = str(tmp_path / "ledger.jsonl")
-        write_header(path, "rt-1", ("aer", "qasm_simulator"), [], [])
-        append_chunk(path, "rt-1", 0, 0,
+        header = {"type": "header", "version": 1, "job_id": "job-0",
+                  "backend": ["aer", "qasm_simulator"], "plan": [],
+                  "payloads": ""}
+        Journal(path).append(header)
+        append_chunk(path, "job-0", 0, 0,
                      ExperimentResult("exp", 1, {"counts": {"0": 1}}))
-        Journal(path).append({"type": "job", "job_id": "rt-1"})
-        append_chunk(path, "rt-1", 0, 1,
+        with pytest.raises(BackendError, match="no job record"):
+            Job.resume(path)
+        _write_job(path, "job-1")
+        Journal(path).append(dict(header, job_id="job-1"))
+        append_chunk(path, "job-1", 0, 0,
                      ExperimentResult("exp", 1, {"counts": {"1": 1}}))
-        with pytest.raises(BackendError):
-            load_ledger(path)
+        job, chunks = load_ledger(path)
+        assert job["job_id"] == "job-1"
+        assert chunks[(0, 0)].data["counts"] == {"1": 1}
 
     def test_non_done_records_are_skipped(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
-        write_header(path, "job-1", ("aer", "qasm_simulator"), [], [])
+        _write_job(path, "job-1")
         failed = ExperimentResult("exp", 0, {}, status="ERROR",
                                   error="boom")
         append_chunk(path, "job-1", 0, 0, failed)
-        _header, chunks = load_ledger(path)
+        _job, chunks = load_ledger(path)
         assert chunks == {}
 
     def test_checkpointed_job_appends_every_chunk(self, tmp_path):

@@ -10,8 +10,8 @@ The satellite invariants from the hardening issue:
   snapshot is built in a temp file and published atomically, so replay
   sees the complete old ledger or the complete new one, never a hybrid;
 * compact + restart replays bit-identically — recovered DONE jobs carry
-  the exact persisted Result, and a RUNNING job's checkpoint (header and
-  chunk records in the same journal) survives for a bit-identical
+  the exact persisted Result, and a RUNNING job's checkpoint (its job
+  and chunk records in the same journal) survives for a bit-identical
   resume.
 """
 
@@ -53,7 +53,8 @@ def _record(job_id, submitted_at=None):
 
 def _chunked_run(path, job_id, shots, chunk):
     """A serial chunked Bell job checkpointing into the journal at
-    ``path`` under ``job_id`` (lazy: chunks run as the job streams)."""
+    ``path`` under ``job_id``: its job record is appended now, its chunk
+    records as the (lazy) job streams."""
     return Aer.get_backend("qasm_simulator").run(
         _bell(), shots=shots, seed=42, shot_chunk_size=chunk,
         shot_chunk_dispatch=True, executor="serial", checkpoint=path,
@@ -69,9 +70,18 @@ def _reference(shots, chunk):
 
 
 def _running_job(store, job_id, submitted_at=None):
-    """Journal ``job_id`` as RUNNING (its checkpoint comes separately)."""
+    """Journal ``job_id`` as RUNNING (no checkpoint)."""
     store.append_job(_record(job_id, submitted_at=submitted_at))
     store.append_state(job_id, "RUNNING")
+
+
+def _running_chunked_job(store, job_id, shots, chunk):
+    """A chunked run's job record plus a RUNNING state in the store's
+    journal, as a service worker leaves them; the returned job appends
+    its chunk records as it streams."""
+    job = _chunked_run(store.path, job_id, shots, chunk)
+    store.append_state(job_id, "RUNNING")
+    return job
 
 
 def _record_types(path):
@@ -115,8 +125,7 @@ class TestCompactionBasics:
         store.requeue(record, {"shots": 20})
         store.append_quarantine("rt-2", {"faults_injected": 1}, "boom")
         store.append_state("rt-2", "QUARANTINED")
-        _running_job(store, "rt-3")
-        stream = _chunked_run(store.path, "rt-3", 300, 100).stream()
+        stream = _running_chunked_job(store, "rt-3", 300, 100).stream()
         next(stream)
         before = _loaded(store)
 
@@ -162,13 +171,11 @@ class TestCompactionBasics:
         now = time.time()
         for index in range(4):
             job_id = f"rt-{index}"
-            _running_job(store, job_id, submitted_at=now - 1000)
-            _chunked_run(store.path, job_id, 200, 100).result()
+            _running_chunked_job(store, job_id, 200, 100).result()
             store.append_state(job_id, "DONE")
-        # rt-4 is still running: retention must never touch it, however
-        # old it is, and its checkpoint must survive for a resume.
-        _running_job(store, "rt-4", submitted_at=now - 5000)
-        stream = _chunked_run(store.path, "rt-4", 300, 100).stream()
+        # rt-4 is still running: retention must never touch it, and its
+        # checkpoint must survive for a resume.
+        stream = _running_chunked_job(store, "rt-4", 300, 100).stream()
         next(stream)
         stats = store.compact(
             retention=RetentionPolicy(max_terminal_jobs=2), now=now
@@ -176,11 +183,11 @@ class TestCompactionBasics:
         remaining = JobStore(tmp_path).load()
         assert stats["jobs_pruned"] == 2
         assert sorted(remaining) == ["rt-2", "rt-3", "rt-4"]
-        # Terminal jobs keep no checkpoint records; the running job
-        # keeps its header and its one finished chunk.
+        # Terminal jobs keep no chunk records; the running job keeps
+        # its job record and its one finished chunk.
         assert [entry for entry in _record_types(store.path)
-                if entry[0] in ("header", "chunk")] == [
-            ("header", "rt-4"), ("chunk", "rt-4"),
+                if entry[1] == "rt-4"] == [
+            ("job", "rt-4"), ("state", "rt-4"), ("chunk", "rt-4"),
         ]
         assert remaining["rt-2"].checkpoint is None
         assert set(remaining["rt-4"].checkpoint[1]) == {(0, 0)}
@@ -257,9 +264,9 @@ class TestConcurrentAppenders:
     def test_compaction_races_independent_appender_stores(self, tmp_path):
         """Appenders and compactor use *separate* JobStore instances on
         one directory — the multi-process shape, coordinated only by the
-        cross-process flock.  A second process appends a RUNNING job's
-        header and chunk records, exactly as a pool worker does.  No
-        append may be lost."""
+        cross-process flock.  A second process appends a checkpointed
+        job's job and chunk records, exactly as a direct run with
+        ``checkpoint=`` does.  No append may be lost."""
         jobs = 30
         shots, chunk = 3000, 100
         seed_store = JobStore(tmp_path)
@@ -268,7 +275,6 @@ class TestConcurrentAppenders:
                 _record(f"rt-{index}", submitted_at=time.time())
             )
         running = f"rt-{jobs}"
-        _running_job(seed_store, running, submitted_at=time.time())
         stop = threading.Event()
         errors: list = []
 
@@ -361,8 +367,7 @@ class TestCrashDuringCompaction:
             store.append_state(record.job_id, "DONE")
         # A RUNNING job with 2 of its 3 chunks checkpointed.
         running = f"rt-{jobs}"
-        _running_job(store, running, submitted_at=time.time())
-        stream = _chunked_run(store.path, running, 3000, 1024).stream()
+        stream = _running_chunked_job(store, running, 3000, 1024).stream()
         next(stream)
         next(stream)
         context = multiprocessing.get_context("fork")

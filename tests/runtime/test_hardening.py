@@ -348,6 +348,38 @@ class TestQuarantine:
         assert job.fault_stats["attempts"] == 1
         assert job.quarantine_record["fault_stats"]["faults_injected"] >= 1
 
+    def test_requeued_rerun_keeps_both_runs_spans(self, tmp_path):
+        from repro.telemetry import disable_tracing, enable_tracing
+
+        enable_tracing()
+        try:
+            with RuntimeService(tmp_path, service_attempts=1) as service:
+                job = service.submit(_bell(), shots=500, seed=11,
+                                     fault_injector=_poison_injector(),
+                                     retry_policy=False)
+                with pytest.raises(JobQuarantinedError):
+                    job.result(timeout=30)
+                service.requeue(job.job_id, fault_injector=None)
+                job.result(timeout=30)
+                trace = job.trace()
+        finally:
+            disable_tracing()
+        # One dispatch subtree per run, numbered in run order: the
+        # quarantined run's attempt failed, the clean re-run's did not,
+        # and the root reports the latest run.
+        dispatches = trace.find("dispatch")
+        assert [span.seq for span in dispatches] == [0, 1]
+        runs = [
+            [run for experiment in trace.children(dispatch)
+             for run in trace.children(experiment)]
+            for dispatch in dispatches
+        ]
+        assert [[span.status for span in spans] for spans in runs] == [
+            ["ERROR"], ["OK"],
+        ]
+        assert trace.root.name == "job"
+        assert trace.root.status == "OK"
+
     def test_requeued_rerun_adds_to_the_fleet_counters(self, tmp_path):
         def fleet():
             registry = get_metrics_registry()

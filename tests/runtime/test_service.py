@@ -111,6 +111,19 @@ class TestServiceParity:
             "jobs.jsonl", "jobs.jsonl.lock",
         ]
 
+    def test_job_record_is_the_only_copy_of_the_payload(self, tmp_path):
+        # The job record is the checkpoint: a single-chunk circuits job
+        # journals it once, then its states, one chunk and the result.
+        with RuntimeService(tmp_path) as service:
+            service.submit(_bell(), shots=100, seed=1).result(timeout=30)
+        with open(tmp_path / "jobs.jsonl", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert [(record["type"], record.get("state"))
+                for record in records] == [
+            ("job", None), ("state", "QUEUED"), ("state", "RUNNING"),
+            ("chunk", None), ("result", None), ("state", "DONE"),
+        ]
+
     def test_unknown_backend_rejected_at_submit(self, tmp_path):
         with RuntimeService(tmp_path, autostart=False) as service:
             with pytest.raises(BackendError):

@@ -138,13 +138,12 @@ class TestJobStore:
     def test_requeue_clears_the_checkpoint_and_keeps_the_audit_trail(
         self, tmp_path
     ):
-        from repro.providers.checkpoint import append_chunk, write_header
+        from repro.providers.checkpoint import append_chunk
         from repro.providers.result import ExperimentResult
 
         store = JobStore(tmp_path)
         store.append_job(_record("rt-0"))
         store.append_state("rt-0", "RUNNING")
-        write_header(store.path, "rt-0", ("aer", "qasm_simulator"), [], [])
         append_chunk(store.path, "rt-0", 0, 0,
                      ExperimentResult("bell", 1, {"counts": {"00": 1}}))
         running = JobStore(tmp_path).load()["rt-0"]
