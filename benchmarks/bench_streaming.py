@@ -12,8 +12,8 @@ regime) is run three ways:
 
 * **serial, unchunked** — the pre-chunking pipeline: one payload, one
   worker, full shot count.
-* **serial, chunked** — same worker, but the assembler splits shots into
-  chunks; measures pure chunking overhead.
+* **serial, chunked** — same worker, but the engine splits shots into
+  chunk payloads; measures pure chunking overhead.
 * **processes, chunked** — one payload per chunk dispatched across the
   process pool; this is the configuration the refactor exists for.
 
@@ -89,15 +89,17 @@ def build_noise_model() -> NoiseModel:
     return model
 
 
-def run_once(circuit, noise_model, shots, chunk_size, *, executor,
-             dispatch):
-    """One timed submission; returns (wall_seconds, counts dict)."""
+def run_once(circuit, noise_model, shots, chunk_size, *, executor):
+    """One timed submission; returns (wall_seconds, counts dict).
+
+    The run is noisy, so a nonzero ``chunk_size`` splits it into one
+    payload per chunk.
+    """
     backend = QasmSimulatorBackend()
     start = time.perf_counter()
     result = backend.run(
         [circuit], shots=shots, seed=SEED, noise_model=noise_model,
         executor=executor, shot_chunk_size=chunk_size,
-        shot_chunk_dispatch=dispatch,
     ).result()
     wall = time.perf_counter() - start
     if not result.success:
@@ -112,7 +114,6 @@ def measure_first_chunk(circuit, noise_model, shots, chunk_size,
     job = backend.run(
         [circuit], shots=shots, seed=SEED, noise_model=noise_model,
         executor=executor, shot_chunk_size=chunk_size,
-        shot_chunk_dispatch=True,
     )
     start = time.perf_counter()
     first = None
@@ -145,12 +146,10 @@ def main(argv=None) -> int:
     )
 
     modes = {
-        "serial_unchunked": {"executor": "serial", "chunk_size": 0,
-                             "dispatch": False},
-        "serial_chunked": {"executor": "serial", "chunk_size": chunk_size,
-                           "dispatch": True},
+        "serial_unchunked": {"executor": "serial", "chunk_size": 0},
+        "serial_chunked": {"executor": "serial", "chunk_size": chunk_size},
         "processes_chunked": {"executor": "processes",
-                              "chunk_size": chunk_size, "dispatch": True},
+                              "chunk_size": chunk_size},
     }
     walls: dict = {}
     reference = None
@@ -159,10 +158,10 @@ def main(argv=None) -> int:
         for _ in range(TRIALS):
             wall, counts = run_once(
                 circuit, noise_model, shots, mode["chunk_size"],
-                executor=mode["executor"], dispatch=mode["dispatch"],
+                executor=mode["executor"],
             )
             best = min(best, wall)
-            if mode["dispatch"]:
+            if mode["chunk_size"]:
                 # Both chunked modes share one layout, so their merged
                 # histograms must be bit-identical.
                 if reference is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.exceptions import BackendError
 from repro.providers.backend import BackendConfiguration, BaseBackend
 from repro.providers.result import ExperimentResult
-from repro.qobj.assembler import derive_experiment_seeds, seeded_shot_chunks
+from repro.qobj.assembler import derive_experiment_seeds
 from repro.simulators.batched import (
     broadcast_supported,
     estimate_broadcast_shots,
@@ -41,7 +41,41 @@ class _AerBackend(BaseBackend):
         return ("aer", self.name())
 
 
-class QasmSimulatorBackend(_AerBackend):
+class QasmEngineBackend(BaseBackend):
+    """A backend whose circuits run on :class:`QasmSimulator`.
+
+    The ``qasm_simulator`` and the simulated devices share this run path
+    and its shot-chunk rule; they differ only in :meth:`_noise`.
+    """
+
+    def __init__(self, configuration):
+        super().__init__(configuration)
+        self._engine = QasmSimulator()
+
+    def _noise(self, options):
+        """The noise model this run simulates under."""
+        return options.get("noise_model")
+
+    def _splits_shots(self, circuit, options):
+        # Gate noise makes every shot its own noisy run (batched columns
+        # or trajectories); without it one evolved state serves them all.
+        noise = self._noise(options)
+        return bool(circuit.num_clbits and noise is not None
+                    and noise.noisy_gates)
+
+    def _run_experiment(self, circuit, options):
+        payload = self._engine.run(
+            circuit,
+            shots=options.get("shots", 1024),
+            seed=options.get("seed"),
+            noise_model=self._noise(options),
+            memory=options.get("memory", False),
+            elide_diagonals=options.get("elide_diagonals", True),
+        )
+        return ExperimentResult(circuit.name, payload["shots"], payload)
+
+
+class QasmSimulatorBackend(_AerBackend, QasmEngineBackend):
     """Shot-based simulator backend (optionally noisy)."""
 
     def __init__(self):
@@ -52,34 +86,12 @@ class QasmSimulatorBackend(_AerBackend):
                             "(specialized gate kernels)",
             )
         )
-        self._engine = QasmSimulator()
-
-    def _chunk_support(self, circuit, options):
-        if circuit.num_clbits == 0:
-            return "none"
-        noise = options.get("noise_model")
-        if noise is not None and noise.noisy_gates:
-            # Trajectory/batched path: chunks are independent noisy runs,
-            # worth dispatching across workers.
-            return "dispatch"
-        # Sampling path: the statevector evolves once; loop the chunk
-        # layout inline rather than re-evolving per worker.
-        return "inline"
 
     def _run_experiment(self, circuit, options):
         broadcast = options.get("broadcast")
         if broadcast is not None:
             return self._run_broadcast(circuit, options, broadcast)
-        payload = self._engine.run(
-            circuit,
-            shots=options.get("shots", 1024),
-            seed=options.get("seed"),
-            noise_model=options.get("noise_model"),
-            memory=options.get("memory", False),
-            elide_diagonals=options.get("elide_diagonals", True),
-            shot_chunks=options.get("shot_chunks"),
-        )
-        return ExperimentResult(circuit.name, payload["shots"], payload)
+        return super()._run_experiment(circuit, options)
 
     def _run_broadcast(self, circuit, options, broadcast):
         """Run one chunk of a PUB: the vectorized engine when the template
@@ -87,29 +99,28 @@ class QasmSimulatorBackend(_AerBackend):
 
         ``data["path"]`` records which of the two ran.  Both give every
         binding what ``run`` gives its bound circuit under the binding's
-        seed and shot-chunk layout.
+        seed: all its shots from that one seed.
         """
         shots = options.get("shots", 1024)
         elide = options.get("elide_diagonals", True)
         values = broadcast["values"]
         parameters = broadcast["parameters"]
         seeds = broadcast["seeds"]
-        bounds = broadcast["shot_bounds"]
         observable = broadcast["observable"]
         if observable is None and broadcast_supported(circuit):
             path = "broadcast"
             rows = sample_broadcast(circuit, values, parameters, shots, seeds,
-                                    elide_diagonals=elide, shot_bounds=bounds)
+                                    elide_diagonals=elide)
         elif observable is not None and estimator_broadcastable(circuit):
             path = "broadcast"
             rows = estimate_broadcast_shots(circuit, values, parameters,
-                                            observable, shots, seeds, bounds)
+                                            observable, shots, seeds)
         else:
             path = "loop"
             rows = [
                 self._run_bound(
                     circuit.bind_parameters(dict(zip(parameters, row))),
-                    observable, shots, seed, bounds, elide,
+                    observable, shots, seed, elide,
                 )
                 for row, seed in zip(values, seeds)
             ]
@@ -118,7 +129,7 @@ class QasmSimulatorBackend(_AerBackend):
             key: rows, "shots": shots, "path": path,
         })
 
-    def _run_bound(self, circuit, observable, shots, seed, bounds, elide):
+    def _run_bound(self, circuit, observable, shots, seed, elide):
         """One binding of the loop path.
 
         Without an observable: ``run``'s engine call on the bound circuit,
@@ -133,16 +144,14 @@ class QasmSimulatorBackend(_AerBackend):
         )
 
         if observable is None:
-            return self._engine.run(
-                circuit, shots=shots, elide_diagonals=elide,
-                shot_chunks=seeded_shot_chunks(bounds, seed),
-            )
+            return self._engine.run(circuit, shots=shots, seed=seed,
+                                    elide_diagonals=elide)
         energy, terms = measurement_terms(observable)
         term_seeds = derive_experiment_seeds(seed, len(terms))
         for (index, coeff, pauli), term_seed in zip(terms, term_seeds):
             counts = self._engine.run(
                 measurement_circuit(circuit, index, pauli), shots=shots,
-                shot_chunks=seeded_shot_chunks(bounds, term_seed),
+                seed=term_seed,
             )["counts"]
             energy += coeff * expectation_from_counts(pauli, counts)
         return energy
@@ -209,11 +218,6 @@ class DensityMatrixSimulatorBackend(_AerBackend):
         )
         self._engine = DensityMatrixSimulator()
 
-    def _chunk_support(self, circuit, options):
-        # The density matrix itself is deterministic; only the sampling
-        # loop is chunked, and it reuses the one derived matrix inline.
-        return "inline" if circuit.num_clbits else "none"
-
     def _run_experiment(self, circuit, options):
         noise = options.get("noise_model")
         if circuit.num_clbits:
@@ -222,14 +226,7 @@ class DensityMatrixSimulatorBackend(_AerBackend):
                 shots=options.get("shots", 1024),
                 seed=options.get("seed"),
                 noise_model=noise,
-                shot_chunks=options.get("shot_chunks"),
             )
-            chunk = options.get("shot_chunk")
-            if chunk is None or chunk["index"] == 0:
-                # Under forced chunk dispatch, only chunk 0 carries the
-                # (identical) exact matrix; the merge takes payload keys
-                # from the first completed chunk.
-                payload["density_matrix"] = self._engine.run(circuit, noise)
             return ExperimentResult(circuit.name, payload["shots"], payload)
         state = self._engine.run(circuit, noise)
         return ExperimentResult(circuit.name, 1, {"density_matrix": state})
@@ -247,8 +244,8 @@ class DDSimulatorBackend(_AerBackend):
         )
         self._engine = DDSimulator()
 
-    def _chunk_support(self, circuit, options):
-        return "dispatch" if circuit.num_clbits else "none"
+    def _splits_shots(self, circuit, options):
+        return bool(circuit.num_clbits)
 
     def _run_experiment(self, circuit, options):
         dd_state = self._engine.run(circuit)
@@ -284,8 +281,8 @@ class StabilizerSimulatorBackend(_AerBackend):
         )
         self._engine = StabilizerSimulator()
 
-    def _chunk_support(self, circuit, options):
-        return "dispatch" if circuit.num_clbits else "none"
+    def _splits_shots(self, circuit, options):
+        return bool(circuit.num_clbits)
 
     def _run_experiment(self, circuit, options):
         payload = self._engine.run(

@@ -143,10 +143,8 @@ class Job:
     @staticmethod
     def _merge_group(group):
         """One experiment's outcome from its ``(plan entry, outcome)``
-        pairs; an experiment that was never chunked passes through."""
+        pairs (see :func:`merge_chunk_outcomes`)."""
         first = group[0][0]
-        if len(group) == 1 and first["chunk"] is None:
-            return group[0][1]
         return merge_chunk_outcomes(
             first["name"], [outcome for _entry, outcome in group],
             first["chunks"],
@@ -405,17 +403,18 @@ class BaseBackend:
         * ``fault_injector`` — a
           :class:`~repro.providers.faults.FaultInjector` (or FaultSpec
           list) armed on this batch for reproducible chaos testing.
-        * ``shot_chunk_size`` — shots per dispatch/sampling chunk
-          (default :data:`~repro.qobj.assembler.DEFAULT_SHOT_CHUNK_SIZE`;
-          0/False disables chunking).  Experiments whose shots exceed the
-          chunk size split into shot-chunks with per-chunk seeds derived
-          from the experiment's SeedSequence; single-chunk experiments
-          keep the experiment seed unchanged, so results below the chunk
-          size are bit-identical to the unchunked pipeline.
-        * ``shot_chunk_dispatch`` — force chunked experiments to dispatch
-          each chunk as its own executor payload (parallel across
-          workers) even where the engine prefers to loop chunks inline;
-          the merged counts are bit-identical either way.
+        * ``shot_chunk_size`` — shots per shot-chunk (default
+          :data:`~repro.qobj.assembler.DEFAULT_SHOT_CHUNK_SIZE`; 0/False
+          disables chunking).  An experiment whose backend pays per
+          shot (qasm and the simulated devices under gate noise, DD and
+          stabilizer circuits with measurements; see
+          :meth:`_splits_shots`) splits above the chunk size into
+          chunks, each its own executor payload seeded by
+          :func:`~repro.qobj.assembler.derive_chunk_seeds`; a single
+          chunk keeps the experiment seed, so results below the chunk
+          size are bit-identical to the unchunked pipeline.  Every other
+          experiment draws all its shots from its own seed in one
+          payload.
         * ``checkpoint`` — path of a JSON-lines journal
           (:mod:`~repro.providers.checkpoint`); the job's ``job`` record
           (its id, backend spec, and pickled circuits and run options)
@@ -459,8 +458,9 @@ class BaseBackend:
         chunk with its original per-binding seeds, so fault recovery is
         bit-identical.  ``retry_policy`` / ``fault_injector`` /
         ``executor`` / ``max_workers`` behave as in :meth:`run`, and each
-        binding draws its shots in :meth:`run`'s ``shot_chunk_size``
-        layout; ``noise_model`` is rejected (pubs are noise-free).
+        binding draws all its shots from its own seed, as its noise-free
+        bound circuit does under :meth:`run`; ``noise_model`` is rejected
+        (pubs are noise-free).
         """
         from repro.providers.engine import get_execution_engine
 
@@ -469,19 +469,15 @@ class BaseBackend:
     def _validate_batch(self, circuits) -> None:
         """Submission-time validation hook; raise to reject the batch."""
 
-    def _chunk_support(self, circuit, options) -> str:
-        """How this backend runs one circuit's shot-chunks.
+    def _splits_shots(self, circuit, options) -> bool:
+        """Whether ``circuit``'s shots split into shot-chunk payloads.
 
-        ``"none"`` — the experiment never splits (statevector/unitary
-        backends, circuits without measurements); ``"dispatch"`` — each
-        chunk becomes its own executor payload (trajectory-style engines,
-        where chunks are genuinely independent runs); ``"inline"`` — one
-        payload whose engine loops the chunk layout itself (sampling
-        engines that derive an expensive deterministic state once and
-        draw each chunk from it).  Both chunked modes merge to
-        bit-identical counts; the split only moves where the loop lives.
+        True for engines that pay per shot (qasm under gate noise, the
+        DD walk, the stabilizer replay), where chunks are independent
+        runs worth spreading across workers; False for the rest, which
+        draw every shot from one evolved state.
         """
-        return "none"
+        return False
 
     def _backend_spec(self):
         """``(provider, name)`` registry key for process-pool workers, or

@@ -150,7 +150,6 @@ class ExecutionEngine:
         from repro.qobj.assembler import (
             assemble,
             derive_chunk_seeds,
-            seeded_shot_chunks,
             shot_chunk_bounds,
         )
 
@@ -173,54 +172,40 @@ class ExecutionEngine:
                 memory=options.get("memory", False),
             )
         chunk_size = options.get("shot_chunk_size")
-        force_dispatch = bool(options.get("shot_chunk_dispatch"))
         payloads = []
         plan = []
         for index, experiment in enumerate(qobj["experiments"]):
             exp_seed = experiment["config"]["seed"]
             name = experiment.get("header", {}).get("name", "unnamed")
-            support = backend._chunk_support(circuits[index], options)
             bounds = (
                 shot_chunk_bounds(shots, chunk_size)
-                if support != "none" else [(0, shots)]
+                if backend._splits_shots(circuits[index], options)
+                else [(0, shots)]
             )
             base = dict(engine_options)
             base["experiment_index"] = experiment["config"]["index"]
             if len(bounds) == 1:
-                # Single chunk (or unchunkable): the experiment seed and
-                # payload shape are exactly the pre-chunking pipeline's.
-                config = dict(base, seed=exp_seed)
-                payloads.append((experiment, config))
+                # Unchunked: the experiment seed and payload shape are
+                # exactly the pre-chunking pipeline's.
+                payloads.append((experiment, dict(base, seed=exp_seed)))
                 plan.append({
                     "experiment_index": index, "name": name,
                     "chunk": None, "chunks": 1,
                 })
                 continue
-            if support == "dispatch" or force_dispatch:
-                seeds = derive_chunk_seeds(exp_seed, len(bounds))
-                for chunk, ((start, stop), seed) in enumerate(
-                    zip(bounds, seeds)
-                ):
-                    config = dict(base, seed=seed, shots=stop - start)
-                    config["shot_chunk"] = {
-                        "index": chunk, "total": len(bounds),
-                        "start": start, "stop": stop,
-                    }
-                    payloads.append((experiment, config))
-                    plan.append({
-                        "experiment_index": index, "name": name,
-                        "chunk": chunk, "chunks": len(bounds),
-                    })
-            else:
-                # Inline: one payload, the engine loops the same chunk
-                # layout (same seeds) itself — bit-identical to dispatch
-                # mode, without re-deriving the state per chunk.
-                config = dict(base, seed=exp_seed)
-                config["shot_chunks"] = seeded_shot_chunks(bounds, exp_seed)
+            seeds = derive_chunk_seeds(exp_seed, len(bounds))
+            for chunk, ((start, stop), seed) in enumerate(
+                zip(bounds, seeds)
+            ):
+                config = dict(base, seed=seed, shots=stop - start)
+                config["shot_chunk"] = {
+                    "index": chunk, "total": len(bounds),
+                    "start": start, "stop": stop,
+                }
                 payloads.append((experiment, config))
                 plan.append({
                     "experiment_index": index, "name": name,
-                    "chunk": None, "chunks": len(bounds),
+                    "chunk": chunk, "chunks": len(bounds),
                 })
         checkpoint = options.get("checkpoint")
         if checkpoint:
@@ -238,17 +223,23 @@ class ExecutionEngine:
 
         The ``restored`` checkpoint outcomes (see
         :func:`~repro.providers.checkpoint.restore`) are preloaded and
-        marked ``resumed``; only the other units are dispatched.
+        marked ``resumed`` where their recorded ``chunk`` descriptor is
+        the payload's own ``shot_chunk`` (both None for an unchunked
+        unit); every other unit is dispatched, so a record cut under
+        another layout re-runs instead of merging in.
         """
         from repro.providers.backend import Job
 
         restored = restored or {}
         preloaded = {}
-        for position, entry in enumerate(prepared.plan):
+        for position, (entry, (_experiment, config)) in enumerate(
+            zip(prepared.plan, prepared.payloads)
+        ):
             outcome = restored.get(
                 (entry["experiment_index"], entry["chunk"] or 0)
             )
-            if outcome is not None:
+            if outcome is not None \
+                    and outcome.chunk == config.get("shot_chunk"):
                 outcome.resumed = True
                 preloaded[position] = outcome
         dispatch = Dispatch(
@@ -278,16 +269,14 @@ class ExecutionEngine:
         derives one seed per *binding* (concatenated across pubs, exactly
         the bound-circuit layout), splits each batch axis at the
         broadcast engine's memory cap, and resolves the executor.  Every
-        payload is one plan entry (an unchunked experiment) whose config
-        also carries the shot-chunk bounds ``run`` would give each
-        binding's experiment.
+        payload is one plan entry, an unchunked experiment: each binding
+        draws all its shots from its own seed.
         """
         import numpy as np
 
         from repro.qobj.assembler import (
             circuit_to_experiment,
             derive_experiment_seeds,
-            shot_chunk_bounds,
         )
         from repro.simulators.batched import broadcast_chunk_bounds
 
@@ -329,7 +318,6 @@ class ExecutionEngine:
             backend, [pub[0] for pub in normalized], options
         )
         engine_options["shots"] = shots
-        shot_bounds = shot_chunk_bounds(shots, options.get("shot_chunk_size"))
         total_bindings = sum(pub[1].shape[0] for pub in normalized)
         all_seeds = derive_experiment_seeds(
             options.get("seed"), total_bindings
@@ -360,7 +348,6 @@ class ExecutionEngine:
                         "seeds": all_seeds[offset + start:offset + stop],
                         "observable": observable,
                         "binding_start": start,
-                        "shot_bounds": shot_bounds,
                     }
                     config["seed"] = all_seeds[offset + start]
                     config["experiment_index"] = index

@@ -30,8 +30,7 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
             optimization_level: int = 1, executor: str = None,
             max_workers: int = None, transpile_cache: bool = True,
             retry_policy=None, fault_injector=None,
-            shot_chunk_size=None, shot_chunk_dispatch=None,
-            checkpoint=None) -> Job:
+            shot_chunk_size=None, checkpoint=None) -> Job:
     """Compile (if needed), assemble, and run circuits on a backend.
 
     For simulator backends the circuits run as-is.  For device backends the
@@ -65,8 +64,11 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
 
     Shot-chunk streaming and resume (see ``BaseBackend.run``):
 
-    * ``shot_chunk_size`` — shots per chunk (default 16384; 0 disables);
-      ``shot_chunk_dispatch=True`` forces one executor payload per chunk.
+    * ``shot_chunk_size`` — shots per chunk (default 16384; 0 disables).
+      Experiments whose backend pays per shot — a device or
+      ``qasm_simulator`` run under gate noise, DD and stabilizer
+      circuits — split above it, one executor payload per chunk; every
+      other experiment draws all its shots from its own seed.
     * ``checkpoint`` — ledger path; completed chunks persist as they
       finish and ``Job.resume(path)`` restarts a crashed job re-running
       only the missing ones.
@@ -103,8 +105,7 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
         "noise_model": noise_model, "executor": executor,
         "max_workers": max_workers, "retry_policy": retry_policy,
         "fault_injector": fault_injector,
-        "shot_chunk_size": shot_chunk_size,
-        "shot_chunk_dispatch": shot_chunk_dispatch, "checkpoint": checkpoint,
+        "shot_chunk_size": shot_chunk_size, "checkpoint": checkpoint,
     }
     options = {key: value for key, value in forwarded.items()
                if value is not None}

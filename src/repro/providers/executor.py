@@ -70,8 +70,7 @@ from repro.exceptions import (
 #: Options consumed by the scheduling layer itself (everything else in
 #: ``backend.run(**options)`` is forwarded to the simulator engines).
 SCHEDULING_OPTIONS = (
-    "executor", "max_workers", "job_trace", "shot_chunk_size",
-    "shot_chunk_dispatch", "checkpoint",
+    "executor", "max_workers", "job_trace", "shot_chunk_size", "checkpoint",
 )
 
 #: Seconds one wait on pool futures may block before the collection loop
@@ -256,14 +255,6 @@ def run_assembled_experiment(backend, experiment: dict, config: dict):
     outcome.faults = fault_log
     if chunk_info is not None:
         outcome.chunk = dict(chunk_info)
-    inline_chunks = config.get("shot_chunks")
-    if inline_chunks:
-        # The engine ran the whole chunk layout in one payload; report the
-        # layout on the outcome so chunk accounting matches dispatch mode.
-        outcome.chunks = len(inline_chunks)
-        outcome.completed_chunks = (
-            len(inline_chunks) if outcome.status == JobStatus.DONE else 0
-        )
     if recorder is not None:
         outcome.spans = recorder.finish(outcome)
     checkpoint = config.get("checkpoint")

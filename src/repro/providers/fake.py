@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import BackendError
-from repro.providers.backend import BackendConfiguration, BaseBackend
-from repro.providers.result import ExperimentResult
+from repro.providers.aer import QasmEngineBackend
+from repro.providers.backend import BackendConfiguration
 from repro.simulators.noise import (
     NoiseModel,
     ReadoutError,
     depolarizing_error,
 )
-from repro.simulators.qasm_simulator import QasmSimulator
 from repro.transpiler.coupling import CouplingMap
 
 _DEVICE_BASIS = ["u1", "u2", "u3", "cx", "id"]
@@ -191,8 +190,13 @@ def build_device_noise_model(name: str) -> NoiseModel:
     return model
 
 
-class FakeQXBackend(BaseBackend):
-    """A coupling-constrained, noisy simulation of an IBM QX device."""
+class FakeQXBackend(QasmEngineBackend):
+    """A coupling-constrained, noisy simulation of an IBM QX device.
+
+    Runs like the ``qasm_simulator`` under the device's noise model (or
+    the ``noise_model`` a run passes), so its shots split into
+    shot-chunks under the same rule.
+    """
 
     def __init__(self, name: str):
         coupling = CouplingMap.from_name(name)
@@ -208,7 +212,6 @@ class FakeQXBackend(BaseBackend):
             )
         )
         self._noise_model = build_device_noise_model(name)
-        self._engine = QasmSimulator()
         self._properties = BackendProperties.from_device(name, coupling)
 
     def properties(self) -> BackendProperties:
@@ -274,18 +277,12 @@ class FakeQXBackend(BaseBackend):
         for circuit in circuits:
             self.validate(circuit)
 
+    def _noise(self, options):
+        return options.get("noise_model", self._noise_model)
+
     def _run_experiment(self, circuit, options):
         self.validate(circuit)
-        noise = options.get("noise_model", self._noise_model)
-        payload = self._engine.run(
-            circuit,
-            shots=options.get("shots", 1024),
-            seed=options.get("seed"),
-            noise_model=noise,
-            memory=options.get("memory", False),
-            elide_diagonals=options.get("elide_diagonals", True),
-        )
-        return ExperimentResult(circuit.name, payload["shots"], payload)
+        return super()._run_experiment(circuit, options)
 
 
 class _IBMQProvider:

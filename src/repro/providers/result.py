@@ -141,18 +141,21 @@ class ExperimentResult:
         )
 
 
-def merge_chunk_outcomes(name, outcomes, total_chunks=None):
+def merge_chunk_outcomes(name, outcomes, total_chunks):
     """Merge one experiment's shot-chunk outcomes into one result.
 
-    ``outcomes`` are the per-chunk :class:`ExperimentResult` entries in
-    chunk-index order (checkpoint-loaded chunks included).  Counts are
-    added with :meth:`Counts.merge` — exact integer addition, so the
-    merged histogram is bit-identical to an unchunked run — and memory
-    lists concatenate in chunk order.  Non-shot payload keys (a density
-    matrix, say) are identical across chunks and taken from the first
-    completed one.  Attempt/backoff/fault ledgers accumulate (``retries``
-    counts each chunk's attempts past its first); fault entries gain a
-    ``c<chunk>:`` prefix so ``fault_stats`` stays attributable per chunk.
+    ``outcomes`` are the per-chunk :class:`ExperimentResult` entries of a
+    ``total_chunks`` layout, in chunk-index order (checkpoint-loaded
+    chunks included); the one outcome of an unchunked experiment
+    (``total_chunks == 1``) passes through.  Counts are added with
+    :meth:`Counts.merge` — exact integer addition, so the merged
+    histogram is bit-identical to an unchunked run — and memory lists
+    concatenate in chunk order.  Non-shot payload keys (a DD chunk's
+    node counts, say) are identical across chunks and taken from the
+    first completed one.  Attempt/backoff/fault ledgers accumulate
+    (``retries`` counts each chunk's attempts past its first); fault
+    entries gain a ``c<chunk>:`` prefix so ``fault_stats`` stays
+    attributable per chunk.
 
     Status: DONE only when every chunk of the layout completed; a chunk
     that failed makes the merge ERROR; otherwise a cancelled or
@@ -161,14 +164,8 @@ def merge_chunk_outcomes(name, outcomes, total_chunks=None):
     streaming job keep its already-delivered chunks.
     """
     outcomes = list(outcomes)
-    if (
-        len(outcomes) == 1
-        and outcomes[0].chunk is None
-        and total_chunks in (None, 1)
-    ):
+    if total_chunks == 1:
         return outcomes[0]
-    if total_chunks is None:
-        total_chunks = len(outcomes)
     done = [o for o in outcomes if o.status == "DONE"]
     data: dict = {}
     counts_parts = [
@@ -192,7 +189,7 @@ def merge_chunk_outcomes(name, outcomes, total_chunks=None):
         if not isinstance(outcome.data, dict):
             continue
         for key, value in outcome.data.items():
-            if key not in data and key != "chunk_results":
+            if key not in data:
                 data[key] = value
     errors = [o for o in outcomes if o.status == "ERROR"]
     cancelled = [o for o in outcomes if o.status == "CANCELLED"]

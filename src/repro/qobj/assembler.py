@@ -134,7 +134,7 @@ def derive_experiment_seeds(seed, count: int) -> list:
 
 #: Shots per chunk when an experiment's shots are split into shot-chunks.
 #: Runs at or below this size stay a single chunk, whose seed is the
-#: experiment seed itself — exactly the pre-chunking pipeline.
+#: experiment seed itself — exactly the unchunked pipeline.
 DEFAULT_SHOT_CHUNK_SIZE = 16384
 
 
@@ -142,11 +142,11 @@ def shot_chunk_bounds(shots: int, chunk_size=None) -> list:
     """Split ``shots`` into ``(start, stop)`` shot-chunk bounds.
 
     The layout is a pure function of ``(shots, chunk_size)`` — never of
-    the executor kind, worker count, or host — so the chunk unit is
-    identical whether the chunks are dispatched across a pool, run
-    inline by one worker, or re-run by ``Job.resume``.  ``chunk_size``
-    of None means :data:`DEFAULT_SHOT_CHUNK_SIZE`; False (or anything
-    falsy but not None) disables splitting entirely.
+    the executor kind, worker count, or host — so each chunk, one
+    dispatched payload, is the same unit whichever pool runs it and
+    whether ``Job.resume`` re-runs it.  ``chunk_size`` of None means
+    :data:`DEFAULT_SHOT_CHUNK_SIZE`; False (or anything falsy but not
+    None) disables splitting entirely.
     """
     if shots < 1:
         raise BackendError("shots must be positive")
@@ -164,35 +164,21 @@ def shot_chunk_bounds(shots: int, chunk_size=None) -> list:
 
 
 def derive_chunk_seeds(experiment_seed, count: int) -> list:
-    """One deterministic seed per shot-chunk from the experiment seed.
+    """One deterministic seed per shot-chunk payload from the experiment
+    seed.
 
     A single chunk keeps the experiment seed unchanged, so runs that do
-    not split (shots within the chunk size, or chunking disabled) are
-    bit-identical to the pre-chunking pipeline.  Multi-chunk layouts
-    expand the experiment seed through the same
-    :class:`numpy.random.SeedSequence` construction that derives
-    experiment seeds from the batch seed — fixed at assemble time, so a
-    chunk re-run by the retry path, another executor, or
-    ``Job.resume`` reproduces its counts bit-identically.
+    not split (shots within the chunk size, chunking disabled, or a
+    backend that draws every shot from one state) are bit-identical to
+    the unchunked pipeline.  Multi-chunk layouts expand the experiment
+    seed through the same :class:`numpy.random.SeedSequence`
+    construction that derives experiment seeds from the batch seed —
+    fixed at assemble time, so a chunk re-run by the retry path, another
+    executor, or ``Job.resume`` reproduces its counts bit-identically.
     """
     if count == 1:
         return [experiment_seed]
     return derive_experiment_seeds(experiment_seed, count)
-
-
-def seeded_shot_chunks(bounds, seed) -> list:
-    """An experiment's inline shot-chunk layout for ``QasmSimulator.run``.
-
-    ``bounds`` come from :func:`shot_chunk_bounds` and each chunk's seed
-    from :func:`derive_chunk_seeds` of the experiment ``seed``: one
-    ``{"start", "stop", "seed"}`` descriptor per chunk.
-    """
-    return [
-        {"start": start, "stop": stop, "seed": chunk_seed}
-        for (start, stop), chunk_seed in zip(
-            bounds, derive_chunk_seeds(seed, len(bounds))
-        )
-    ]
 
 
 def assemble(circuits, shots: int = 1024, seed=None,

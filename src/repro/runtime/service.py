@@ -75,7 +75,7 @@ from repro.exceptions import (
     QueueFullError,
 )
 from repro.providers.executor import resolve_backend
-from repro.providers.journal import encode
+from repro.providers.journal import decode, encode
 from repro.providers.retry import (
     infrastructure_failure,
     is_infrastructure_error,
@@ -649,6 +649,9 @@ class RuntimeService:
                 f"runtime job payloads must be picklable for the durable "
                 f"store: {error}"
             ) from None
+        # The job runs the payload it journaled, not the caller's objects,
+        # which the caller may still mutate; a restart replays the same.
+        payload, options = decode(blob)
         shots = self._payload_shots(payload, options)
         with self._wake:
             self._admit(tenant, shots, wait, wait_timeout)
@@ -967,6 +970,9 @@ class RuntimeService:
         if error is None and result.success:
             self._record_backend_health(job, healthy=True)
             self._store.append_result(job.job_id, result)
+            # Only a failed job is requeued, so a DONE job never reads
+            # its decoded payload copy again.
+            record.payload = None
             self._terminate(job, result=result, state="DONE")
             return
         # The job failed.  Infrastructure-class failures feed the

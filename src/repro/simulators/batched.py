@@ -42,7 +42,7 @@ import numpy as np
 from repro.circuit.gate import Gate
 from repro.circuit.parameterbinding import get_bind_plan
 from repro.exceptions import SimulatorError
-from repro.qobj.assembler import derive_experiment_seeds, seeded_shot_chunks
+from repro.qobj.assembler import derive_experiment_seeds
 from repro.simulators import kernels
 from repro.simulators.qasm_simulator import (
     QasmSimulator,
@@ -660,26 +660,15 @@ def _template_diagonal(op) -> bool:
     return kernels.gate_is_diagonal(op)
 
 
-def _sample_chunks(state, chunks):
-    """Outcome indices of ``state``, one fresh generator per shot-chunk."""
-    parts = [
-        _sample_outcomes(state, chunk["stop"] - chunk["start"],
-                         np.random.default_rng(chunk["seed"]))
-        for chunk in chunks
-    ]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
-                     elide_diagonals=True, shot_bounds=None):
+                     elide_diagonals=True):
     """Sampled counts per binding, one statevector pass for the whole batch.
 
     Entry ``b`` is bitwise identical to
-    ``QasmSimulator().run(bound_b, shots, shot_chunks=seeded_shot_chunks(
-    shot_bounds, seeds[b]))`` (noise-free, samplable circuits only);
-    ``shot_bounds`` are ``(start, stop)`` shot-chunks, one by default.
-    Terminal diagonals are elided on the template (see
-    :func:`_template_diagonal`), so the choice holds for every binding.
+    ``QasmSimulator().run(bound_b, shots, seed=seeds[b])`` (noise-free,
+    samplable circuits only).  Terminal diagonals are elided on the
+    template (see :func:`_template_diagonal`), so the choice holds for
+    every binding.
     Returns ``[{"counts", "shots"}, ...]``.
     """
     if shots < 1:
@@ -699,7 +688,6 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
     program = BroadcastProgram(stripped, parameter_values, parameters)
     if len(seeds) != program.batch:
         raise SimulatorError("need one seed per parameter binding")
-    bounds = shot_bounds or [(0, shots)]
     elided = (
         QasmSimulator._terminal_diagonals(stripped.data, _template_diagonal)
         if elide_diagonals else set()
@@ -720,8 +708,9 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
                 states, scratch, positions, slice(start, stop)
             )
             for row in range(stop - start):
-                outcomes = _sample_chunks(
-                    states[row], seeded_shot_chunks(bounds, seeds[start + row])
+                outcomes = _sample_outcomes(
+                    states[row], shots,
+                    np.random.default_rng(seeds[start + row]),
                 )
                 values = _zeros_for_width(shots, width)
                 for qubit, clbit in program.measures.items():
@@ -753,14 +742,13 @@ def estimator_broadcastable(circuit) -> bool:
 
 
 def estimate_broadcast_shots(circuit, parameter_values, parameters,
-                             observable, shots, seeds, shot_bounds=None):
+                             observable, shots, seeds):
     """Shots-mode ``<H>`` per binding via shared-prefix broadcast sampling.
 
     Entry ``b`` is bitwise identical to
     ``ExpectationEstimator(observable, mode="shots", shots=shots,
     seed=seeds[b]).estimate(bound_b)``: same term circuits and derived
-    per-term seeds, same shot-chunk layout (``shot_bounds``, one chunk by
-    default), same float accumulation order.  Terminal diagonals are
+    per-term seeds, same float accumulation order.  Terminal diagonals are
     elided on the template, so the choice holds for every binding.
 
     The ansatz positions every term's elision would drop form a tail
@@ -784,7 +772,6 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
     program = BroadcastProgram(circuit, parameter_values, parameters)
     if len(seeds) != program.batch:
         raise SimulatorError("need one seed per parameter binding")
-    bounds = shot_bounds or [(0, shots)]
     base, terms = measurement_terms(observable)
     if not terms:
         return [base] * program.batch
@@ -864,9 +851,10 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                 # expectation_from_counts(bin_counts(...)) bitwise while
                 # skipping the bitstring rendering entirely.
                 for row in range(stop - start):
-                    outcomes = _sample_chunks(states[row], seeded_shot_chunks(
-                        bounds, term_seeds[row][term_index]
-                    ))
+                    outcomes = _sample_outcomes(
+                        states[row], shots,
+                        np.random.default_rng(term_seeds[row][term_index]),
+                    )
                     odd = int(
                         (np.bitwise_count(outcomes & mask) & 1).sum()
                     )

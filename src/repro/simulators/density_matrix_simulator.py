@@ -62,18 +62,13 @@ class DensityMatrixSimulator:
         return state
 
     def counts(self, circuit: QuantumCircuit, shots: int = 1024, seed=None,
-               noise_model=None, shot_chunks=None) -> dict:
+               noise_model=None) -> dict:
         """Sample counts from the exact final distribution.
 
         Readout errors from ``noise_model`` are applied bit-wise to each
         sampled outcome.  Keys cover all classical bits, clbit 0 rightmost.
-
-        ``shot_chunks`` — inline shot-chunk layout (list of
-        ``{"start", "stop", "seed"}``): the exact density matrix is
-        derived once, and each chunk's outcomes are drawn with a fresh
-        generator seeded by the chunk's derived seed — bit-identical to
-        separate ``counts(shots=stop-start, seed=seed)`` calls merged by
-        key-wise addition.
+        Returns ``{"counts", "shots", "density_matrix"}``: the matrix is
+        the one evolved state every shot is drawn from.
         """
         if circuit.num_clbits == 0:
             raise SimulatorError("counts need classical bits; add measurements")
@@ -88,35 +83,22 @@ class DensityMatrixSimulator:
                 ]
         probs = state.probabilities()
         probs = probs / probs.sum()
-        if shot_chunks:
-            if sum(c["stop"] - c["start"] for c in shot_chunks) != shots:
-                raise SimulatorError(
-                    "shot_chunks layout does not cover the requested shots"
-                )
-            chunks = [
-                (chunk["stop"] - chunk["start"], chunk["seed"])
-                for chunk in shot_chunks
-            ]
-        else:
-            chunks = [(shots, seed)]
-        counts: dict[str, int] = {}
-        for chunk_shots, chunk_seed in chunks:
-            self._sample_counts(
-                counts, probs, qubit_to_clbit, circuit.num_clbits,
-                chunk_shots, np.random.default_rng(chunk_seed),
-                noise_model,
-            )
-        return {"counts": counts, "shots": shots}
+        counts = self._sample_counts(
+            probs, qubit_to_clbit, circuit.num_clbits, shots,
+            np.random.default_rng(seed), noise_model,
+        )
+        return {"counts": counts, "shots": shots, "density_matrix": state}
 
     @staticmethod
-    def _sample_counts(counts, probs, qubit_to_clbit, width, shots, rng,
-                       noise_model) -> None:
-        """Accumulate ``shots`` sampled outcomes into ``counts``.
+    def _sample_counts(probs, qubit_to_clbit, width, shots, rng,
+                       noise_model) -> dict:
+        """Counts of ``shots`` outcomes sampled from ``probs``.
 
         The per-outcome loop stays scalar on purpose: readout errors draw
         from the generator per measured bit, and that consumption order
         is part of the seeded contract.
         """
+        counts: dict[str, int] = {}
         outcomes = rng.choice(len(probs), size=shots, p=probs)
         for outcome in outcomes:
             value = 0
@@ -130,3 +112,4 @@ class DensityMatrixSimulator:
                     value |= 1 << clbit
             key = format(value, f"0{width}b")
             counts[key] = counts.get(key, 0) + 1
+        return counts

@@ -149,26 +149,20 @@ class QasmSimulator:
 
     def run(self, circuit: QuantumCircuit, shots: int = 1024, seed=None,
             noise_model=None, memory: bool = False,
-            elide_diagonals: bool = True, shot_chunks=None) -> dict:
+            elide_diagonals: bool = True) -> dict:
         """Simulate and return ``{"counts": ..., "shots": ..., ["memory"]}``.
 
         Counts keys are bitstrings over *all* classical bits, clbit 0
-        rightmost; unwritten clbits read 0.
+        rightmost; unwritten clbits read 0.  Every shot is drawn from one
+        generator seeded by ``seed``; a backend that splits a run into
+        shot-chunks calls this once per chunk, with the chunk's shots and
+        derived seed.
 
         ``elide_diagonals`` (default True) drops diagonal gates that
         immediately precede terminal measurement on the sampling path —
         they change amplitudes' phases but not ``|amplitude|**2``, so
         counts, memory, and sampled values are bit-identical either way.
         Pass False for A/B checks.
-
-        ``shot_chunks`` — inline shot-chunk layout: a list of
-        ``{"start", "stop", "seed"}`` descriptors covering ``shots``.
-        Each chunk is drawn with a fresh generator seeded by its own
-        derived seed, so the concatenated outcomes are bit-identical to
-        running each chunk as a separate ``run(shots=stop-start,
-        seed=seed)`` call (the dispatch-mode split) and merging.  Any
-        expensive deterministic work — the sampling path's statevector
-        evolution — happens once, not per chunk.
         """
         if shots < 1:
             raise SimulatorError("shots must be positive")
@@ -184,6 +178,7 @@ class QasmSimulator:
             )
         if self._strippable(noise_model):
             circuit = self._strip_idle_qubits(circuit)
+        rng = np.random.default_rng(seed)
         gate_noise_free = noise_model is None or not noise_model.noisy_gates
         if gate_noise_free and self._samplable(circuit):
             # Readout errors (if any) are applied to the sampled bits, so
@@ -191,46 +186,25 @@ class QasmSimulator:
             state, qubit_to_clbit = self._evolve_sampling_state(
                 circuit, elide_diagonals=elide_diagonals
             )
-
-            def run_chunk(chunk_shots, rng):
-                return _measured_values(
-                    _sample_outcomes(state, chunk_shots, rng),
-                    qubit_to_clbit, circuit.num_clbits, rng, noise_model,
-                )
+            shot_values = _measured_values(
+                _sample_outcomes(state, shots, rng),
+                qubit_to_clbit, circuit.num_clbits, rng, noise_model,
+            )
         elif self._samplable(circuit) and self._batchable(circuit, noise_model):
             # Probabilistic-unitary noise with terminal measurement: evolve
             # all shots as one (2**n x chunk) batch, splitting columns only
             # where noise branches differ.  Chunk to bound memory at ~64 MiB.
             max_columns = max(1, (1 << 22) // (2**circuit.num_qubits))
-
-            def run_chunk(chunk_shots, rng):
-                values = []
-                remaining = chunk_shots
-                while remaining:
-                    chunk = min(remaining, max_columns)
-                    values.extend(
-                        self._run_batched(circuit, chunk, rng, noise_model)
-                    )
-                    remaining -= chunk
-                return values
-        else:
-            def run_chunk(chunk_shots, rng):
-                return self._run_trajectories(
-                    circuit, chunk_shots, rng, noise_model
-                )
-        if shot_chunks:
-            if sum(c["stop"] - c["start"] for c in shot_chunks) != shots:
-                raise SimulatorError(
-                    "shot_chunks layout does not cover the requested shots"
-                )
             shot_values = []
-            for chunk in shot_chunks:
-                shot_values.extend(run_chunk(
-                    chunk["stop"] - chunk["start"],
-                    np.random.default_rng(chunk["seed"]),
+            for start in range(0, shots, max_columns):
+                shot_values.extend(self._run_batched(
+                    circuit, min(max_columns, shots - start), rng,
+                    noise_model,
                 ))
         else:
-            shot_values = run_chunk(shots, np.random.default_rng(seed))
+            shot_values = self._run_trajectories(
+                circuit, shots, rng, noise_model
+            )
         counts, memory_list = bin_counts(
             shot_values, circuit.num_clbits, memory=memory
         )
@@ -339,8 +313,7 @@ class QasmSimulator:
         """Evolve the final statevector once for the sampling strategy.
 
         Returns ``(state, qubit_to_clbit)``; deterministic — no RNG is
-        consumed — which is what lets the inline shot-chunk loop share
-        one evolution across all chunks.
+        consumed — so every shot of the run is drawn from this one state.
         """
         num_qubits = circuit.num_qubits
         qubit_index = {q: i for i, q in enumerate(circuit.qubits)}

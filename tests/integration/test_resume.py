@@ -1,4 +1,8 @@
-"""Kill-and-resume round trips through the checkpoint ledger."""
+"""Kill-and-resume round trips through the checkpoint ledger.
+
+The jobs run a Bell under :func:`_noise`, a small gate-noise model, so
+their shots split into one payload per chunk.
+"""
 
 from __future__ import annotations
 
@@ -12,13 +16,15 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.providers import (
     Aer,
+    ExperimentResult,
     FaultInjector,
     FaultSpec,
     Job,
     RetryPolicy,
 )
-from repro.providers.checkpoint import load_ledger
+from repro.providers.checkpoint import append_chunk, load_ledger, write_job
 from repro.runtime import RuntimeService
+from repro.simulators.noise import NoiseModel, depolarizing_error
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -39,11 +45,20 @@ def _bell(name="bell"):
     return circuit
 
 
+def _noise():
+    """Small depolarizing gate noise: the Bell's shots split into
+    chunk payloads under it."""
+    model = NoiseModel()
+    model.add_all_qubit_quantum_error(depolarizing_error(0.01, 1), ["h"])
+    model.add_all_qubit_quantum_error(depolarizing_error(0.02, 2), ["cx"])
+    return model
+
+
 def _run(path, consume=None, **options):
     """Start a checkpointed job; consume N stream events then abandon."""
     job = Aer.get_backend("qasm_simulator").run(
         [_bell()], shots=SHOTS, seed=42, shot_chunk_size=CHUNK,
-        shot_chunk_dispatch=True, executor="serial",
+        noise_model=_noise(), executor="serial",
         checkpoint=str(path), **options,
     )
     if consume is None:
@@ -57,7 +72,7 @@ def _run(path, consume=None, **options):
 def _reference():
     return Aer.get_backend("qasm_simulator").run(
         [_bell()], shots=SHOTS, seed=42, shot_chunk_size=CHUNK,
-        shot_chunk_dispatch=True, executor="serial",
+        noise_model=_noise(), executor="serial",
     ).result().get_counts()
 
 
@@ -135,6 +150,47 @@ class TestResume:
         second = Job.resume(str(path)).result().get_counts()
         assert first == second == _reference()
 
+    def test_chunks_cut_under_another_layout_rerun(self, tmp_path):
+        # A chunk record is preloaded only where its descriptor is the
+        # payload's own: chunks cut at 1500 shots never merge into a job
+        # whose record plans 1000-shot chunks.
+        options = {"shots": SHOTS, "seed": 42, "noise_model": _noise(),
+                   "executor": "serial"}
+        wide = str(tmp_path / "wide.jsonl")
+        Aer.get_backend("qasm_simulator").run(
+            [_bell()], shot_chunk_size=1500, checkpoint=wide, **options,
+        ).result()
+        _job, cut = load_ledger(wide)
+        assert len(cut) == 2
+        path = str(tmp_path / "ledger.jsonl")
+        write_job(path, "job-x", ("aer", "qasm_simulator"), [_bell()],
+                  dict(options, shot_chunk_size=1000))
+        for (experiment, chunk), outcome in sorted(cut.items()):
+            append_chunk(path, "job-x", experiment, chunk, outcome)
+        resumed = Job.resume(path)
+        assert resumed.result().get_counts() == Aer.get_backend(
+            "qasm_simulator"
+        ).run([_bell()], shot_chunk_size=1000, **options).result().get_counts()
+        assert resumed.fault_stats["resumed_chunks"] == 0
+        assert resumed.fault_stats["total_chunks"] == 3
+
+    def test_chunk_record_of_an_unchunked_unit_reruns(self, tmp_path):
+        # A noise-free Bell runs as one payload; a chunk record cut from
+        # a split run of it is not that payload's outcome.
+        options = {"shots": SHOTS, "seed": 42, "shot_chunk_size": CHUNK}
+        path = str(tmp_path / "ledger.jsonl")
+        write_job(path, "job-y", ("aer", "qasm_simulator"), [_bell()],
+                  options)
+        stale = ExperimentResult("bell", CHUNK, {"counts": {"00": CHUNK}})
+        stale.chunk = {"index": 0, "total": CHUNKS, "start": 0,
+                       "stop": CHUNK}
+        append_chunk(path, "job-y", 0, 0, stale)
+        resumed = Job.resume(path)
+        assert resumed.result().get_counts() == Aer.get_backend(
+            "qasm_simulator"
+        ).run([_bell()], **options).result().get_counts()
+        assert resumed.fault_stats["resumed_chunks"] == 0
+
 
 #: Child process: start a runtime service, submit a chunked job, and
 #: hard-kill the interpreter after N chunk events hit the stream.  A slow
@@ -145,6 +201,7 @@ import os, sys
 from repro.circuit import QuantumCircuit
 from repro.providers import FaultInjector, FaultSpec, RetryPolicy
 from repro.runtime import RuntimeService
+from repro.simulators.noise import NoiseModel, depolarizing_error
 
 store_dir, consume = sys.argv[1], int(sys.argv[2])
 chaos = sys.argv[3] if len(sys.argv) > 3 else None
@@ -155,10 +212,13 @@ circuit.cx(0, 1)
 circuit.measure(0, 0)
 circuit.measure(1, 1)
 circuit.name = "bell"
+noise = NoiseModel()
+noise.add_all_qubit_quantum_error(depolarizing_error(0.01, 1), ["h"])
+noise.add_all_qubit_quantum_error(depolarizing_error(0.02, 2), ["cx"])
 
 specs = [FaultSpec("slow", chunks=[2], latency=0.5)]
 options = dict(shots={shots}, seed=42, shot_chunk_size={chunk},
-               shot_chunk_dispatch=True, executor="serial")
+               noise_model=noise, executor="serial")
 if chaos:
     specs.append(FaultSpec("transient", probability=0.4))
     options["retry_policy"] = RetryPolicy(base_delay=0.0)
@@ -260,7 +320,7 @@ class TestServiceRestart:
         with RuntimeService(str(store)) as service:
             job = service.submit(_bell(), shots=SHOTS, seed=42,
                                  shot_chunk_size=CHUNK,
-                                 shot_chunk_dispatch=True,
+                                 noise_model=_noise(),
                                  executor="serial")
             reference = job.result(timeout=60).get_counts()
             job_id = job.job_id
@@ -290,7 +350,7 @@ class TestServiceCrashPoints:
         with RuntimeService(str(store)) as service:
             job = service.submit(_bell(), shots=SHOTS, seed=42,
                                  shot_chunk_size=CHUNK,
-                                 shot_chunk_dispatch=True,
+                                 noise_model=_noise(),
                                  executor="serial")
             counts = job.result(timeout=60).get_counts()
         with open(store / "jobs.jsonl", encoding="utf-8") as handle:

@@ -105,6 +105,36 @@ class TestOtherBackends:
         data = job.result().data()
         assert "density_matrix" in data
 
+    def test_density_matrix_backend_evolves_once(self, measured_bell,
+                                                 monkeypatch):
+        # The counts are drawn from the one evolved matrix the payload
+        # carries, so a measured experiment evolves exactly once.
+        from repro.qobj import derive_experiment_seeds
+        from repro.simulators.density_matrix_simulator import (
+            DensityMatrixSimulator,
+        )
+
+        evolve = DensityMatrixSimulator.run
+        calls = []
+
+        def spy(engine, *args, **kwargs):
+            calls.append(args)
+            return evolve(engine, *args, **kwargs)
+
+        monkeypatch.setattr(DensityMatrixSimulator, "run", spy)
+        data = Aer.get_backend("density_matrix_simulator").run(
+            measured_bell, shots=200, seed=5
+        ).result().data()
+        assert len(calls) == 1
+        monkeypatch.undo()
+        engine = DensityMatrixSimulator()
+        seed = derive_experiment_seeds(5, 1)[0]
+        assert data["counts"] == engine.counts(
+            measured_bell, shots=200, seed=seed
+        )["counts"]
+        assert np.array_equal(data["density_matrix"].data,
+                              engine.run(measured_bell).data)
+
     def test_dd_backend_counts_and_nodes(self, measured_bell):
         job = Aer.get_backend("dd_simulator").run(
             measured_bell, shots=100, seed=6

@@ -17,12 +17,26 @@ from repro.exceptions import BackendError
 from repro.providers import Aer, JobStatus
 from repro.providers.executor import Dispatch, resolve_executor
 from repro.qobj import assemble, derive_experiment_seeds
+from repro.simulators.noise import NoiseModel, depolarizing_error
 
 EXECUTORS = ["serial", "threads", "processes"]
 
 #: The CI chaos job sweeps this seed (three fixed values, blocking); it
 #: draws the randomized bit-identity batch.
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
+
+
+def _gate_noise():
+    """Small depolarizing noise on every gate ``random_circuit`` draws,
+    so a qasm run under it splits into shot-chunk payloads."""
+    model = NoiseModel()
+    model.add_all_qubit_quantum_error(depolarizing_error(0.01, 1), [
+        "x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u1",
+    ])
+    model.add_all_qubit_quantum_error(depolarizing_error(0.02, 2), [
+        "cx", "cz", "swap", "crz", "cu1", "rzz",
+    ])
+    return model
 
 
 def _ghz(num_qubits, measure=True, name=None):
@@ -182,11 +196,12 @@ class TestBitIdenticalAcrossExecutors:
 
     @pytest.mark.parametrize("chunking", [
         {},
-        {"shot_chunk_size": 32, "shot_chunk_dispatch": True},
+        {"shot_chunk_size": 32, "noise_model": _gate_noise()},
     ], ids=["plain", "chunked"])
     def test_random_circuits(self, chunking):
         """A seeded random batch — drawn from ``CHAOS_SEED`` — matches
-        across executors, plain and split into dispatched shot-chunks."""
+        across executors, plain and, under gate noise, split into
+        dispatched shot-chunks."""
         circuits = []
         for index in range(4):
             circuit = random_circuit(3 + index % 3, 6,
@@ -203,6 +218,10 @@ class TestBitIdenticalAcrossExecutors:
         assert seeds["serial"] == seeds["threads"] == seeds["processes"]
         for entry in snapshots["serial"]:
             assert sum(entry["counts"].values()) == 96
+        planned = Aer.get_backend("qasm_simulator").run(
+            circuits, shots=96, seed=CHAOS_SEED, **chunking
+        ).fault_stats["total_chunks"]
+        assert planned == (12 if chunking else 4)
 
     @pytest.mark.parametrize("backend_name,key", [
         ("statevector_simulator", "statevector"),

@@ -1,4 +1,10 @@
-"""Shot-chunk streaming: layout, merge, bit-identity, cancel, ledger."""
+"""Shot-chunk streaming: layout, merge, bit-identity, cancel, ledger.
+
+A shot-chunk is one dispatched payload, and only experiments whose
+backend pays per shot split into them: qasm (and the simulated devices)
+under gate noise, DD and stabilizer circuits.  The chunked qasm jobs
+here run a Bell under :func:`_noise`, a small gate-noise model.
+"""
 
 from __future__ import annotations
 
@@ -15,18 +21,23 @@ from repro.providers import (
     FaultSpec,
     Job,
     RetryPolicy,
+    execute,
 )
 from repro.providers.checkpoint import (
     append_chunk,
     load_ledger,
     write_job,
 )
+from repro.providers.fake import IBMQ
 from repro.providers.result import merge_chunk_outcomes
 from repro.qobj import (
     DEFAULT_SHOT_CHUNK_SIZE,
     derive_chunk_seeds,
+    derive_experiment_seeds,
     shot_chunk_bounds,
 )
+from repro.simulators.noise import NoiseModel, depolarizing_error
+from repro.simulators.qasm_simulator import QasmSimulator
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -43,6 +54,15 @@ def _bell(name="bell"):
     circuit.measure(1, 1)
     circuit.name = name
     return circuit
+
+
+def _noise():
+    """Small depolarizing gate noise: a qasm run under it pays per shot,
+    so its shots split into chunk payloads."""
+    model = NoiseModel()
+    model.add_all_qubit_quantum_error(depolarizing_error(0.01, 1), ["h"])
+    model.add_all_qubit_quantum_error(depolarizing_error(0.02, 2), ["cx"])
+    return model
 
 
 class TestChunkLayout:
@@ -154,7 +174,7 @@ class TestChunkedRetries:
     def test_fault_free_chunked_job_reports_no_retries(self):
         job = Aer.get_backend("qasm_simulator").run(
             [self._ghz(3), self._ghz(2)], shots=5000, seed=1,
-            shot_chunk_size=1000, shot_chunk_dispatch=True,
+            shot_chunk_size=1000, noise_model=_noise(),
         )
         job.result()
         assert job.fault_stats["attempts"] == 10
@@ -164,7 +184,7 @@ class TestChunkedRetries:
         injector = FaultInjector([FaultSpec("transient")], seed=CHAOS_SEED)
         job = Aer.get_backend("qasm_simulator").run(
             [_bell()], shots=3000, seed=1, shot_chunk_size=1000,
-            shot_chunk_dispatch=True, fault_injector=injector,
+            noise_model=_noise(), fault_injector=injector,
             retry_policy=FAST_RETRY,
         )
         job.result()
@@ -180,38 +200,27 @@ class TestChunkBitIdentity:
     SHOTS = 4000
     CHUNK = 1024
 
-    def _counts(self, executor, dispatch, backend="qasm_simulator",
-                **options):
-        job = Aer.get_backend(backend).run(
-            [_bell()], shots=self.SHOTS, seed=99,
-            shot_chunk_size=self.CHUNK, shot_chunk_dispatch=dispatch,
-            executor=executor, **options,
+    def _counts(self, executor, **options):
+        job = Aer.get_backend("qasm_simulator").run(
+            [_bell()], shots=self.SHOTS, seed=99, noise_model=_noise(),
+            shot_chunk_size=self.CHUNK, executor=executor, **options,
         )
         return job.result().get_counts()
 
-    def test_inline_equals_dispatch(self):
-        assert self._counts("serial", False) == self._counts("serial", True)
-
     @pytest.mark.parametrize("executor", EXECUTORS[1:])
     def test_dispatch_identical_across_executors(self, executor):
-        assert self._counts("serial", True) == self._counts(executor, True)
+        assert self._counts("serial") == self._counts(executor)
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_chaos_does_not_change_counts(self, executor):
         injector = FaultInjector(
             [FaultSpec("transient", probability=0.6)], seed=CHAOS_SEED
         )
-        clean = self._counts("serial", True)
+        clean = self._counts("serial")
         chaotic = self._counts(
-            executor, True, fault_injector=injector,
-            retry_policy=FAST_RETRY,
+            executor, fault_injector=injector, retry_policy=FAST_RETRY,
         )
         assert chaotic == clean
-
-    def test_density_matrix_inline_equals_dispatch(self):
-        kwargs = {"backend": "density_matrix_simulator"}
-        assert self._counts("serial", False, **kwargs) == \
-            self._counts("serial", True, **kwargs)
 
     def test_below_chunk_size_matches_unchunked(self):
         backend = Aer.get_backend("qasm_simulator")
@@ -223,17 +232,149 @@ class TestChunkBitIdentity:
 
     def test_memory_concatenates_in_chunk_order(self):
         backend = Aer.get_backend("qasm_simulator")
-        chunked = backend.run(
-            [_bell()], shots=self.SHOTS, seed=99, memory=True,
-            shot_chunk_size=self.CHUNK, shot_chunk_dispatch=True,
-            executor="threads",
-        ).result().get_memory()
-        plain = backend.run(
-            [_bell()], shots=self.SHOTS, seed=99, memory=True,
-            shot_chunk_size=self.CHUNK,
-        ).result().get_memory()
-        assert chunked == plain
-        assert len(chunked) == self.SHOTS
+        memories = [
+            backend.run(
+                [_bell()], shots=self.SHOTS, seed=99, memory=True,
+                noise_model=_noise(), shot_chunk_size=self.CHUNK,
+                executor=executor,
+            ).result().get_memory()
+            for executor in ("serial", "threads")
+        ]
+        assert memories[0] == memories[1]
+        # Chunk k's memory is the k-th slice: each chunk run on its own
+        # under its derived seed, concatenated in chunk order.
+        bounds = shot_chunk_bounds(self.SHOTS, self.CHUNK)
+        seeds = derive_chunk_seeds(derive_experiment_seeds(99, 1)[0],
+                                   len(bounds))
+        expected = []
+        for (start, stop), seed in zip(bounds, seeds):
+            expected += QasmSimulator().run(
+                _bell(), shots=stop - start, seed=seed,
+                noise_model=_noise(), memory=True,
+            )["memory"]
+        assert memories[0] == expected
+
+
+def _ghz3():
+    circuit = QuantumCircuit(3, 3)
+    circuit.h(0)
+    circuit.cx(0, 1)
+    circuit.cx(1, 2)
+    circuit.measure([0, 1, 2], [0, 1, 2])
+    circuit.name = "ghz3"
+    return circuit
+
+
+#: The backends that pay per shot, hence split into chunk payloads.
+CHUNKING = ["noisy_qasm", "ibmqx4", "dd", "stabilizer"]
+
+
+class TestChunkingBackends:
+    """Each backend that pays per shot runs one payload per chunk, with
+    counts bit-identical on every executor and under a seeded transient
+    fault."""
+
+    SHOTS = 3000
+    CHUNK = 1024  # -> 3 chunks
+
+    def _job(self, name, executor="serial", **options):
+        if name == "ibmqx4":
+            backend = IBMQ.get_backend("ibmqx4")
+        elif name == "noisy_qasm":
+            backend = Aer.get_backend("qasm_simulator")
+            options["noise_model"] = _noise()
+        else:
+            backend = Aer.get_backend(f"{name}_simulator")
+        return execute(_bell(), backend, shots=self.SHOTS, seed=CHAOS_SEED,
+                       shot_chunk_size=self.CHUNK, executor=executor,
+                       **options)
+
+    @pytest.mark.parametrize("name", CHUNKING)
+    def test_one_chunk_event_per_chunk(self, name):
+        events = list(self._job(name).stream())
+        assert [e["type"] for e in events] == ["chunk"] * 3 + ["experiment"]
+        assert [e["chunk"] for e in events[:3]] == [0, 1, 2]
+        assert [e["shots"] for e in events[:3]] == [1024, 1024, 952]
+        assert {e["total_chunks"] for e in events} == {3}
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("name", CHUNKING)
+    def test_counts_identical_under_chaos(self, name, executor):
+        clean = self._job(name).result().get_counts()
+        injector = FaultInjector(
+            [FaultSpec("transient", probability=0.6)], seed=CHAOS_SEED
+        )
+        job = self._job(name, executor, fault_injector=injector,
+                        retry_policy=FAST_RETRY)
+        assert job.result().get_counts() == clean
+        assert job.fault_stats["total_chunks"] == 3
+
+
+class TestOneStateSamplers:
+    """Noise-free qasm sampling and the density matrix draw every shot
+    from one evolved state: one payload from the experiment's own seed,
+    however many shots."""
+
+    SHOTS = DEFAULT_SHOT_CHUNK_SIZE + 1000
+
+    @pytest.mark.parametrize("backend", [
+        "qasm_simulator", "density_matrix_simulator",
+    ])
+    def test_one_payload_above_the_chunk_size(self, backend):
+        job = Aer.get_backend(backend).run(_bell(), shots=self.SHOTS,
+                                           seed=5)
+        events = list(job.stream())
+        assert [e["type"] for e in events] == ["chunk", "experiment"]
+        assert events[0]["total_chunks"] == 1
+        assert job.fault_stats["total_chunks"] == 1
+        assert sum(job.result().get_counts().values()) == self.SHOTS
+
+    def test_one_seed_sample(self):
+        counts = Aer.get_backend("qasm_simulator").run(
+            _bell(), shots=self.SHOTS, seed=5,
+        ).result().get_counts()
+        assert counts == QasmSimulator().run(
+            _bell(), shots=self.SHOTS, seed=derive_experiment_seeds(5, 1)[0]
+        )["counts"]
+
+
+class TestDeviceChunks:
+    """The simulated devices split their shots under the noise model
+    their run uses, through the qasm backend's own rule."""
+
+    @staticmethod
+    def _run(shots=40000, **options):
+        return execute(_ghz3(), IBMQ.get_backend("ibmqx4"), shots=shots,
+                       seed=3, shot_chunk_size=1024, **options)
+
+    def test_streams_one_event_per_chunk(self):
+        job = self._run()
+        chunks = [e for e in job.stream() if e["type"] == "chunk"]
+        assert len(chunks) == 40
+        assert {e["total_chunks"] for e in chunks} == {40}
+        assert job.fault_stats["total_chunks"] == 40
+        assert sum(job.result().get_counts().values()) == 40000
+
+    @pytest.mark.parametrize("executor", EXECUTORS[1:])
+    def test_identical_across_executors(self, executor):
+        assert self._run(executor=executor).result().get_counts() == \
+            self._run().result().get_counts()
+
+    def test_noise_free_run_is_one_payload(self):
+        job = self._run(shots=3000, noise_model=NoiseModel())
+        job.result()
+        assert job.fault_stats["total_chunks"] == 1
+
+    def test_checkpointed_job_resumes_missing_chunks(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        stream = self._run(shots=3000, checkpoint=path).stream()
+        next(stream)
+        next(stream)  # two of three chunks persisted, then abandoned
+        resumed = Job.resume(path)
+        assert resumed.result().get_counts() == \
+            self._run(shots=3000).result().get_counts()
+        assert resumed.fault_stats["resumed_chunks"] == 2
+        assert resumed.fault_stats["total_chunks"] == 3
 
 
 class TestStreaming:
@@ -243,7 +384,7 @@ class TestStreaming:
     def _job(self, executor="serial", **options):
         return Aer.get_backend("qasm_simulator").run(
             [_bell()], shots=self.SHOTS, seed=42,
-            shot_chunk_size=self.CHUNK, shot_chunk_dispatch=True,
+            shot_chunk_size=self.CHUNK, noise_model=_noise(),
             executor=executor, **options,
         )
 
@@ -306,7 +447,7 @@ class TestStreaming:
     def test_multi_experiment_stream_interleaves(self):
         job = Aer.get_backend("qasm_simulator").run(
             [_bell("a"), _bell("b")], shots=self.SHOTS, seed=42,
-            shot_chunk_size=self.CHUNK, shot_chunk_dispatch=True,
+            shot_chunk_size=self.CHUNK, noise_model=_noise(),
             executor="serial",
         )
         events = list(job.stream())
@@ -323,7 +464,7 @@ class TestCancelDuringStream:
     def _job(self):
         return Aer.get_backend("qasm_simulator").run(
             [_bell()], shots=self.SHOTS, seed=42,
-            shot_chunk_size=self.CHUNK, shot_chunk_dispatch=True,
+            shot_chunk_size=self.CHUNK, noise_model=_noise(),
             executor="serial",
         )
 
@@ -464,8 +605,7 @@ class TestCheckpointLedger:
         path = str(tmp_path / "ledger.jsonl")
         job = Aer.get_backend("qasm_simulator").run(
             [_bell()], shots=3000, seed=42, shot_chunk_size=1024,
-            shot_chunk_dispatch=True, executor="serial",
-            checkpoint=path,
+            noise_model=_noise(), executor="serial", checkpoint=path,
         )
         reference = job.result().get_counts()
         _header, chunks = load_ledger(path)

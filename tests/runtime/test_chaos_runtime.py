@@ -13,6 +13,7 @@ import os
 from repro.circuit import QuantumCircuit
 from repro.providers import Aer, FaultInjector, FaultSpec, RetryPolicy
 from repro.runtime import RuntimeService
+from repro.simulators.noise import NoiseModel, depolarizing_error
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -26,6 +27,15 @@ def _bell(name="bell"):
     circuit.measure(0, 0)
     circuit.measure(1, 1)
     return circuit
+
+
+def _noise():
+    """Small depolarizing gate noise: the Bell's shots split into chunk
+    payloads under it."""
+    model = NoiseModel()
+    model.add_all_qubit_quantum_error(depolarizing_error(0.01, 1), ["h"])
+    model.add_all_qubit_quantum_error(depolarizing_error(0.02, 2), ["cx"])
+    return model
 
 
 def _injector(probability=0.4):
@@ -52,11 +62,11 @@ class TestRuntimeChaos:
 
     def test_chunked_faulty_job_streams_and_matches(self, tmp_path):
         reference = _reference(shots=3000, shot_chunk_size=1024,
-                               shot_chunk_dispatch=True, executor="serial")
+                               noise_model=_noise(), executor="serial")
         with RuntimeService(tmp_path) as service:
             job = service.submit(_bell(), shots=3000, seed=42,
                                  shot_chunk_size=1024,
-                                 shot_chunk_dispatch=True,
+                                 noise_model=_noise(),
                                  executor="serial",
                                  fault_injector=_injector(),
                                  retry_policy=FAST_RETRY)

@@ -161,9 +161,10 @@ class TestDeadlines:
             seed=CHAOS_SEED,
         )
         with RuntimeService(tmp_path, clock=clock) as service:
+            # The stabilizer backend pays per shot, so its shots split.
             job = service.submit(
-                _bell(), shots=3000, seed=42, shot_chunk_size=1024,
-                shot_chunk_dispatch=True, executor="serial",
+                _bell(), "stabilizer_simulator", shots=3000, seed=42,
+                shot_chunk_size=1024, executor="serial",
                 fault_injector=slow, deadline=10.0,
             )
             stream = job.stream()

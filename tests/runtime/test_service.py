@@ -48,11 +48,24 @@ class TestServiceParity:
         for name in ("a", "b"):
             assert result.get_counts(name) == reference.get_counts(name)
 
+    def test_job_runs_the_payload_it_journaled(self, tmp_path):
+        # The caller keeps its circuit: an edit after submit reaches
+        # neither the queued job nor a restart's replay of its record.
+        circuit = _bell()
+        reference = Aer.get_backend("qasm_simulator").run(
+            circuit, shots=200, seed=1,
+        ).result().get_counts()
+        with RuntimeService(tmp_path, autostart=False) as service:
+            job = service.submit(circuit, shots=200, seed=1)
+            circuit.x(0)
+            service.start()
+            assert job.result(timeout=30).get_counts() == reference
+
     def test_stream_relays_chunk_and_experiment_events(self, tmp_path):
         with RuntimeService(tmp_path) as service:
-            job = service.submit(_bell(), shots=3000, seed=42,
-                                 shot_chunk_size=1024,
-                                 shot_chunk_dispatch=True,
+            # The stabilizer backend pays per shot, so its shots split.
+            job = service.submit(_bell(), "stabilizer_simulator",
+                                 shots=3000, seed=42, shot_chunk_size=1024,
                                  executor="serial")
             events = list(job.stream())
         kinds = [event["type"] for event in events]
