@@ -8,24 +8,22 @@ the conventional-quantum hybrid loop of the paper's Aqua description.
 
 from __future__ import annotations
 
+from repro.circuit.library.standard_gates import HGate, SdgGate
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import AlgorithmError
 from repro.quantum_info.pauli import Pauli, PauliSumOp
 from repro.simulators.statevector_simulator import StatevectorSimulator
 
 
-def measurement_basis_change(pauli: Pauli, circuit: QuantumCircuit) -> None:
-    """Append the rotations mapping ``pauli``'s eigenbasis to the Z basis.
-
-    X -> H; Y -> Sdg then H; Z and I need nothing.
-    """
+def measurement_basis_change(pauli: Pauli):
+    """Yield the ``(gate, qubit)`` rotations mapping ``pauli``'s
+    eigenbasis to the Z basis: X -> H; Y -> Sdg then H; Z and I none."""
     for qubit in range(pauli.num_qubits):
         char = pauli.char(qubit)
-        if char == "X":
-            circuit.h(qubit)
-        elif char == "Y":
-            circuit.sdg(qubit)
-            circuit.h(qubit)
+        if char == "Y":
+            yield SdgGate(), qubit
+        if char in ("X", "Y"):
+            yield HGate(), qubit
 
 
 def expectation_from_counts(pauli: Pauli, counts: dict) -> float:
@@ -82,7 +80,8 @@ def measurement_circuit(circuit: QuantumCircuit, index: int,
     measured = QuantumCircuit(circuit.num_qubits, circuit.num_qubits,
                               name=f"term-{index}")
     measured.compose(circuit, qubits=measured.qubits, inplace=True)
-    measurement_basis_change(pauli, measured)
+    for gate, qubit in measurement_basis_change(pauli):
+        measured.append(gate, [qubit])
     for qubit in pauli.support:
         measured.measure(qubit, qubit)
     return measured

@@ -37,6 +37,7 @@ from repro.exceptions import BackendError
 from repro.providers.executor import (
     SCHEDULING_OPTIONS,
     Dispatch,
+    check_run_options,
     resolve_executor,
 )
 
@@ -74,15 +75,16 @@ class ExecutionEngine:
         :meth:`prepare_pubs`; returns ``(shots, kind, engine_options,
         job_trace)``.
 
-        Checks that ``shots`` is an integer within the backend maximum,
-        runs the backend's batch validation, resolves the executor kind,
-        splits the engine options from the scheduling ones, normalizes
-        the fault-tolerance knobs, and takes the job's trace (or starts
-        one).
+        Refuses unknown options, checks that ``shots`` is an integer
+        within the backend maximum, runs the backend's batch validation,
+        resolves the executor kind, splits the engine options from the
+        scheduling ones, normalizes the fault-tolerance knobs, and takes
+        the job's trace (or starts one).
         """
         from repro.providers.faults import resolve_injector
         from repro.providers.retry import resolve_retry_policy
 
+        check_run_options(options)
         shots = options.get("shots", 1024)
         try:
             operator.index(shots)

@@ -67,11 +67,27 @@ from repro.exceptions import (
     JobTimeoutError,
 )
 
-#: Options consumed by the scheduling layer itself (everything else in
-#: ``backend.run(**options)`` is forwarded to the simulator engines).
+#: Options consumed by the scheduling layer itself (the rest of
+#: ``RUN_OPTIONS`` is forwarded to the simulator engines).
 SCHEDULING_OPTIONS = (
     "executor", "max_workers", "job_trace", "shot_chunk_size", "checkpoint",
 )
+
+#: Every option ``backend.run``/``run_pubs`` accepts.
+RUN_OPTIONS = SCHEDULING_OPTIONS + (
+    "shots", "seed", "memory", "noise_model", "elide_diagonals",
+    "retry_policy", "fault_injector",
+)
+
+
+def check_run_options(options, extra=()) -> None:
+    """Refuse any option outside ``RUN_OPTIONS`` (and ``extra``), naming
+    it: nothing would read it, so a misspelt one would silently run with
+    its default."""
+    unknown = sorted(set(options).difference(RUN_OPTIONS, extra))
+    if unknown:
+        raise BackendError(f"unknown run option(s): {', '.join(unknown)}")
+
 
 #: Seconds one wait on pool futures may block before the collection loop
 #: looks again for futures cancelled from another thread.

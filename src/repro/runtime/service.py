@@ -74,7 +74,7 @@ from repro.exceptions import (
     JobTimeoutError,
     QueueFullError,
 )
-from repro.providers.executor import resolve_backend
+from repro.providers.executor import check_run_options, resolve_backend
 from repro.providers.journal import decode, encode
 from repro.providers.retry import (
     infrastructure_failure,
@@ -90,6 +90,13 @@ from repro.runtime.store import (
 )
 from repro.telemetry.jobtrace import JobTrace
 from repro.telemetry.metrics import get_metrics_registry
+
+#: Options a job takes besides the run options, by kind: the session's
+#: disk-cache namespace and, for circuits, ``execute``'s compile knobs.
+SERVICE_OPTIONS = {
+    "circuits": ("cache_namespace", "optimization_level", "transpile_cache"),
+    "pubs": ("cache_namespace",),
+}
 
 #: Buckets tuned for queue waits: sub-millisecond to minutes.
 _WAIT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
@@ -517,8 +524,9 @@ class RuntimeService:
         retry_policy, ...) plus ``execute``'s compile knobs
         (``optimization_level``, ``transpile_cache``) — device backends
         compile at dispatch, on the worker, through the shared two-tier
-        transpile cache.  The job always checkpoints its chunks into the
-        store's journal, so a ``checkpoint`` option is refused.
+        transpile cache; any other option is refused.  The job always
+        checkpoints its chunks into the store's journal, so a
+        ``checkpoint`` option is refused too.
         """
         return self._submit(circuits, "circuits", backend, provider,
                             tenant, priority, session, options,
@@ -642,6 +650,7 @@ class RuntimeService:
                 "runtime jobs checkpoint into the store's journal; the "
                 "checkpoint option is not accepted"
             )
+        check_run_options(options, SERVICE_OPTIONS[kind])
         try:
             blob = encode((payload, options))
         except Exception as error:
@@ -1065,6 +1074,8 @@ class RuntimeService:
         the journal for the audit trail.
         """
         job = self.job(job_id)
+        check_run_options(option_overrides,
+                          SERVICE_OPTIONS[job._record.kind])
         with self._wake:
             record = job._record
             self._store.requeue(record, option_overrides)

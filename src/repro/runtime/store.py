@@ -262,8 +262,11 @@ class JobStore:
     def load(self) -> dict:
         """Replay the journal into ``{job_id: JobRecord}``.
 
-        Records whose pickled payload cannot be decoded are dropped
-        entirely: a job the service cannot re-run is not recoverable.
+        Only jobs that can run again (pending or requeueable ones) have
+        their payload and options decoded; a DONE job keeps ``payload``
+        and ``options`` None, as a live one drops its payload.  A job
+        that could run again but whose payload cannot be decoded is
+        dropped entirely: the service cannot re-run it.
         """
         records = self._replay(self._journal.replay())
         top = max(map(self._job_number, records), default=-1) + 1
@@ -276,32 +279,31 @@ class JobStore:
         """Apply journal records in order; returns ``{job_id:
         JobRecord}``.
 
+        Payloads are decoded after the last record, for every job no
+        DONE state has reached since its latest ``job`` record.
         ``raw=True`` (compaction) unpickles nothing: payloads and results
         stay None, and each record's ``lines`` holds its latest ``job``
         and ``result`` records as read.
         """
         records: dict = {}
         checkpoints: dict = {}
+        blobs: dict = {}  # job id -> its latest undecoded payload
         for entry in entries:
             checkpoint.replay(checkpoints, entry)
             kind = entry.get("type")
             job_id = entry.get("job_id")
             if kind == "job":
-                payload = options = None
-                if not raw:
-                    try:
-                        payload, options = decode(entry["payload"])
-                    except Exception:  # noqa: BLE001 — torn/corrupt blob
-                        continue
                 record = JobRecord(
                     job_id, entry.get("tenant", "default"), entry["backend"],
                     entry.get("priority", 0), entry.get("session"),
-                    entry.get("kind", "circuits"), payload, options,
+                    entry.get("kind", "circuits"), None, None,
                     submitted_at=entry.get("submitted_at"),
                     deadline=entry.get("deadline"),
                 )
                 if raw:
                     record.lines = {"job": entry}
+                else:
+                    blobs[job_id] = entry["payload"]
                 if job_id in records:  # a requeue keeps the audit trail
                     record.quarantine = records[job_id].quarantine
                 records[job_id] = record
@@ -315,6 +317,10 @@ class JobStore:
                     # A finished job is never resumed: drop its records
                     # now, so replay holds only pending checkpoints.
                     checkpoints.pop(job_id, None)
+                if state == "DONE":
+                    # Nor does a DONE job run again (requeue refuses
+                    # it), so its payload is never decoded.
+                    blobs.pop(job_id, None)
             elif kind == "result" and job_id in records:
                 if raw:
                     records[job_id].lines["result"] = entry
@@ -328,6 +334,12 @@ class JobStore:
                     "fault_stats": entry.get("fault_stats") or {},
                     "error": entry.get("error"),
                 }
+        for job_id, blob in blobs.items():
+            record = records[job_id]
+            try:
+                record.payload, record.options = decode(blob)
+            except Exception:  # noqa: BLE001 — torn/corrupt blob
+                del records[job_id]
         for job_id, record in records.items():
             held = checkpoints.get(job_id)
             # A checkpoint without chunks has nothing to resume from.

@@ -453,7 +453,8 @@ class BroadcastProgram:
     Every ``circuit.data`` position maps to a precompiled step (or ``None``
     for barriers/measures); applying a subset of positions — the estimator
     replays shared prefixes and per-term suffixes — slices per-binding
-    arrays by batch-row range so chunked execution composes freely.
+    arrays by batch-row range so chunked execution composes freely.  The
+    entry points below check that every other operation is a plain gate.
     """
 
     def __init__(self, circuit, parameter_values, parameters=None):
@@ -502,14 +503,6 @@ class BroadcastProgram:
                 ]
                 self.steps.append(None)
                 continue
-            if op.condition is not None:
-                raise SimulatorError(
-                    "classical conditions require the qasm simulator"
-                )
-            if op.name == "reset":
-                raise SimulatorError("reset requires the qasm simulator")
-            if not isinstance(op, Gate):
-                raise SimulatorError(f"cannot simulate '{op.name}'")
             targets = [qubit_index[q] for q in item.qubits]
             if index in resolved:
                 self.steps.append(
@@ -741,25 +734,60 @@ def estimator_broadcastable(circuit) -> bool:
     return len(used) == circuit.num_qubits
 
 
+def estimator_plan(circuit, terms):
+    """Each measured term's sampling plan, read off the template alone.
+
+    A term circuit's elision keeps a template diagonal exactly when its
+    basis change rotates a qubit that diagonal's elision rests on (see
+    :meth:`QasmSimulator._terminal_diagonals`), so one scan decides every
+    term.  Returns ``(split, rotations, plans)``: template positions
+    before ``split`` are the prefix all terms share, ``rotations`` are
+    basis-change steps numbered on from ``len(circuit.data)``, and a plan
+    is ``(coeff, parity mask, elided positions, positions after split)``.
+    """
+    from repro.algorithms.expectation import measurement_basis_change
+
+    size = len(circuit.data)
+    rests: dict = {}
+    QasmSimulator._terminal_diagonals(circuit.data, _template_diagonal, rests)
+    rotations = []
+    numbered: dict = {}  # (gate name, qubit) -> its program position
+    plans = []
+    for _index, coeff, pauli in terms:
+        rotated, basis = set(), []
+        for gate, qubit in measurement_basis_change(pauli):
+            key = (gate.name, qubit)
+            if key not in numbered:
+                numbered[key] = size + len(rotations)
+                rotations.append(
+                    _make_shared_step(gate, [qubit], circuit.num_qubits)
+                )
+            basis.append(numbered[key])
+            rotated.add(circuit.qubits[qubit])
+        elided = {p for p, on in rests.items() if on.isdisjoint(rotated)}
+        mask = sum(1 << qubit for qubit in pauli.support)
+        plans.append((coeff, mask, elided, basis))
+    split = min(set().union(*(plan[2] for plan in plans)), default=size)
+    return split, rotations, [
+        (coeff, mask, elided,
+         [p for p in range(split, size) if p not in elided] + basis)
+        for coeff, mask, elided, basis in plans
+    ]
+
+
 def estimate_broadcast_shots(circuit, parameter_values, parameters,
                              observable, shots, seeds):
     """Shots-mode ``<H>`` per binding via shared-prefix broadcast sampling.
 
     Entry ``b`` is bitwise identical to
     ``ExpectationEstimator(observable, mode="shots", shots=shots,
-    seed=seeds[b]).estimate(bound_b)``: same term circuits and derived
-    per-term seeds, same float accumulation order.  Terminal diagonals are
-    elided on the template, so the choice holds for every binding.
-
-    The ansatz positions every term's elision would drop form a tail
-    ``[split, len)``; everything before ``split`` is evolved once per chunk
-    and each term replays only its non-elided tail plus its basis-change
-    rotations before sampling.
+    seed=seeds[b]).estimate(bound_b)``: each term applies what its term
+    circuit would (see :func:`estimator_plan`; elision is decided on the
+    template, for every binding) and samples under the same derived seed,
+    in the same float accumulation order.  The prefix evolves once per
+    chunk.
     """
-    from repro.algorithms.expectation import (
-        measurement_circuit,
-        measurement_terms,
-    )
+    from repro.algorithms.expectation import measurement_terms
 
     num_qubits = circuit.num_qubits
     if observable.num_qubits != num_qubits:
@@ -775,45 +803,8 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
     base, terms = measurement_terms(observable)
     if not terms:
         return [base] * program.batch
-    template_size = len(circuit.data)
-    tail: set = set()
-    term_plans = []  # (coeff, parity mask, elided positions, rotations)
-    rotation_steps: dict = {}  # (gate name, qubit) -> compiled shared step
-    for index, coeff, pauli in terms:
-        # One term circuit at a time: it is only read for its elision and
-        # rotations, and dropping it before the next keeps the allocation
-        # count (and so the collector's work) flat.
-        measured = measurement_circuit(circuit, index, pauli)
-        elided = {
-            p
-            for p in QasmSimulator._terminal_diagonals(
-                measured.data, _template_diagonal
-            )
-            if p < template_size
-        }
-        tail |= elided
-        qubit_index = {q: i for i, q in enumerate(measured.qubits)}
-        rotations = []
-        for item in measured.data[template_size:]:
-            if item.operation.name == "measure":
-                continue
-            key = (item.operation.name, qubit_index[item.qubits[0]])
-            if key not in rotation_steps:
-                rotation_steps[key] = _make_shared_step(
-                    item.operation, [key[1]], num_qubits
-                )
-            rotations.append(rotation_steps[key])
-        mask = 0
-        for qubit in pauli.support:
-            mask |= 1 << qubit
-        term_plans.append((coeff, mask, elided, rotations))
-    split = min(tail) if tail else template_size
-    term_plans = [
-        (coeff, mask,
-         [p for p in range(split, template_size) if p not in elided],
-         rotations)
-        for coeff, mask, elided, rotations in term_plans
-    ]
+    split, rotations, term_plans = estimator_plan(circuit, terms)
+    program.steps.extend(rotations)
 
     energies = [base] * program.batch
     prefix_positions = range(split)
@@ -831,20 +822,11 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                 derive_experiment_seeds(seeds[start + row], len(term_plans))
                 for row in range(stop - start)
             ]
-            for term_index, (coeff, mask, suffix, rotations) in enumerate(
+            for term_index, (coeff, mask, _elided, positions) in enumerate(
                 term_plans
             ):
                 np.copyto(work, prefix)
-                states, aux = program.apply(work, scratch, suffix, rows)
-                for step in rotations:
-                    if step[0] == "sdense":
-                        states, aux = _apply_shared_dense(
-                            states, aux, step[1], step[2]
-                        )
-                    else:
-                        _apply_shared_sliced(
-                            states, step[1], step[2], num_qubits
-                        )
+                states, aux = program.apply(work, scratch, positions, rows)
                 # <P> from counts is (#even-parity - #odd-parity) / shots — an
                 # exact integer accumulator divided once — so computing the
                 # parity tally straight off the outcome integers reproduces
@@ -866,4 +848,3 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                 # distinct for the next term's copy.
                 work, scratch = states, aux
     return energies
-

@@ -278,8 +278,8 @@ class QasmSimulator:
         return True
 
     @staticmethod
-    def _terminal_diagonals(data, is_diagonal=kernels.gate_is_diagonal
-                            ) -> set:
+    def _terminal_diagonals(data, is_diagonal=kernels.gate_is_diagonal,
+                            rests=None) -> set:
         """Positions of diagonal gates followed only by measurement.
 
         Scanning backwards, a qubit is *terminal* while everything after
@@ -289,11 +289,17 @@ class QasmSimulator:
         leaves ``|amplitude|**2`` — and therefore every sampled outcome —
         unchanged.  ``is_diagonal`` classifies a gate (the broadcast
         engine passes one that holds for every binding of a template).
+
+        A ``rests`` dict receives, per elided position, the qubits its
+        elision rests on: its own and, transitively, those of the elided
+        gates after it on them.  Only a gate appended on one of those
+        qubits would keep it.
         """
         terminal: set = set()
         for item in data:
             terminal.update(item.qubits)
         elided: set = set()
+        after: dict = {}  # qubit -> what the elided gates after it rest on
         for position in range(len(data) - 1, -1, -1):
             item = data[position]
             op = item.operation
@@ -305,6 +311,11 @@ class QasmSimulator:
                 and is_diagonal(op)
             ):
                 elided.add(position)
+                if rests is not None:
+                    on = rests[position] = frozenset(item.qubits).union(
+                        *(after.get(q, ()) for q in item.qubits)
+                    )
+                    after.update(dict.fromkeys(item.qubits, on))
                 continue
             terminal.difference_update(item.qubits)
         return elided

@@ -67,7 +67,8 @@ class TestBasisChange:
     def test_x_measurement(self):
         circuit = QuantumCircuit(1, 1)
         circuit.h(0)  # prepare |+>: X eigenstate
-        measurement_basis_change(Pauli("X"), circuit)
+        for gate, qubit in measurement_basis_change(Pauli("X")):
+            circuit.append(gate, [qubit])
         circuit.measure(0, 0)
         from repro.simulators import QasmSimulator
 
@@ -78,7 +79,8 @@ class TestBasisChange:
         circuit = QuantumCircuit(1, 1)
         circuit.h(0)
         circuit.s(0)  # |+i>: Y eigenstate
-        measurement_basis_change(Pauli("Y"), circuit)
+        for gate, qubit in measurement_basis_change(Pauli("Y")):
+            circuit.append(gate, [qubit])
         circuit.measure(0, 0)
         from repro.simulators import QasmSimulator
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.exceptions import BackendError
 from repro.providers import Aer, IBMQ, execute
 from repro.quantum_info import hellinger_fidelity
 from tests.conftest import build_ghz
@@ -42,6 +43,49 @@ class TestExecuteOptions:
         result = execute(variants, backend, shots=50, seed=2).result()
         for i in range(2):
             assert sum(result.get_counts(f"case{i}").values()) == 50
+
+
+class TestUnknownRunOptions:
+    """A misspelt or retired option raises, naming it, instead of running
+    with its default."""
+
+    @pytest.mark.parametrize("option", [
+        {"shots_chunk_size": 1000},   # typo of shot_chunk_size
+        {"shot_chunk_dispatch": True},  # a retired option
+        {"sede": 5},                  # typo of seed
+    ])
+    def test_backend_run_refuses_unknown_options(self, measured_bell,
+                                                 option):
+        backend = Aer.get_backend("qasm_simulator")
+        with pytest.raises(BackendError, match=next(iter(option))):
+            backend.run(measured_bell, shots=3000, **option)
+
+    def test_known_options_still_run(self, measured_bell):
+        from repro.simulators.noise import NoiseModel, depolarizing_error
+
+        noise = NoiseModel()
+        noise.add_all_qubit_quantum_error(
+            depolarizing_error(0.05, 1).tensor(depolarizing_error(0.05, 1)),
+            ["cx"],
+        )
+        job = Aer.get_backend("qasm_simulator").run(
+            measured_bell, shots=3000, seed=5, noise_model=noise,
+            shot_chunk_size=1000, executor="serial", max_workers=1,
+            memory=False, elide_diagonals=True, retry_policy=False,
+            fault_injector=None,
+        )
+        assert job.fault_stats["total_chunks"] == 3
+
+    def test_run_pubs_refuses_unknown_options(self):
+        from repro.circuit import Parameter
+
+        a = Parameter("a")
+        template = QuantumCircuit(1, 1)
+        template.ry(a, 0)
+        template.measure(0, 0)
+        backend = Aer.get_backend("qasm_simulator")
+        with pytest.raises(BackendError, match="sede"):
+            backend.run_pubs([(template, [[0.3]], [a])], shots=10, sede=5)
 
 
 class TestDDBackendPayload:

@@ -330,6 +330,17 @@ class TestQuarantine:
         # The quarantine ledger stays for the audit trail.
         assert job.quarantine_record is not None
 
+    def test_requeue_refuses_unknown_option_overrides(self, tmp_path):
+        with RuntimeService(tmp_path, service_attempts=1) as service:
+            job = service.submit(_bell(), shots=500, seed=11,
+                                 fault_injector=_poison_injector(),
+                                 retry_policy=False)
+            with pytest.raises(JobQuarantinedError):
+                job.result(timeout=30)
+            with pytest.raises(BackendError, match="fault_injecter"):
+                service.requeue(job.job_id, fault_injecter=None)
+            assert job.status() == "QUARANTINED"
+
     def test_requeued_clean_run_reports_its_own_ledger(self, tmp_path):
         with RuntimeService(tmp_path, service_attempts=1) as service:
             job = service.submit(_bell(), shots=500, seed=11,

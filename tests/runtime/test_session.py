@@ -55,6 +55,18 @@ class TestSession:
             with pytest.raises(BackendError):
                 session.run(_bell(), shots=10)
 
+    def test_session_run_refuses_unknown_options(self, tmp_path):
+        with RuntimeService(tmp_path, autostart=False) as service:
+            session = service.session()
+            with pytest.raises(BackendError, match="shots_chunk_size"):
+                session.run(_bell(), shots=10, shots_chunk_size=4)
+            # Compile knobs are a circuits job's own; a refused
+            # submission leaves no job behind.
+            session.run(_bell(), shots=10, optimization_level=0)
+            with pytest.raises(BackendError, match="optimization_level"):
+                session.run_pubs([], optimization_level=0)
+            assert len(service.jobs()) == 1
+
     def test_session_jobs_listing(self, tmp_path):
         with RuntimeService(tmp_path, autostart=False) as service:
             session = service.session(tenant="alice")

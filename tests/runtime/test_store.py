@@ -74,6 +74,41 @@ class TestJobStore:
         assert loaded.result.get_counts() == result.get_counts()
         assert loaded.result.success is result.success
 
+    def test_only_jobs_that_can_run_again_decode_their_payload(
+        self, tmp_path
+    ):
+        store = JobStore(tmp_path)
+        for job_id, state in (("rt-0", "DONE"), ("rt-1", "QUEUED"),
+                              ("rt-2", "ERROR"), ("rt-3", "QUARANTINED")):
+            store.append_job(_record(job_id))
+            store.append_state(job_id, state)
+        loaded = JobStore(tmp_path).load()
+        assert loaded["rt-0"].payload is None
+        assert loaded["rt-0"].options is None
+        for job_id in ("rt-1", "rt-2", "rt-3"):
+            assert loaded[job_id].payload[0].name == "bell"
+            assert loaded[job_id].options == {"shots": 100, "seed": 7}
+
+    def test_done_job_with_a_corrupt_payload_keeps_its_result(
+        self, tmp_path
+    ):
+        from repro.providers import Aer
+
+        result = Aer.get_backend("qasm_simulator").run(
+            _bell(), shots=50, seed=3,
+        ).result()
+        store = JobStore(tmp_path)
+        for job_id in ("rt-0", "rt-1"):
+            store.append_job(_record(job_id), blob="not a pickle")
+        store.append_state("rt-0", "DONE")
+        store.append_result("rt-0", result)
+        store.append_state("rt-1", "QUEUED")
+        loaded = JobStore(tmp_path).load()
+        assert loaded["rt-0"].state == "DONE"
+        assert loaded["rt-0"].result.get_counts() == result.get_counts()
+        # A queued job the service cannot decode cannot run: dropped.
+        assert "rt-1" not in loaded
+
     def test_torn_tail_is_ignored(self, tmp_path):
         store = JobStore(tmp_path)
         store.append_job(_record("rt-0"))
