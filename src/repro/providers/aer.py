@@ -70,7 +70,6 @@ class QasmEngineBackend(BaseBackend):
             seed=options.get("seed"),
             noise_model=self._noise(options),
             memory=options.get("memory", False),
-            elide_diagonals=options.get("elide_diagonals", True),
         )
         return ExperimentResult(circuit.name, payload["shots"], payload)
 
@@ -102,15 +101,13 @@ class QasmSimulatorBackend(_AerBackend, QasmEngineBackend):
         seed: all its shots from that one seed.
         """
         shots = options.get("shots", 1024)
-        elide = options.get("elide_diagonals", True)
         values = broadcast["values"]
         parameters = broadcast["parameters"]
         seeds = broadcast["seeds"]
         observable = broadcast["observable"]
         if observable is None and broadcast_supported(circuit):
             path = "broadcast"
-            rows = sample_broadcast(circuit, values, parameters, shots, seeds,
-                                    elide_diagonals=elide)
+            rows = sample_broadcast(circuit, values, parameters, shots, seeds)
         elif observable is not None and estimator_broadcastable(circuit):
             path = "broadcast"
             rows = estimate_broadcast_shots(circuit, values, parameters,
@@ -120,7 +117,7 @@ class QasmSimulatorBackend(_AerBackend, QasmEngineBackend):
             rows = [
                 self._run_bound(
                     circuit.bind_parameters(dict(zip(parameters, row))),
-                    observable, shots, seed, elide,
+                    observable, shots, seed,
                 )
                 for row, seed in zip(values, seeds)
             ]
@@ -129,7 +126,7 @@ class QasmSimulatorBackend(_AerBackend, QasmEngineBackend):
             key: rows, "shots": shots, "path": path,
         })
 
-    def _run_bound(self, circuit, observable, shots, seed, elide):
+    def _run_bound(self, circuit, observable, shots, seed):
         """One binding of the loop path.
 
         Without an observable: ``run``'s engine call on the bound circuit,
@@ -144,8 +141,7 @@ class QasmSimulatorBackend(_AerBackend, QasmEngineBackend):
         )
 
         if observable is None:
-            return self._engine.run(circuit, shots=shots, seed=seed,
-                                    elide_diagonals=elide)
+            return self._engine.run(circuit, shots=shots, seed=seed)
         energy, terms = measurement_terms(observable)
         term_seeds = derive_experiment_seeds(seed, len(terms))
         for (index, coeff, pauli), term_seed in zip(terms, term_seeds):

@@ -184,12 +184,12 @@ class ExecutionEngine:
                 if backend._splits_shots(circuits[index], options)
                 else [(0, shots)]
             )
-            base = dict(engine_options)
-            base["experiment_index"] = experiment["config"]["index"]
             if len(bounds) == 1:
                 # Unchunked: the experiment seed and payload shape are
                 # exactly the pre-chunking pipeline's.
-                payloads.append((experiment, dict(base, seed=exp_seed)))
+                payloads.append(
+                    (experiment, dict(engine_options, seed=exp_seed))
+                )
                 plan.append({
                     "experiment_index": index, "name": name,
                     "chunk": None, "chunks": 1,
@@ -199,7 +199,7 @@ class ExecutionEngine:
             for chunk, ((start, stop), seed) in enumerate(
                 zip(bounds, seeds)
             ):
-                config = dict(base, seed=seed, shots=stop - start)
+                config = dict(engine_options, seed=seed, shots=stop - start)
                 config["shot_chunk"] = {
                     "index": chunk, "total": len(bounds),
                     "start": start, "stop": stop,
@@ -338,7 +338,6 @@ class ExecutionEngine:
                 for start, stop in broadcast_chunk_bounds(
                     batch, circuit.num_qubits
                 ):
-                    index = len(payloads)
                     config = dict(engine_options)
                     # The chunk is the retry unit: its value rows and
                     # derived per-binding seeds ride the config, so a
@@ -352,16 +351,13 @@ class ExecutionEngine:
                         "binding_start": start,
                     }
                     config["seed"] = all_seeds[offset + start]
-                    config["experiment_index"] = index
-                    experiment = dict(template)
-                    experiment["config"] = {
-                        "seed": config["seed"], "index": index,
-                    }
-                    payloads.append((experiment, config))
                     plan.append({
-                        "experiment_index": index, "name": name,
+                        "experiment_index": len(payloads), "name": name,
                         "chunk": None, "chunks": 1,
                     })
+                    # The pub's chunks share one template dict, which
+                    # nothing downstream mutates.
+                    payloads.append((template, config))
                 offset += batch
         return self._end(backend, payloads, plan, kind, options, job_trace)
 

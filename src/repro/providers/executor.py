@@ -75,8 +75,8 @@ SCHEDULING_OPTIONS = (
 
 #: Every option ``backend.run``/``run_pubs`` accepts.
 RUN_OPTIONS = SCHEDULING_OPTIONS + (
-    "shots", "seed", "memory", "noise_model", "elide_diagonals",
-    "retry_policy", "fault_injector",
+    "shots", "seed", "memory", "noise_model", "retry_policy",
+    "fault_injector",
 )
 
 

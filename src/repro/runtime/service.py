@@ -91,11 +91,12 @@ from repro.runtime.store import (
 from repro.telemetry.jobtrace import JobTrace
 from repro.telemetry.metrics import get_metrics_registry
 
-#: Options a job takes besides the run options, by kind: the session's
-#: disk-cache namespace and, for circuits, ``execute``'s compile knobs.
+#: Options a job takes besides the run options, by kind: a circuits job
+#: compiles, so it takes ``execute``'s compile knobs and the session's
+#: disk-cache namespace; pubs never compile and take none.
 SERVICE_OPTIONS = {
     "circuits": ("cache_namespace", "optimization_level", "transpile_cache"),
-    "pubs": ("cache_namespace",),
+    "pubs": (),
 }
 
 #: Buckets tuned for queue waits: sub-millisecond to minutes.
@@ -1105,7 +1106,6 @@ class RuntimeService:
 
         record = job._record
         options = dict(record.options)
-        cache_namespace = options.pop("cache_namespace", None)
         backend = self.backend(record.backend_spec[1],
                                record.backend_spec[0])
         engine = get_execution_engine()
@@ -1123,7 +1123,7 @@ class RuntimeService:
             backend, batch, job._trace,
             optimization_level=options.pop("optimization_level", 1),
             transpile_cache=options.pop("transpile_cache", True),
-            cache_namespace=cache_namespace,
+            cache_namespace=options.pop("cache_namespace", None),
         )
         options["checkpoint"] = self._store.path
         checkpoint, record.checkpoint = record.checkpoint, None

@@ -24,12 +24,17 @@ Its record types:
   unpickling anything;
 - ``chunk`` — one per finished unit of a circuits job
   (:mod:`repro.providers.checkpoint`), keyed by job id; workers append
-  them from pool processes too.
+  them from pool processes too;
+- ``job_ids`` — written only by compaction, at the head of the
+  compacted journal, when the jobs it pruned held larger ids than any
+  it kept: the next ``rt-<N>`` number.
 
 A circuits job's checkpoint is therefore its latest ``job`` record plus
 the DONE ``chunk`` records after it; ``header`` records, which older
 journals hold, are skipped.  Job ids are ``rt-<N>``, ``N`` continuing
-from the largest id in the journal.  :meth:`JobStore.load` replays the
+past every id a ``job`` record (or the ``job_ids`` record) in the
+journal has held, so a job that replay drops or compaction prunes never
+hands its id to a later one.  :meth:`JobStore.load` replays the
 journal once: a ``job`` record starts its job afresh (only the
 quarantine record carries over, for the audit trail) and starts a fresh
 checkpoint, so a requeued job never resumes a poisoned one; a
@@ -268,16 +273,17 @@ class JobStore:
         that could run again but whose payload cannot be decoded is
         dropped entirely: the service cannot re-run it.
         """
-        records = self._replay(self._journal.replay())
-        top = max(map(self._job_number, records), default=-1) + 1
+        records, next_id = self._replay(self._journal.replay())
         with self._lock:
-            self._next_id = max(self._next_id or 0, top)
+            self._next_id = max(self._next_id or 0, next_id)
         return records
 
     @staticmethod
-    def _replay(entries, raw=False) -> dict:
-        """Apply journal records in order; returns ``{job_id:
-        JobRecord}``.
+    def _replay(entries, raw=False):
+        """Apply journal records in order; returns ``({job_id:
+        JobRecord}, next_id)``, ``next_id`` being one past the largest
+        job number any ``job`` record held (dropped jobs included) or
+        the ``job_ids`` record gives.
 
         Payloads are decoded after the last record, for every job no
         DONE state has reached since its latest ``job`` record.
@@ -288,11 +294,15 @@ class JobStore:
         records: dict = {}
         checkpoints: dict = {}
         blobs: dict = {}  # job id -> its latest undecoded payload
+        next_id = 0
         for entry in entries:
             checkpoint.replay(checkpoints, entry)
             kind = entry.get("type")
             job_id = entry.get("job_id")
-            if kind == "job":
+            if kind == "job_ids":
+                next_id = max(next_id, int(entry["next"]))
+            elif kind == "job":
+                next_id = max(next_id, JobStore._job_number(job_id) + 1)
                 record = JobRecord(
                     job_id, entry.get("tenant", "default"), entry["backend"],
                     entry.get("priority", 0), entry.get("session"),
@@ -344,7 +354,7 @@ class JobStore:
             held = checkpoints.get(job_id)
             # A checkpoint without chunks has nothing to resume from.
             record.checkpoint = held if held is not None and held[1] else None
-        return records
+        return records, next_id
 
     # -- compaction and retention ----------------------------------------
 
@@ -425,15 +435,19 @@ class JobStore:
         jobs = {}
 
         def snapshot(entries):
-            records = self._replay(entries, raw=True)
+            records, next_id = self._replay(entries, raw=True)
             dropped = self._pruned(records, retention, now)
             for job_id in dropped:
                 del records[job_id]
             jobs.update(jobs_kept=len(records), jobs_pruned=len(dropped))
-            return [
+            lines = [
                 line for job_id in sorted(records, key=self._job_number)
                 for line in self._snapshot_lines(records[job_id])
             ]
+            if next_id > max(map(self._job_number, records), default=-1) + 1:
+                # The pruned jobs held the largest ids; keep their mark.
+                lines.insert(0, {"type": "job_ids", "next": next_id})
+            return lines
 
         stats = self._journal.compact(snapshot)
         stats.update(jobs)

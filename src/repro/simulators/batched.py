@@ -452,9 +452,10 @@ class BroadcastProgram:
 
     Every ``circuit.data`` position maps to a precompiled step (or ``None``
     for barriers/measures); applying a subset of positions — the estimator
-    replays shared prefixes and per-term suffixes — slices per-binding
-    arrays by batch-row range so chunked execution composes freely.  The
-    entry points below check that every other operation is a plain gate.
+    appends its basis-change steps after the template's and applies each
+    term's — slices per-binding arrays by batch-row range so chunked
+    execution composes freely.  The entry points below check that every
+    other operation is a plain gate.
     """
 
     def __init__(self, circuit, parameter_values, parameters=None):
@@ -640,28 +641,13 @@ def evolve_broadcast(circuit, parameter_values, parameters=None):
     return out
 
 
-def _template_diagonal(op) -> bool:
-    """Whether ``op`` is diagonal for every binding of the template.
-
-    A parameterized gate counts only when it is diagonal at every angle
-    (the ``bdiag`` builders); ``ry(a)`` is not, even though ``ry(0)`` is.
-    Gates without free parameters are classified like bound ones.
-    """
-    if op.is_parameterized():
-        entry = _BOUND_BUILDERS.get(op.name)
-        return entry is not None and entry[0] == "bdiag"
-    return kernels.gate_is_diagonal(op)
-
-
-def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
-                     elide_diagonals=True):
+def sample_broadcast(circuit, parameter_values, parameters, shots, seeds):
     """Sampled counts per binding, one statevector pass for the whole batch.
 
     Entry ``b`` is bitwise identical to
     ``QasmSimulator().run(bound_b, shots, seed=seeds[b])`` (noise-free,
-    samplable circuits only).  Terminal diagonals are elided on the
-    template (see :func:`_template_diagonal`), so the choice holds for
-    every binding.
+    samplable circuits only): like that run, the pass applies every gate
+    of the template.
     Returns ``[{"counts", "shots"}, ...]``.
     """
     if shots < 1:
@@ -681,13 +667,7 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds, *,
     program = BroadcastProgram(stripped, parameter_values, parameters)
     if len(seeds) != program.batch:
         raise SimulatorError("need one seed per parameter binding")
-    elided = (
-        QasmSimulator._terminal_diagonals(stripped.data, _template_diagonal)
-        if elide_diagonals else set()
-    )
-    positions = [
-        p for p in range(len(stripped.data)) if p not in elided
-    ]
+    positions = range(len(stripped.data))
     width = stripped.num_clbits
     results = []
     for start, stop in broadcast_chunk_bounds(
@@ -734,60 +714,22 @@ def estimator_broadcastable(circuit) -> bool:
     return len(used) == circuit.num_qubits
 
 
-def estimator_plan(circuit, terms):
-    """Each measured term's sampling plan, read off the template alone.
-
-    A term circuit's elision keeps a template diagonal exactly when its
-    basis change rotates a qubit that diagonal's elision rests on (see
-    :meth:`QasmSimulator._terminal_diagonals`), so one scan decides every
-    term.  Returns ``(split, rotations, plans)``: template positions
-    before ``split`` are the prefix all terms share, ``rotations`` are
-    basis-change steps numbered on from ``len(circuit.data)``, and a plan
-    is ``(coeff, parity mask, elided positions, positions after split)``.
-    """
-    from repro.algorithms.expectation import measurement_basis_change
-
-    size = len(circuit.data)
-    rests: dict = {}
-    QasmSimulator._terminal_diagonals(circuit.data, _template_diagonal, rests)
-    rotations = []
-    numbered: dict = {}  # (gate name, qubit) -> its program position
-    plans = []
-    for _index, coeff, pauli in terms:
-        rotated, basis = set(), []
-        for gate, qubit in measurement_basis_change(pauli):
-            key = (gate.name, qubit)
-            if key not in numbered:
-                numbered[key] = size + len(rotations)
-                rotations.append(
-                    _make_shared_step(gate, [qubit], circuit.num_qubits)
-                )
-            basis.append(numbered[key])
-            rotated.add(circuit.qubits[qubit])
-        elided = {p for p, on in rests.items() if on.isdisjoint(rotated)}
-        mask = sum(1 << qubit for qubit in pauli.support)
-        plans.append((coeff, mask, elided, basis))
-    split = min(set().union(*(plan[2] for plan in plans)), default=size)
-    return split, rotations, [
-        (coeff, mask, elided,
-         [p for p in range(split, size) if p not in elided] + basis)
-        for coeff, mask, elided, basis in plans
-    ]
-
-
 def estimate_broadcast_shots(circuit, parameter_values, parameters,
                              observable, shots, seeds):
-    """Shots-mode ``<H>`` per binding via shared-prefix broadcast sampling.
+    """Shots-mode ``<H>`` per binding via broadcast sampling.
 
     Entry ``b`` is bitwise identical to
     ``ExpectationEstimator(observable, mode="shots", shots=shots,
-    seed=seeds[b]).estimate(bound_b)``: each term applies what its term
-    circuit would (see :func:`estimator_plan`; elision is decided on the
-    template, for every binding) and samples under the same derived seed,
-    in the same float accumulation order.  The prefix evolves once per
-    chunk.
+    seed=seeds[b]).estimate(bound_b)``.  The whole template evolves once
+    per chunk; each term then applies only its basis-change rotations
+    (compiled once per ``(gate, qubit)``) to a copy, which is what its
+    term circuit applies after the template, and samples under the same
+    derived seed, in the same float accumulation order.
     """
-    from repro.algorithms.expectation import measurement_terms
+    from repro.algorithms.expectation import (
+        measurement_basis_change,
+        measurement_terms,
+    )
 
     num_qubits = circuit.num_qubits
     if observable.num_qubits != num_qubits:
@@ -803,30 +745,40 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
     base, terms = measurement_terms(observable)
     if not terms:
         return [base] * program.batch
-    split, rotations, term_plans = estimator_plan(circuit, terms)
-    program.steps.extend(rotations)
+    size = len(program.steps)
+    numbered: dict = {}  # (gate name, qubit) -> its program position
+    term_plans = []  # (coeff, parity mask, rotation positions) per term
+    for _index, coeff, pauli in terms:
+        rotations = []
+        for gate, qubit in measurement_basis_change(pauli):
+            key = (gate.name, qubit)
+            if key not in numbered:
+                numbered[key] = len(program.steps)
+                program.steps.append(
+                    _make_shared_step(gate, [qubit], num_qubits)
+                )
+            rotations.append(numbered[key])
+        mask = sum(1 << qubit for qubit in pauli.support)
+        term_plans.append((coeff, mask, rotations))
 
     energies = [base] * program.batch
-    prefix_positions = range(split)
     for start, stop in broadcast_chunk_bounds(program.batch, num_qubits):
         with get_tracer().span("chunk:estimate", attributes={
             "rows": stop - start, "binding_start": start, "shots": shots,
         }):
             rows = slice(start, stop)
-            prefix, scratch = program.fresh_buffers(stop - start)
-            prefix, scratch = program.apply(
-                prefix, scratch, prefix_positions, rows
-            )
-            work = np.empty_like(prefix)
+            final, scratch = program.fresh_buffers(stop - start)
+            final, scratch = program.apply(final, scratch, range(size), rows)
+            work = np.empty_like(final)
             term_seeds = [
                 derive_experiment_seeds(seeds[start + row], len(term_plans))
                 for row in range(stop - start)
             ]
-            for term_index, (coeff, mask, _elided, positions) in enumerate(
+            for term_index, (coeff, mask, rotations) in enumerate(
                 term_plans
             ):
-                np.copyto(work, prefix)
-                states, aux = program.apply(work, scratch, positions, rows)
+                np.copyto(work, final)
+                states, aux = program.apply(work, scratch, rotations, rows)
                 # <P> from counts is (#even-parity - #odd-parity) / shots — an
                 # exact integer accumulator divided once — so computing the
                 # parity tally straight off the outcome integers reproduces
@@ -843,7 +795,7 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                     energies[start + row] += coeff * (
                         (shots - 2 * odd) / shots
                     )
-                # Dense ping-pong permutes {work, scratch}; prefix is never
+                # Dense ping-pong permutes {work, scratch}; final is never
                 # handed out as an output buffer, so rebinding keeps the trio
                 # distinct for the next term's copy.
                 work, scratch = states, aux

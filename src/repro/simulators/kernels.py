@@ -550,24 +550,6 @@ def apply_gate(state, gate, targets, num_qubits, *, mutate=False):
     )
 
 
-def gate_is_diagonal(gate) -> bool:
-    """True when the gate's matrix is diagonal in the computational basis.
-
-    Uses the same cached structural analysis as the dispatch fast paths, so
-    callers (e.g. the sampling-path diagonal elision) agree with the kernel
-    layer on what counts as diagonal.
-    """
-    if getattr(gate, "diagonal", None) is not None:
-        return True
-    try:
-        matrix = gate.to_matrix()
-    except Exception:
-        return False
-    if matrix.shape[0] > 1 << _MAX_ANALYZED_QUBITS:
-        return False
-    return _analysis(np.ascontiguousarray(matrix, dtype=complex))[0] == "diag"
-
-
 def _is_contiguous_block(targets) -> bool:
     """True when ``targets`` is ``[q, q+1, ..., q+k-1]`` up to reordering."""
     lowest = min(targets)

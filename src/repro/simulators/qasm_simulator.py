@@ -148,21 +148,14 @@ class QasmSimulator:
     # -- public API --------------------------------------------------------------
 
     def run(self, circuit: QuantumCircuit, shots: int = 1024, seed=None,
-            noise_model=None, memory: bool = False,
-            elide_diagonals: bool = True) -> dict:
+            noise_model=None, memory: bool = False) -> dict:
         """Simulate and return ``{"counts": ..., "shots": ..., ["memory"]}``.
 
         Counts keys are bitstrings over *all* classical bits, clbit 0
         rightmost; unwritten clbits read 0.  Every shot is drawn from one
         generator seeded by ``seed``; a backend that splits a run into
         shot-chunks calls this once per chunk, with the chunk's shots and
-        derived seed.
-
-        ``elide_diagonals`` (default True) drops diagonal gates that
-        immediately precede terminal measurement on the sampling path —
-        they change amplitudes' phases but not ``|amplitude|**2``, so
-        counts, memory, and sampled values are bit-identical either way.
-        Pass False for A/B checks.
+        derived seed.  Every strategy applies every gate of the circuit.
         """
         if shots < 1:
             raise SimulatorError("shots must be positive")
@@ -183,9 +176,7 @@ class QasmSimulator:
         if gate_noise_free and self._samplable(circuit):
             # Readout errors (if any) are applied to the sampled bits, so
             # readout-only noise models still take the fast sampling path.
-            state, qubit_to_clbit = self._evolve_sampling_state(
-                circuit, elide_diagonals=elide_diagonals
-            )
+            state, qubit_to_clbit = self._evolve_sampling_state(circuit)
             shot_values = _measured_values(
                 _sample_outcomes(state, shots, rng),
                 qubit_to_clbit, circuit.num_clbits, rng, noise_model,
@@ -277,50 +268,7 @@ class QasmSimulator:
                 return False
         return True
 
-    @staticmethod
-    def _terminal_diagonals(data, is_diagonal=kernels.gate_is_diagonal,
-                            rests=None) -> set:
-        """Positions of diagonal gates followed only by measurement.
-
-        Scanning backwards, a qubit is *terminal* while everything after
-        the current position on it is a barrier, a measure, or an already
-        elided diagonal gate.  A diagonal (unitary) gate whose qubits are
-        all terminal scales amplitudes by phases only, so dropping it
-        leaves ``|amplitude|**2`` — and therefore every sampled outcome —
-        unchanged.  ``is_diagonal`` classifies a gate (the broadcast
-        engine passes one that holds for every binding of a template).
-
-        A ``rests`` dict receives, per elided position, the qubits its
-        elision rests on: its own and, transitively, those of the elided
-        gates after it on them.  Only a gate appended on one of those
-        qubits would keep it.
-        """
-        terminal: set = set()
-        for item in data:
-            terminal.update(item.qubits)
-        elided: set = set()
-        after: dict = {}  # qubit -> what the elided gates after it rest on
-        for position in range(len(data) - 1, -1, -1):
-            item = data[position]
-            op = item.operation
-            if op.name in ("barrier", "measure"):
-                continue
-            if (
-                isinstance(op, Gate)
-                and all(q in terminal for q in item.qubits)
-                and is_diagonal(op)
-            ):
-                elided.add(position)
-                if rests is not None:
-                    on = rests[position] = frozenset(item.qubits).union(
-                        *(after.get(q, ()) for q in item.qubits)
-                    )
-                    after.update(dict.fromkeys(item.qubits, on))
-                continue
-            terminal.difference_update(item.qubits)
-        return elided
-
-    def _evolve_sampling_state(self, circuit, *, elide_diagonals=True):
+    def _evolve_sampling_state(self, circuit):
         """Evolve the final statevector once for the sampling strategy.
 
         Returns ``(state, qubit_to_clbit)``; deterministic — no RNG is
@@ -332,13 +280,9 @@ class QasmSimulator:
         state = np.zeros(2**num_qubits, dtype=complex)
         state[0] = 1.0
         qubit_to_clbit: dict[int, int] = {}
-        elided = (
-            self._terminal_diagonals(circuit.data) if elide_diagonals
-            else set()
-        )
-        for position, item in enumerate(circuit.data):
+        for item in circuit.data:
             op = item.operation
-            if op.name == "barrier" or position in elided:
+            if op.name == "barrier":
                 continue
             if op.name == "measure":
                 qubit_to_clbit[qubit_index[item.qubits[0]]] = clbit_index[

@@ -151,13 +151,13 @@ class TestSampleBroadcast:
             reference = engine.run(bound, shots=300, seed=seeds[b])
             assert results[b]["counts"] == reference["counts"]
 
-    def test_elision_and_idle_strip_bitwise(self):
+    def test_terminal_rz_and_idle_strip_bitwise(self):
         a, b = Parameter("a"), Parameter("b")
         qc = QuantumCircuit(4, 4)
         qc.h(0)
         qc.cx(0, 1)
         qc.ry(a, 2)
-        qc.rz(b, 0)  # terminal diagonal: elided before sampling
+        qc.rz(b, 0)  # terminal diagonal: applied like every gate
         qc.measure(0, 0)
         qc.measure(1, 1)
         qc.measure(2, 2)  # qubit 3 idle: stripped

@@ -197,9 +197,9 @@ class TestSamplerV2:
             reference.results[i].data["counts"] for i in range(len(bound))
         ]
 
-    def test_elision_is_decided_on_the_template(self):
-        # ry(0) is diagonal and ry(pi/2) is not: eliding what binding 0
-        # allows from every row would drop binding 1's rotation.
+    def test_each_row_applies_its_own_angle(self):
+        # ry(0) is diagonal and ry(pi/2) is not: every row applies the
+        # rotation at its own angle.
         a = Parameter("a")
         template = QuantumCircuit(1, 1)
         template.h(0)
@@ -286,9 +286,10 @@ class TestEstimatorV2:
                     seed=next(seeds),
                 ).estimate(bound)
 
-    def test_elision_is_decided_on_the_template(self):
+    def test_each_row_applies_its_own_angle(self):
         # At a = pi/2 the state is |11>, so <ZZ + 0.5 ZI> is exactly 0.5;
-        # eliding binding 0's ry(0) from every row would measure |++>.
+        # skipping ry at every row, as binding 0's ry(0) allows, would
+        # measure |++>.
         a = Parameter("a")
         template = QuantumCircuit(2)
         for qubit in range(2):

@@ -52,6 +52,7 @@ class TestUnknownRunOptions:
     @pytest.mark.parametrize("option", [
         {"shots_chunk_size": 1000},   # typo of shot_chunk_size
         {"shot_chunk_dispatch": True},  # a retired option
+        {"elide_diagonals": False},   # a retired option
         {"sede": 5},                  # typo of seed
     ])
     def test_backend_run_refuses_unknown_options(self, measured_bell,
@@ -71,8 +72,7 @@ class TestUnknownRunOptions:
         job = Aer.get_backend("qasm_simulator").run(
             measured_bell, shots=3000, seed=5, noise_model=noise,
             shot_chunk_size=1000, executor="serial", max_workers=1,
-            memory=False, elide_diagonals=True, retry_policy=False,
-            fault_injector=None,
+            memory=False, retry_policy=False, fault_injector=None,
         )
         assert job.fault_stats["total_chunks"] == 3
 

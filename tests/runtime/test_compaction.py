@@ -239,6 +239,23 @@ class TestCompactionUnderService:
                 assert job.status() == "DONE"
                 assert job.result(timeout=1).get_counts() == expected
 
+    def test_pruned_job_ids_are_not_issued_again(self, tmp_path):
+        with RuntimeService(tmp_path) as service:
+            for seed in range(2):
+                service.submit(_bell(), shots=100, seed=seed).result(
+                    timeout=30
+                )
+            stats = service.compact(RetentionPolicy(max_age=0))
+            assert stats["jobs_pruned"] == 2
+            # The mark survives compacting a journal that holds nothing
+            # else.
+            service.compact()
+        with RuntimeService(tmp_path) as revived:
+            assert revived.jobs() == []
+            job = revived.submit(_bell(), shots=100, seed=2)
+            assert job.job_id == "rt-2"
+            job.result(timeout=30)
+
     def test_compact_while_service_is_running(self, tmp_path):
         with RuntimeService(tmp_path, max_workers=2) as service:
             jobs = [service.submit(_bell(), shots=200, seed=seed)

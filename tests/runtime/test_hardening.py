@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.circuit import QuantumCircuit
+from repro.circuit import Parameter, QuantumCircuit
 from repro.exceptions import (
     BackendError,
     DeadlineExpiredError,
@@ -340,6 +340,21 @@ class TestQuarantine:
             with pytest.raises(BackendError, match="fault_injecter"):
                 service.requeue(job.job_id, fault_injecter=None)
             assert job.status() == "QUARANTINED"
+
+    def test_pubs_requeue_refuses_cache_namespace(self, tmp_path):
+        a = Parameter("a")
+        template = QuantumCircuit(1, 1)
+        template.ry(a, 0)
+        template.measure(0, 0)
+        with RuntimeService(tmp_path, autostart=False) as service:
+            job = service.submit_pubs([(template, [[0.3]], [a])], shots=10)
+            job.cancel()
+            assert job.status() == "CANCELLED"
+            # Pubs never compile: the compile cache's namespace is not
+            # one of their options.
+            with pytest.raises(BackendError, match="cache_namespace"):
+                service.requeue(job.job_id, cache_namespace="a")
+            assert job.status() == "CANCELLED"
 
     def test_requeued_clean_run_reports_its_own_ledger(self, tmp_path):
         with RuntimeService(tmp_path, service_attempts=1) as service:

@@ -65,6 +65,9 @@ class TestSession:
             session.run(_bell(), shots=10, optimization_level=0)
             with pytest.raises(BackendError, match="optimization_level"):
                 session.run_pubs([], optimization_level=0)
+            # Pubs never compile, so no cache namespace reaches them.
+            with pytest.raises(BackendError, match="cache_namespace"):
+                session.run_pubs([], cache_namespace="a")
             assert len(service.jobs()) == 1
 
     def test_session_jobs_listing(self, tmp_path):

@@ -34,6 +34,18 @@ class TestJobStore:
         reopened = JobStore(tmp_path)
         assert reopened.next_job_id() == "rt-2"
 
+    def test_dropped_job_keeps_its_id(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.append_job(_record("rt-0"))
+        store.append_state("rt-0", "QUEUED")
+        store.append_job(_record("rt-1"), blob="corrupt")
+        store.append_state("rt-1", "QUEUED")
+        reopened = JobStore(tmp_path)
+        # rt-1's payload does not decode, so replay drops the job, but
+        # its id stays taken.
+        assert sorted(reopened.load()) == ["rt-0"]
+        assert reopened.next_job_id() == "rt-2"
+
     def test_roundtrip_preserves_payload_and_options(self, tmp_path):
         store = JobStore(tmp_path)
         record = _record("rt-0", tenant="alice", priority=3,

@@ -179,61 +179,3 @@ class TestValidation:
     def test_qubit_limit(self, measured_bell):
         with pytest.raises(SimulatorError):
             QasmSimulator(max_qubits=1).run(measured_bell)
-
-
-class TestDiagonalElision:
-    """Diagonal gates right before terminal measurement are elided."""
-
-    def _terminal_diag_circuit(self):
-        circuit = QuantumCircuit(2, 2)
-        circuit.h(0)        # 0: not diagonal
-        circuit.cx(0, 1)    # 1: not diagonal
-        circuit.t(0)        # 2: diagonal, terminal
-        circuit.rz(0.3, 1)  # 3: diagonal, terminal
-        circuit.cz(0, 1)    # 4: diagonal, terminal
-        circuit.cu1(0.7, 0, 1)  # 5: diagonal, terminal
-        circuit.measure(0, 0)
-        circuit.measure(1, 1)
-        return circuit
-
-    def test_terminal_diagonals_identified(self, engine):
-        circuit = self._terminal_diag_circuit()
-        assert engine._terminal_diagonals(circuit.data) == {2, 3, 4, 5}
-
-    def test_non_terminal_diagonal_kept(self, engine):
-        circuit = QuantumCircuit(1, 1)
-        circuit.h(0)
-        circuit.s(0)  # diagonal but followed by a non-diagonal gate
-        circuit.h(0)
-        circuit.measure(0, 0)
-        assert engine._terminal_diagonals(circuit.data) == set()
-
-    def test_barrier_keeps_qubit_terminal(self, engine):
-        circuit = QuantumCircuit(1, 1)
-        circuit.h(0)
-        circuit.t(0)  # position 1: still terminal across the barrier
-        circuit.barrier(0)
-        circuit.measure(0, 0)
-        assert engine._terminal_diagonals(circuit.data) == {1}
-
-    def test_elision_is_bit_identical(self, engine):
-        """Counts AND per-shot memory agree with elision on and off."""
-        circuit = self._terminal_diag_circuit()
-        with_elision = engine.run(circuit, shots=300, seed=17, memory=True)
-        without = engine.run(circuit, shots=300, seed=17, memory=True,
-                             elide_diagonals=False)
-        assert with_elision["counts"] == without["counts"]
-        assert with_elision["memory"] == without["memory"]
-
-    def test_backend_exposes_opt_out(self):
-        """elide_diagonals threads through the execution pipeline."""
-        from repro.providers import Aer
-
-        circuit = self._terminal_diag_circuit()
-        baseline = Aer.get_backend("qasm_simulator").run(
-            circuit, shots=200, seed=4
-        ).result().get_counts()
-        opted_out = Aer.get_backend("qasm_simulator").run(
-            circuit, shots=200, seed=4, elide_diagonals=False
-        ).result().get_counts()
-        assert baseline == opted_out
