@@ -10,8 +10,9 @@ view: every pass receives a :class:`DAGCircuit` and the flat
 :class:`~repro.circuit.quantumcircuit.QuantumCircuit` exists only at the
 pipeline boundary (:func:`circuit_to_dag` / :func:`dag_to_circuit`).  The
 graph is stored as one doubly-linked list per wire (qubit, clbit, or
-condition bit), which makes node surgery — removal, one-for-many
-substitution — a local splice instead of a global rebuild.
+condition bit), which makes removing a node a local splice.  A pass that
+replaces nodes rebuilds the DAG in one linear pass instead, so node ids
+always follow a topological order.
 """
 
 from __future__ import annotations
@@ -23,16 +24,31 @@ from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import CircuitError
 
 
-class DAGOpNode:
-    """One operation node in the DAG."""
+#: Link keys pack ``node_id << _WIRE_BITS | wire_id`` into one int (no
+#: DAG holds anywhere near 2**32 wires).
+_WIRE_BITS = 32
 
-    __slots__ = ("node_id", "operation", "qubits", "clbits")
+
+class DAGOpNode:
+    """One operation node in the DAG.
+
+    ``wires`` holds every wire the node touches once, in first-use order:
+    its qubits, its clbits, then the condition's bits.  A barrier may name
+    a qubit twice; its wires still hold it once.
+    """
+
+    __slots__ = ("node_id", "operation", "qubits", "clbits", "wires")
 
     def __init__(self, node_id, operation, qubits, clbits):
         self.node_id = node_id
         self.operation = operation
         self.qubits = tuple(qubits)
         self.clbits = tuple(clbits)
+        wires = self.qubits + self.clbits
+        condition = operation.condition
+        if condition is not None:
+            wires += tuple(condition[0])
+        self.wires = tuple(dict.fromkeys(wires))
 
     @property
     def name(self) -> str:
@@ -43,29 +59,25 @@ class DAGOpNode:
         return f"DAGOpNode({self.node_id}: {self.operation.name} {list(self.qubits)})"
 
 
-def _node_wires(node: DAGOpNode) -> list:
-    """Every wire the node touches (qubits, clbits, condition bits), deduped."""
-    wires = list(node.qubits) + list(node.clbits)
-    condition = node.operation.condition
-    if condition is not None:
-        wires.extend(condition[0])
-    seen = set()
-    unique = []
-    for wire in wires:
-        if wire not in seen:
-            seen.add(wire)
-            unique.append(wire)
-    return unique
+def _relink(links: dict, key, node_id) -> None:
+    """Point ``key`` at ``node_id``, or drop it when that is None."""
+    if node_id is None:
+        links.pop(key, None)
+    else:
+        links[key] = node_id
 
 
 class DAGCircuit:
     """Wire-dependency DAG over a circuit's operations.
 
-    Ground truth is per-wire doubly-linked lists (``_prev`` / ``_next``
-    keyed by ``(node_id, wire)``); aggregated successor/predecessor sets
-    are derived on demand.  ``_order`` records node ids in a valid
-    topological order with lazy deletion (removed ids are skipped, and the
-    list is compacted when mostly dead).
+    Ground truth is per-wire doubly-linked lists.  Each wire gets a small
+    integer id on first use (``_wire_ids``), and ``_prev`` / ``_next`` key
+    a node's link on a wire by the one int ``node_id << _WIRE_BITS |
+    wire_id``, so a link allocates no tuple; ``_wire_tail`` holds each
+    wire's last node.  Aggregated successor/predecessor sets are derived
+    on demand.  ``_order`` records node ids in a valid topological order
+    with lazy deletion (removed ids are skipped, and the list is
+    compacted when mostly dead).
     """
 
     def __init__(self, circuit: QuantumCircuit | None = None):
@@ -73,7 +85,7 @@ class DAGCircuit:
         self._counter = itertools.count()
         self._nodes: dict[int, DAGOpNode] = {}
         self._order: list[int] = []
-        self._wire_head: dict = {}
+        self._wire_ids: dict = {}
         self._wire_tail: dict = {}
         self._next: dict = {}
         self._prev: dict = {}
@@ -131,15 +143,24 @@ class DAGCircuit:
         node = DAGOpNode(node_id, operation, qubits, clbits)
         self._nodes[node_id] = node
         self._order.append(node_id)
-        for wire in _node_wires(node):
-            tail = self._wire_tail.get(wire)
-            if tail is None:
-                self._wire_head[wire] = node_id
-            else:
-                self._next[(tail, wire)] = node_id
-                self._prev[(node_id, wire)] = tail
-            self._wire_tail[wire] = node_id
+        base = node_id << _WIRE_BITS
+        wire_ids = self._wire_ids
+        tails = self._wire_tail
+        for wire in node.wires:
+            wire_id = wire_ids.get(wire)
+            if wire_id is None:
+                wire_id = wire_ids[wire] = len(wire_ids)
+            tail = tails.get(wire_id)
+            if tail is not None:
+                self._next[tail << _WIRE_BITS | wire_id] = node_id
+                self._prev[base | wire_id] = tail
+            tails[wire_id] = node_id
         return node
+
+    def _keys(self, node: DAGOpNode) -> list:
+        """The node's link key on each of its wires."""
+        base = node.node_id << _WIRE_BITS
+        return [base | self._wire_ids[wire] for wire in node.wires]
 
     def __contains__(self, node: DAGOpNode) -> bool:
         return node.node_id in self._nodes
@@ -159,51 +180,40 @@ class DAGCircuit:
         """Operation nodes in a valid topological order."""
         return self.op_nodes()
 
-    def node_wires(self, node: DAGOpNode) -> list:
-        """The wires ``node`` touches (qubits, clbits, condition bits)."""
-        return _node_wires(node)
+    def _wire_neighbour(self, links: dict, node: DAGOpNode, wire):
+        wire_id = self._wire_ids.get(wire)
+        if wire_id is None:
+            return None
+        other = links.get(node.node_id << _WIRE_BITS | wire_id)
+        return self._nodes[other] if other is not None else None
 
     def wire_successor(self, node: DAGOpNode, wire) -> DAGOpNode | None:
         """The next node on ``wire`` after ``node`` (None at the wire end)."""
-        nxt = self._next.get((node.node_id, wire))
-        return self._nodes[nxt] if nxt is not None else None
+        return self._wire_neighbour(self._next, node, wire)
 
     def wire_predecessor(self, node: DAGOpNode, wire) -> DAGOpNode | None:
         """The node on ``wire`` just before ``node`` (None at the start)."""
-        prev = self._prev.get((node.node_id, wire))
-        return self._nodes[prev] if prev is not None else None
+        return self._wire_neighbour(self._prev, node, wire)
+
+    def _neighbours(self, links: dict, node: DAGOpNode) -> list:
+        ids = {links.get(key) for key in self._keys(node)}
+        ids.discard(None)
+        return [self._nodes[i] for i in sorted(ids)]
 
     def successors(self, node: DAGOpNode) -> list[DAGOpNode]:
         """Direct successors of ``node`` across all of its wires."""
-        ids = {
-            self._next.get((node.node_id, wire))
-            for wire in _node_wires(node)
-        }
-        ids.discard(None)
-        return [self._nodes[i] for i in sorted(ids)]
+        return self._neighbours(self._next, node)
 
     def predecessors(self, node: DAGOpNode) -> list[DAGOpNode]:
         """Direct predecessors of ``node`` across all of its wires."""
-        ids = {
-            self._prev.get((node.node_id, wire))
-            for wire in _node_wires(node)
-        }
-        ids.discard(None)
-        return [self._nodes[i] for i in sorted(ids)]
+        return self._neighbours(self._prev, node)
 
     def front_layer(self) -> list[DAGOpNode]:
         """Nodes with no predecessors on any of their wires."""
-        front = []
-        for node_id in self._order:
-            node = self._nodes.get(node_id)
-            if node is None:
-                continue
-            if all(
-                (node_id, wire) not in self._prev
-                for wire in _node_wires(node)
-            ):
-                front.append(node)
-        return front
+        return [
+            node for node in self.op_nodes()
+            if all(key not in self._prev for key in self._keys(node))
+        ]
 
     # -- node surgery ----------------------------------------------------------
 
@@ -212,127 +222,18 @@ class DAGCircuit:
         node_id = node.node_id
         if node_id not in self._nodes:
             raise CircuitError("node not in DAG")
-        for wire in _node_wires(node):
-            prev = self._prev.pop((node_id, wire), None)
-            nxt = self._next.pop((node_id, wire), None)
+        for wire in node.wires:
+            wire_id = self._wire_ids[wire]
+            key = node_id << _WIRE_BITS | wire_id
+            prev = self._prev.pop(key, None)
+            nxt = self._next.pop(key, None)
             if prev is not None:
-                if nxt is not None:
-                    self._next[(prev, wire)] = nxt
-                else:
-                    self._next.pop((prev, wire), None)
+                _relink(self._next, prev << _WIRE_BITS | wire_id, nxt)
             if nxt is not None:
-                if prev is not None:
-                    self._prev[(nxt, wire)] = prev
-                else:
-                    self._prev.pop((nxt, wire), None)
-            if self._wire_head.get(wire) == node_id:
-                if nxt is not None:
-                    self._wire_head[wire] = nxt
-                else:
-                    self._wire_head.pop(wire, None)
-            if self._wire_tail.get(wire) == node_id:
-                if prev is not None:
-                    self._wire_tail[wire] = prev
-                else:
-                    self._wire_tail.pop(wire, None)
+                _relink(self._prev, nxt << _WIRE_BITS | wire_id, prev)
+            else:
+                _relink(self._wire_tail, wire_id, prev)
         del self._nodes[node_id]
-
-    def substitute_node(self, node: DAGOpNode, operation) -> DAGOpNode:
-        """Swap a node's operation in place (same wires, same position)."""
-        if node.node_id not in self._nodes:
-            raise CircuitError("node not in DAG")
-        if operation.num_qubits != len(node.qubits):
-            raise CircuitError(
-                f"cannot substitute {len(node.qubits)}-qubit node with "
-                f"{operation.num_qubits}-qubit operation"
-            )
-        if operation.condition != node.operation.condition:
-            raise CircuitError(
-                "substitute_node cannot change the condition (wires would "
-                "differ); use substitute_node_with_dag"
-            )
-        node.operation = operation
-        return node
-
-    def substitute_node_with_dag(self, node: DAGOpNode,
-                                 replacement: "DAGCircuit",
-                                 wires=None) -> list[DAGOpNode]:
-        """Replace ``node`` with the contents of another DAG.
-
-        ``wires`` maps the replacement DAG's wires (its qubits then
-        clbits, in order) onto this DAG's wires; it defaults to the
-        substituted node's own ``qubits + clbits``.  Replacement
-        operations may only touch mapped wires.  The substituted node's
-        condition (if any) is propagated onto unconditioned replacement
-        operations, exactly like the unroller does.
-        """
-        node_id = node.node_id
-        if node_id not in self._nodes:
-            raise CircuitError("node not in DAG")
-        old_wires = _node_wires(node)
-        if wires is None:
-            wires = list(node.qubits) + list(node.clbits)
-        inner_wires = list(replacement.qubits) + list(replacement.clbits)
-        if len(inner_wires) != len(wires):
-            raise CircuitError(
-                f"replacement DAG has {len(inner_wires)} wires; "
-                f"{len(wires)} outer wires supplied"
-            )
-        wire_map = dict(zip(inner_wires, wires))
-        condition = node.operation.condition
-        allowed = set(old_wires)
-
-        new_nodes: list[DAGOpNode] = []
-        for rnode in replacement.op_nodes():
-            operation = rnode.operation.copy()
-            if operation.condition is not None:
-                raise CircuitError(
-                    "replacement operations may not carry their own "
-                    "conditions"
-                )
-            if condition is not None:
-                operation.condition = condition
-            qubits = [wire_map[w] for w in rnode.qubits]
-            clbits = [wire_map[w] for w in rnode.clbits]
-            new_id = next(self._counter)
-            new_node = DAGOpNode(new_id, operation, qubits, clbits)
-            for wire in _node_wires(new_node):
-                if wire not in allowed:
-                    raise CircuitError(
-                        "replacement operation touches a wire outside the "
-                        "substituted node's wires"
-                    )
-            self._nodes[new_id] = new_node
-            new_nodes.append(new_node)
-
-        position = self._order.index(node_id)
-        self._order[position:position + 1] = [n.node_id for n in new_nodes]
-
-        for wire in old_wires:
-            chain = [
-                n.node_id for n in new_nodes
-                if wire in set(_node_wires(n))
-            ]
-            prev = self._prev.pop((node_id, wire), None)
-            nxt = self._next.pop((node_id, wire), None)
-            seq = ([prev] if prev is not None else []) + chain + (
-                [nxt] if nxt is not None else []
-            )
-            if not seq:
-                self._wire_head.pop(wire, None)
-                self._wire_tail.pop(wire, None)
-                continue
-            if prev is None:
-                self._wire_head[wire] = seq[0]
-                self._prev.pop((seq[0], wire), None)
-            if nxt is None:
-                self._wire_tail[wire] = seq[-1]
-                self._next.pop((seq[-1], wire), None)
-            for a, b in zip(seq, seq[1:]):
-                self._next[(a, wire)] = b
-                self._prev[(b, wire)] = a
-        del self._nodes[node_id]
-        return new_nodes
 
     # -- analysis --------------------------------------------------------------
 
@@ -341,10 +242,7 @@ class DAGCircuit:
         level: dict[int, int] = {}
         buckets: dict[int, list[DAGOpNode]] = {}
         for node in self.op_nodes():
-            preds = (
-                self._prev.get((node.node_id, wire))
-                for wire in _node_wires(node)
-            )
+            preds = (self._prev.get(key) for key in self._keys(node))
             lvl = max(
                 (level[p] for p in preds if p is not None), default=-1
             ) + 1
@@ -358,10 +256,7 @@ class DAGCircuit:
         level: dict[int, int] = {}
         depth = 0
         for node in self.op_nodes():
-            preds = (
-                self._prev.get((node.node_id, wire))
-                for wire in _node_wires(node)
-            )
+            preds = (self._prev.get(key) for key in self._keys(node))
             lvl = max((level[p] for p in preds if p is not None), default=0)
             if node.operation.name != "barrier":
                 lvl += 1

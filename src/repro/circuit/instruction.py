@@ -9,8 +9,6 @@ transpiler's unroller expands definitions recursively down to a basis.
 
 from __future__ import annotations
 
-import copy as _copy
-
 from repro.circuit.parameter import ParameterExpression, is_parameterized
 from repro.exceptions import CircuitError
 
@@ -100,7 +98,8 @@ class Instruction:
 
     def copy(self) -> "Instruction":
         """Return a deep-enough copy (params copied, definition shared)."""
-        fresh = _copy.copy(self)
+        fresh = object.__new__(type(self))
+        fresh.__dict__.update(self.__dict__)
         fresh._params = list(self._params)
         return fresh
 

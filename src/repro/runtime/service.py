@@ -686,9 +686,10 @@ class RuntimeService:
         return job
 
     def _persist_state(self, job: RuntimeJob, state: str,
-                       attempt: int = None) -> None:
+                       attempt: int = None, error: str = None) -> None:
         """Write one lifecycle transition to the ledger + counter."""
-        self._store.append_state(job.job_id, state, attempt=attempt)
+        self._store.append_state(job.job_id, state, attempt=attempt,
+                                 error=error)
         self._transitions.inc(labels={"state": state})
 
     def _enqueue(self, job: RuntimeJob, trace: JobTrace) -> None:
@@ -743,7 +744,9 @@ class RuntimeService:
 
         Terminal jobs come back as finished :class:`RuntimeJob` handles
         (DONE jobs with their persisted Result, QUARANTINED jobs with
-        their fault ledger).  SUBMITTED/QUEUED/RUNNING jobs re-queue
+        their fault ledger; a job whose payload does not decode, whose
+        ERROR is journaled once, with a ``result()`` that raises why).
+        SUBMITTED/QUEUED/RUNNING jobs re-queue
         (service attempt counters restored from the journal, so a
         restart cannot reset a poison job's dead-letter budget); a job
         whose replay holds a checkpoint resumes from it when dispatched,
@@ -763,6 +766,13 @@ class RuntimeService:
                     job._error = JobQuarantinedError(
                         f"runtime job {job_id} is quarantined; "
                         f"requeue() it after fixing the cause"
+                    )
+                elif record.state == "ERROR" and record.payload is None:
+                    if record.error is None:
+                        record.error = "its journaled payload does not decode"
+                        self._persist_state(job, "ERROR", error=record.error)
+                    job._error = BackendError(
+                        f"runtime job {job_id} cannot run: {record.error}"
                     )
                 continue
             if record.deadline is not None:

@@ -15,7 +15,9 @@ Its record types:
 - ``state`` — one per lifecycle transition (``SUBMITTED -> QUEUED ->
   RUNNING -> DONE/ERROR/CANCELLED/EXPIRED/QUARANTINED``); the last one
   wins.  A ``QUEUED`` record may carry the service-level ``attempt``
-  counter behind the dead-letter policy;
+  counter behind the dead-letter policy, and an ``ERROR`` record the
+  ``error`` text of a job that can never run (its journaled payload
+  does not decode);
 - ``result`` — a finished job's pickled
   :class:`~repro.providers.result.Result` plus plain-JSON summary
   fields; the one place a finished result lives;
@@ -39,7 +41,10 @@ journal once: a ``job`` record starts its job afresh (only the
 quarantine record carries over, for the audit trail) and starts a fresh
 checkpoint, so a requeued job never resumes a poisoned one; a
 non-terminal job keeps its chunk records undecoded until the service
-resumes it.  :meth:`JobStore.compact` rewrites the journal as a
+resumes it.  A pending job whose payload does not decode replays as
+ERROR with no payload (a terminal one keeps its state); the service's
+recovery journals that ERROR once, so compaction and retention see a
+finished job.  :meth:`JobStore.compact` rewrites the journal as a
 last-state-wins snapshot that keeps chunk records only for non-terminal
 jobs, and a :class:`RetentionPolicy` prunes terminal jobs (by age
 and/or count) during compaction — never pending ones.  Compaction
@@ -104,7 +109,7 @@ class JobRecord:
     __slots__ = ("job_id", "tenant", "backend_spec", "priority", "session",
                  "kind", "payload", "options", "state", "result",
                  "submitted_at", "deadline", "attempts", "quarantine",
-                 "checkpoint", "lines")
+                 "error", "checkpoint", "lines")
 
     def __init__(self, job_id, tenant, backend_spec, priority, session,
                  kind, payload, options, submitted_at=None, deadline=None):
@@ -125,6 +130,8 @@ class JobRecord:
         self.attempts = 0
         #: The plain-JSON quarantine record (fault ledger + error text).
         self.quarantine = None
+        #: Why the job can never run (its latest state record's text).
+        self.error = None
         #: A non-terminal job's undecoded ``(job, chunks)`` checkpoint
         #: records, as :func:`repro.providers.checkpoint.replay` holds
         #: them, or None when it has no DONE chunk.
@@ -152,11 +159,14 @@ def _job_line(record: JobRecord, blob: str = None) -> dict:
     )
 
 
-def _state_line(job_id: str, state: str, attempt: int = None) -> dict:
-    """A ``state`` record (``attempt`` only when given)."""
+def _state_line(job_id: str, state: str, attempt: int = None,
+                error: str = None) -> dict:
+    """A ``state`` record (``attempt`` and ``error`` only when given)."""
     line = {"type": "state", "job_id": job_id, "state": state}
     if attempt is not None:
         line["attempt"] = int(attempt)
+    if error is not None:
+        line["error"] = error
     return line
 
 
@@ -221,16 +231,17 @@ class JobStore:
         self._journal.append(_job_line(record, blob))
 
     def append_state(self, job_id: str, state: str,
-                     attempt: int = None) -> None:
+                     attempt: int = None, error: str = None) -> None:
         """Persist a lifecycle transition.
 
         ``attempt`` rides QUEUED records when the service re-queues a
         failed job: replay restores the service-level attempt counter,
         so a restart cannot reset a poison job's dead-letter budget.
+        ``error`` rides the ERROR record of a job that can never run.
         """
         if state not in JOB_STATES:
             raise BackendError(f"unknown job state '{state}'")
-        self._journal.append(_state_line(job_id, state, attempt))
+        self._journal.append(_state_line(job_id, state, attempt, error))
 
     def append_result(self, job_id: str, result) -> None:
         """Persist a completed job's :class:`Result`."""
@@ -255,6 +266,11 @@ class JobStore:
                 f"job {record.job_id} is {record.state}; only "
                 f"{'/'.join(REQUEUEABLE_STATES)} jobs can be requeued"
             )
+        if record.payload is None:
+            raise BackendError(
+                f"job {record.job_id} cannot be requeued: its journaled "
+                "payload does not decode"
+            )
         if options:
             record.options = dict(record.options, **options)
         record.attempts = 0
@@ -270,8 +286,9 @@ class JobStore:
         Only jobs that can run again (pending or requeueable ones) have
         their payload and options decoded; a DONE job keeps ``payload``
         and ``options`` None, as a live one drops its payload.  A job
-        that could run again but whose payload cannot be decoded is
-        dropped entirely: the service cannot re-run it.
+        that could run again but whose payload cannot be decoded comes
+        back with ``payload`` None and no checkpoint: a pending one as
+        ERROR, a terminal one in its own state (``requeue`` refuses both).
         """
         records, next_id = self._replay(self._journal.replay())
         with self._lock:
@@ -321,6 +338,7 @@ class JobStore:
                 state = entry.get("state")
                 if state in JOB_STATES:
                     records[job_id].state = state
+                    records[job_id].error = entry.get("error")
                     if entry.get("attempt") is not None:
                         records[job_id].attempts = int(entry["attempt"])
                 if state in TERMINAL_STATES:
@@ -349,7 +367,9 @@ class JobStore:
             try:
                 record.payload, record.options = decode(blob)
             except Exception:  # noqa: BLE001 — torn/corrupt blob
-                del records[job_id]
+                checkpoints.pop(job_id, None)
+                if record.state not in TERMINAL_STATES:
+                    record.state = "ERROR"  # it can never run again
         for job_id, record in records.items():
             held = checkpoints.get(job_id)
             # A checkpoint without chunks has nothing to resume from.
@@ -399,7 +419,7 @@ class JobStore:
         lines = [
             record.lines["job"],
             _state_line(record.job_id, record.state,
-                        record.attempts or None),
+                        record.attempts or None, record.error),
         ]
         if "result" in record.lines:
             lines.append(record.lines["result"])
@@ -419,8 +439,7 @@ class JobStore:
 
         Each surviving job's latest ``job`` and ``result`` records are
         copied as read: nothing is unpickled or pickled again while the
-        journal's exclusive lock holds every appender off, and
-        :meth:`load` still drops a job whose payload does not decode.
+        journal's exclusive lock holds every appender off.
         ``retention`` prunes terminal jobs; ``now`` overrides the
         wall-clock reference for the ``max_age`` cut (tests).  Stats —
         ``records_in/out``, ``bytes_in/out``, ``jobs_kept``,

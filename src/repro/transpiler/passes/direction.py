@@ -10,32 +10,17 @@ from __future__ import annotations
 
 from repro.circuit.dag import DAGCircuit
 from repro.circuit.library.standard_gates import CXGate, HGate
-from repro.circuit.register import QuantumRegister
 from repro.exceptions import TranspilerError
 from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.passmanager import AnalysisPass, TransformationPass
 
 
-def _reversed_cx_dag() -> DAGCircuit:
-    """H(c) H(t); CX(t, c); H(c) H(t) on a 2-wire scratch register."""
-    register = QuantumRegister(2, "rev")
-    dag = DAGCircuit()
-    dag.qregs = [register]
-    dag.qubits = list(register)
-    control, target = register
-    dag.apply_operation_back(HGate(), [control])
-    dag.apply_operation_back(HGate(), [target])
-    dag.apply_operation_back(CXGate(), [target, control])
-    dag.apply_operation_back(HGate(), [control])
-    dag.apply_operation_back(HGate(), [target])
-    return dag
-
-
 class CXDirection(TransformationPass):
     """Flip CNOTs that point against the coupling map's arrows.
 
-    Reversed CNOTs are rewritten in place via
-    :meth:`DAGCircuit.substitute_node_with_dag` — a local 1-to-5 splice.
+    The DAG is rebuilt in one linear pass: each reversed CNOT becomes
+    H(c) H(t); CX(t, c); H(c) H(t) in its place, every gate carrying the
+    CNOT's condition.
     """
 
     def __init__(self, coupling: CouplingMap):
@@ -43,20 +28,28 @@ class CXDirection(TransformationPass):
 
     def run(self, dag: DAGCircuit, property_set) -> DAGCircuit:
         index_of = {q: i for i, q in enumerate(dag.qubits)}
-        replacement = _reversed_cx_dag()
-        for node in dag.op_nodes("cx"):
-            control, target = node.qubits
-            c_idx, t_idx = index_of[control], index_of[target]
-            if self._coupling.has_edge(c_idx, t_idx):
-                continue
-            if self._coupling.has_edge(t_idx, c_idx):
-                dag.substitute_node_with_dag(node, replacement)
-            else:
-                raise TranspilerError(
-                    f"cx on non-adjacent physical qubits {c_idx}, {t_idx}; "
-                    "run a routing pass first"
-                )
-        return dag
+        result = dag.copy_empty_like()
+        for node in dag.topological_op_nodes():
+            operation = node.operation
+            if operation.name == "cx":
+                control, target = node.qubits
+                c_idx, t_idx = index_of[control], index_of[target]
+                if not self._coupling.has_edge(c_idx, t_idx):
+                    if not self._coupling.has_edge(t_idx, c_idx):
+                        raise TranspilerError(
+                            f"cx on non-adjacent physical qubits {c_idx}, "
+                            f"{t_idx}; run a routing pass first"
+                        )
+                    for gate, qubits in (
+                        (HGate(), (control,)), (HGate(), (target,)),
+                        (CXGate(), (target, control)),
+                        (HGate(), (control,)), (HGate(), (target,)),
+                    ):
+                        gate.condition = operation.condition
+                        result.apply_operation_back(gate, qubits)
+                    continue
+            result.apply_operation_back(operation, node.qubits, node.clbits)
+        return result
 
 
 class CheckMap(AnalysisPass):

@@ -130,7 +130,7 @@ class FuseDiagonalGates(TransformationPass):
                         open_runs.remove(r)
                     open_runs.append(_Run(node))
                 continue
-            wires = set(dag.node_wires(node))
+            wires = set(node.wires)
             for r in [r for r in open_runs if r.support & wires]:
                 flush(r)
                 open_runs.remove(r)

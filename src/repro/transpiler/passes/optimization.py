@@ -20,6 +20,8 @@ _SELF_INVERSE = {"cx", "cz", "swap", "h", "x", "y", "z", "ccx", "cswap", "id"}
 #: Pairs that cancel each other.
 _INVERSE_PAIRS = {("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t"),
                   ("sx", "sxdg"), ("sxdg", "sx")}
+#: Names a gate must have to cancel with the gate before it.
+_CANCELLING = _SELF_INVERSE | {second for _, second in _INVERSE_PAIRS}
 #: Symmetric gates where operand order does not matter.
 _SYMMETRIC = {"cz", "swap", "rzz", "cu1", "cp"}
 
@@ -56,34 +58,20 @@ class GateCancellation(TransformationPass):
                 if node not in dag:
                     continue
                 op = node.operation
-                if op.name == "barrier" or node.clbits:
+                if (op.name not in _CANCELLING or node.clbits
+                        or op.condition is not None):
                     continue
-                if op.condition is not None:
+                # Adjacent: one node precedes this one on every wire.
+                wires = node.wires
+                prev = dag.wire_predecessor(node, wires[0]) if wires else None
+                if prev is None or any(
+                    dag.wire_predecessor(node, wire) is not prev
+                    for wire in wires[1:]
+                ):
                     continue
-                prev_ids = {
-                    prev.node_id if prev is not None else None
-                    for prev in (
-                        dag.wire_predecessor(node, wire)
-                        for wire in dag.node_wires(node)
-                    )
-                }
-                if len(prev_ids) != 1:
-                    continue
-                (prev_id,) = prev_ids
-                if prev_id is None:
-                    continue
-                prev = next(
-                    p for p in dag.predecessors(node)
-                    if p.node_id == prev_id
-                )
                 if prev.operation.name == "barrier" or prev.clbits:
                     continue
-                if _cancels(
-                    prev.operation,
-                    list(prev.qubits),
-                    op,
-                    list(node.qubits),
-                ):
+                if _cancels(prev.operation, prev.qubits, op, node.qubits):
                     dag.remove_op_node(prev)
                     dag.remove_op_node(node)
                     changed = True
@@ -92,6 +80,15 @@ class GateCancellation(TransformationPass):
 
 #: Backwards-compatible name: the CNOT-minimization pass.
 CXCancellation = GateCancellation
+
+
+def _is_identity(matrix, atol: float) -> bool:
+    """``np.allclose(matrix, np.eye(2), atol=atol)`` on Python scalars:
+    every entry within ``atol + 1e-5 * |identity entry|``."""
+    (a, b), (c, d) = matrix.tolist()
+    diagonal = atol + 1e-05
+    return (abs(a - 1.0) <= diagonal and abs(b) <= atol
+            and abs(c) <= atol and abs(d - 1.0) <= diagonal)
 
 
 class Optimize1qGates(TransformationPass):
@@ -109,18 +106,15 @@ class Optimize1qGates(TransformationPass):
 
     def run(self, dag: DAGCircuit, property_set) -> DAGCircuit:
         result = dag.copy_empty_like()
-        pending: dict = {}  # qubit -> accumulated 2x2 matrix
+        pending: dict = {}  # qubit -> the run's gates, in order
 
         def flush(qubit):
-            matrix = pending.pop(qubit, None)
-            if matrix is None:
+            run = pending.pop(qubit, None)
+            if run is None:
                 return
-            phase_fixed = matrix * np.exp(-1j * np.angle(matrix[0, 0])) \
-                if abs(matrix[0, 0]) > 1e-12 else matrix
-            if np.allclose(phase_fixed, np.eye(2), atol=self._tol):
-                return
-            gate = u3_from_matrix(matrix, basis=self._basis)
-            result.apply_operation_back(gate, [qubit])
+            gate = self._fuse(run)
+            if gate is not None:
+                result.apply_operation_back(gate, [qubit])
 
         for node in dag.topological_op_nodes():
             op = node.operation
@@ -132,18 +126,26 @@ class Optimize1qGates(TransformationPass):
                 and op.name != "unitary"
             )
             if fusable:
-                qubit = node.qubits[0]
-                current = pending.get(qubit, np.eye(2, dtype=complex))
-                pending[qubit] = op.to_matrix() @ current
+                pending.setdefault(node.qubits[0], []).append(op)
                 continue
             for qubit in node.qubits:
                 flush(qubit)
-            result.apply_operation_back(
-                op, list(node.qubits), list(node.clbits)
-            )
+            result.apply_operation_back(op, node.qubits, node.clbits)
         for qubit in list(pending):
             flush(qubit)
         return result
+
+    def _fuse(self, run):
+        """Multiply the run out in order and resynthesize the product
+        (None when it is the identity up to phase)."""
+        matrix = np.eye(2, dtype=complex)
+        for op in run:
+            matrix = op.to_matrix() @ matrix
+        phase_fixed = matrix * np.exp(-1j * np.angle(matrix[0, 0])) \
+            if abs(matrix[0, 0]) > 1e-12 else matrix
+        if _is_identity(phase_fixed, self._tol):
+            return None
+        return u3_from_matrix(matrix, basis=self._basis)
 
 
 class RemoveBarriers(TransformationPass):

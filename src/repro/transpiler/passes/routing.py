@@ -27,6 +27,7 @@ swap choices are unchanged.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -40,9 +41,10 @@ from repro.transpiler.passmanager import TransformationPass
 class _FrontLayerScheduler:
     """Incremental front-layer view over a DAG.
 
-    Seeds from :meth:`DAGCircuit.front_layer` and advances along per-wire
-    successor links as nodes complete — the DAG-native replacement for the
-    old flat-list wire scheduler.
+    Counts each node's wire predecessors once, then advances along
+    per-wire successor links as nodes complete: a node is ready when its
+    count reaches zero.  :meth:`upcoming_2q` reads the routable 2q nodes
+    from a cursor past the done ones.
     """
 
     def __init__(self, dag: DAGCircuit):
@@ -53,9 +55,13 @@ class _FrontLayerScheduler:
         self._blocked: dict[int, int] = {}
         self._ready: set[int] = set()
         self._by_id = {node.node_id: node for node in self.nodes}
+        #: Routable 2q nodes in topological order; the first ``_head``
+        #: are done.
+        self.nodes_2q = [node for node in self.nodes if _is_routable_2q(node)]
+        self._head = 0
         for node in self.nodes:
             missing = sum(
-                1 for wire in dag.node_wires(node)
+                1 for wire in node.wires
                 if dag.wire_predecessor(node, wire) is not None
             )
             if missing:
@@ -67,8 +73,19 @@ class _FrontLayerScheduler:
         """Front-layer nodes, in topological (insertion) order."""
         return [self._by_id[i] for i in sorted(self._ready)]
 
-    def is_done(self, node: DAGOpNode) -> bool:
-        return node.node_id in self._done
+    def upcoming_2q(self, limit: int) -> list[DAGOpNode]:
+        """The first ``limit`` routable 2q nodes not yet done, in
+        topological order (the front layer's may be among them)."""
+        done, nodes = self._done, self.nodes_2q
+        while self._head < len(nodes) and nodes[self._head].node_id in done:
+            self._head += 1
+        upcoming = []
+        for node in nodes[self._head:]:
+            if node.node_id not in done:
+                upcoming.append(node)
+                if len(upcoming) >= limit:
+                    break
+        return upcoming
 
     def complete(self, node: DAGOpNode):
         """Mark a node executed, unblocking its per-wire successors."""
@@ -77,7 +94,7 @@ class _FrontLayerScheduler:
         self._done.add(node.node_id)
         self._ready.discard(node.node_id)
         self.remaining -= 1
-        for wire in self.dag.node_wires(node):
+        for wire in node.wires:
             successor = self.dag.wire_successor(node, wire)
             if successor is None:
                 continue
@@ -198,9 +215,11 @@ class SabreSwap(TransformationPass):
     swap edges are additionally penalized by their own CX error, steering
     traffic away from the device's worst couplers.
 
-    Ties between equally scored swaps are broken by a generator seeded
-    with ``seed`` (0 when None), so routing depends on the circuit and
-    the device alone.  After :attr:`RELEASE_FACTOR` × n consecutive swaps
+    Scoring is table-driven (distances, neighbours and error factors are
+    built once per run; see :meth:`_best_swaps`).  Ties (within 1e-12)
+    between equally scored swaps are broken by a generator seeded with
+    ``seed`` (0 when None), so routing depends on the circuit and the
+    device alone.  After :attr:`RELEASE_FACTOR` × n consecutive swaps
     that executed no gate (n = device qubits), a release valve
     (LightSABRE, arXiv:2409.08368) walks the closest front-layer gate's
     qubits together along a shortest path and resets the decay, so
@@ -224,14 +243,39 @@ class SabreSwap(TransformationPass):
         state = _RoutingState(dag, coupling)
         scheduler = _FrontLayerScheduler(dag)
         rng = np.random.default_rng(0 if self._seed is None else self._seed)
-        decay = np.ones(coupling.num_qubits)
+        n = coupling.num_qubits
+        # Per-run tables.  Swaps keep qubits in their components, so with
+        # every gate's home slots connected, scoring reads finite ints.
+        dist = [[int(d) if math.isfinite(d) else d for d in row]
+                for row in coupling.distance_matrix.tolist()]
+        neighbors = [coupling.neighbors(slot) for slot in range(n)]
+        pi = state.pi
+        homes = {  # every routable 2q node's home slots
+            node.node_id: tuple(state.index_of[q] for q in node.qubits)
+            for node in scheduler.nodes_2q
+        }
+        for a, b in homes.values():
+            coupling.distance(a, b)  # raises when a and b are disconnected
+        factors = {}  # (low, high) -> 1 + ERROR_WEIGHT * calibrated cx error
+        for a, b in coupling.edges if self._target is not None else ():
+            edge = (min(a, b), max(a, b))
+            error = self._target.cx_error(*edge)
+            if error:
+                factors[edge] = 1.0 + self.ERROR_WEIGHT * error
+
+        def slots(node):
+            a, b = homes[node.node_id]
+            return pi[a], pi[b]
+
+        decay = [1.0] * n
         since_reset = 0
         idle_swaps = 0
-        release_after = self.RELEASE_FACTOR * coupling.num_qubits
+        release_after = self.RELEASE_FACTOR * n
         while scheduler.remaining:
             progress = False
             for node in scheduler.ready():
-                if _is_routable_2q(node) and state.gate_distance(node) > 1:
+                pair = homes.get(node.node_id)
+                if pair is not None and dist[pi[pair[0]]][pi[pair[1]]] > 1:
                     continue
                 state.emit(node)
                 scheduler.complete(node)
@@ -240,86 +284,93 @@ class SabreSwap(TransformationPass):
                 idle_swaps = 0
                 continue
             front = [
-                node for node in scheduler.ready() if _is_routable_2q(node)
+                node for node in scheduler.ready() if node.node_id in homes
             ]
             if not front:
                 raise TranspilerError("router stalled with no 2q gate in front")
             if idle_swaps >= release_after:
                 # Release valve: walk the closest front gate into place.
                 state.walk_together(min(front, key=state.gate_distance))
-                decay[:] = 1.0
+                decay = [1.0] * n
                 since_reset = 0
                 idle_swaps = 0
                 continue
-            extended = self._extended_set(scheduler)
-            best_score = None
-            best_swaps = []
-            for edge in self._candidate_swaps(state, front):
-                score = self._score(state, edge, front, extended, decay)
-                if best_score is None or score < best_score - 1e-12:
-                    best_score = score
-                    best_swaps = [edge]
-                elif abs(score - best_score) <= 1e-12:
-                    best_swaps.append(edge)
+            best_swaps = self._best_swaps(
+                [slots(node) for node in front],
+                [slots(node)
+                 for node in scheduler.upcoming_2q(self.EXTENDED_SIZE)],
+                decay, dist, neighbors, factors,
+            )
             pick = best_swaps[int(rng.integers(len(best_swaps)))]
             state.emit_swap(*pick)
             decay[pick[0]] += self.DECAY_STEP
             decay[pick[1]] += self.DECAY_STEP
             since_reset += 1
             if since_reset >= self.DECAY_RESET_INTERVAL:
-                decay[:] = 1.0
+                decay = [1.0] * n
                 since_reset = 0
             idle_swaps += 1
         return state.finish(property_set)
 
-    def _extended_set(self, scheduler: _FrontLayerScheduler) -> list:
-        extended = []
-        for node in scheduler.nodes:
-            if scheduler.is_done(node):
-                continue
-            if _is_routable_2q(node):
-                extended.append(node)
-                if len(extended) >= self.EXTENDED_SIZE:
-                    break
-        return extended
+    def _best_swaps(self, front, extended, decay, dist, neighbors,
+                    factors) -> list:
+        """The lowest-scored candidate swaps (ties within 1e-12), in
+        candidate order, for the front and extended gates' slot pairs.
 
-    def _candidate_swaps(self, state, front):
+        A candidate is an edge at a slot a front gate occupies.
+        """
         involved = set()
-        for node in front:
-            involved.add(state.current(node.qubits[0]))
-            involved.add(state.current(node.qubits[1]))
+        for a, b in front:
+            involved.add(a)
+            involved.add(b)
+        best_score = None
+        best_swaps = []
         seen = set()
         for slot in involved:
-            for neighbor in self._coupling.neighbors(slot):
+            for neighbor in neighbors[slot]:
                 edge = (min(slot, neighbor), max(slot, neighbor))
-                if edge not in seen:
-                    seen.add(edge)
-                    yield edge
+                if edge in seen:
+                    continue
+                seen.add(edge)
+                low, high = edge
+                front_cost = (
+                    _swapped_distance(front, dist, low, high) / len(front)
+                )
+                extended_cost = 0.0
+                if extended:
+                    extended_cost = (
+                        self.EXTENDED_WEIGHT
+                        * _swapped_distance(extended, dist, low, high)
+                        / len(extended)
+                    )
+                score = max(decay[low], decay[high]) * (
+                    front_cost + extended_cost
+                )
+                factor = factors.get(edge)
+                if factor is not None:
+                    score *= factor
+                if best_score is None or score < best_score - 1e-12:
+                    best_score = score
+                    best_swaps = [edge]
+                elif abs(score - best_score) <= 1e-12:
+                    best_swaps.append(edge)
+        return best_swaps
 
-    def _score(self, state, edge, front, extended, decay):
-        def dist_after(node):
-            a = state.current(node.qubits[0])
-            b = state.current(node.qubits[1])
-            a = edge[1] if a == edge[0] else edge[0] if a == edge[1] else a
-            b = edge[1] if b == edge[0] else edge[0] if b == edge[1] else b
-            return self._coupling.distance(a, b)
 
-        front_cost = sum(dist_after(node) for node in front) / len(front)
-        extended_cost = 0.0
-        if extended:
-            extended_cost = (
-                self.EXTENDED_WEIGHT
-                * sum(dist_after(node) for node in extended)
-                / len(extended)
-            )
-        score = max(decay[edge[0]], decay[edge[1]]) * (
-            front_cost + extended_cost
-        )
-        if self._target is not None:
-            error = self._target.cx_error(*edge)
-            if error:
-                score *= 1.0 + self.ERROR_WEIGHT * error
-        return score
+def _swapped_distance(pairs, dist, low, high) -> int:
+    """The pairs' total distance once slots ``low`` and ``high`` swap."""
+    total = 0
+    for a, b in pairs:
+        if a == low:
+            a = high
+        elif a == high:
+            a = low
+        if b == low:
+            b = high
+        elif b == high:
+            b = low
+        total += dist[a][b]
+    return total
 
 
 class LookaheadSwap(TransformationPass):
@@ -327,6 +378,7 @@ class LookaheadSwap(TransformationPass):
     executable before committing it (Zulehner-style)."""
 
     MAX_EXPANSIONS = 20_000
+    LOOKAHEAD_SIZE = 8
     LOOKAHEAD_WEIGHT = 0.1
 
     def __init__(self, coupling: CouplingMap):
@@ -355,25 +407,14 @@ class LookaheadSwap(TransformationPass):
                     )
             if not front_pairs:
                 raise TranspilerError("router stalled with no 2q gate in front")
-            lookahead_pairs = self._lookahead_pairs(scheduler, state)
+            lookahead_pairs = [
+                (state.current(node.qubits[0]), state.current(node.qubits[1]))
+                for node in scheduler.upcoming_2q(self.LOOKAHEAD_SIZE)
+            ]
             swaps = self._astar(state.pi, front_pairs, lookahead_pairs)
             for swap in swaps:
                 state.emit_swap(*swap)
         return state.finish(property_set)
-
-    def _lookahead_pairs(self, scheduler, state, limit=8):
-        pairs = []
-        for node in scheduler.nodes:
-            if scheduler.is_done(node):
-                continue
-            if _is_routable_2q(node):
-                pairs.append(
-                    (state.current(node.qubits[0]),
-                     state.current(node.qubits[1]))
-                )
-                if len(pairs) >= limit:
-                    break
-        return pairs
 
     def _astar(self, pi, front_pairs, lookahead_pairs):
         """Search for the shortest swap sequence satisfying ``front_pairs``.
@@ -384,10 +425,7 @@ class LookaheadSwap(TransformationPass):
         """
         coupling = self._coupling
         n = coupling.num_qubits
-        edges = [
-            (min(a, b), max(a, b))
-            for a, b in {(min(a, b), max(a, b)) for a, b in coupling.edges}
-        ]
+        edges = list({(min(a, b), max(a, b)) for a, b in coupling.edges})
 
         def heuristic(sigma):
             cost = sum(

@@ -89,14 +89,22 @@ def _wrap(angle: float) -> float:
 
 
 class Unroller(TransformationPass):
-    """Recursively expand gate definitions until only basis gates remain."""
+    """Recursively expand gate definitions until only basis gates remain.
+
+    A DAG already in the basis comes back unchanged: every pass leaves
+    node ids in topological order, so a rebuild would only renumber them.
+    """
 
     def __init__(self, basis=IBMQX_BASIS):
         self._basis = set(basis)
+        self._allowed = self._basis | _ALWAYS_ALLOWED
 
     def run(self, dag: DAGCircuit, property_set) -> DAGCircuit:
+        nodes = dag.topological_op_nodes()
+        if all(node.operation.name in self._allowed for node in nodes):
+            return dag
         unrolled = dag.copy_empty_like()
-        for node in dag.topological_op_nodes():
+        for node in nodes:
             self._emit(unrolled, node.operation, list(node.qubits),
                        list(node.clbits))
         return unrolled
@@ -107,7 +115,7 @@ class Unroller(TransformationPass):
                 f"definition recursion too deep at '{operation.name}'"
             )
         name = operation.name
-        if name in self._basis or name in _ALWAYS_ALLOWED:
+        if name in self._allowed:
             target.apply_operation_back(operation, qubits, clbits)
             return
         definition = operation.definition

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit import QuantumCircuit
+from repro.circuit import ClassicalRegister, QuantumCircuit, QuantumRegister
 from repro.circuit.dag import DAGCircuit
 
 
@@ -103,3 +103,52 @@ class TestDAGMutation:
         rebuilt = DAGCircuit(circuit).to_circuit()
         assert rebuilt.count_ops() == circuit.count_ops()
         assert rebuilt == circuit
+
+
+class TestDAGWires:
+    def test_condition_bits_overlapping_clbits_are_deduped(self):
+        qreg, creg = QuantumRegister(1, "q"), ClassicalRegister(2, "c")
+        circuit = QuantumCircuit(qreg, creg)
+        circuit.measure(0, 0)
+        circuit.data[-1].operation.c_if(creg, 1)
+        dag = DAGCircuit(circuit)
+        (node,) = dag.op_nodes()
+        assert node.wires == (qreg[0], creg[0], creg[1])
+
+    def test_removing_a_conditioned_node_splices_every_wire(self):
+        qreg, creg = QuantumRegister(2, "q"), ClassicalRegister(2, "c")
+        circuit = QuantumCircuit(qreg, creg)
+        circuit.measure(0, 0)
+        circuit.x(1)
+        circuit.data[-1].operation.c_if(creg, 1)
+        circuit.measure(1, 1)
+        dag = DAGCircuit(circuit)
+        first, conditioned, last = dag.op_nodes()
+        assert dag.wire_successor(first, creg[0]) is conditioned
+        assert dag.wire_predecessor(last, creg[1]) is conditioned
+        dag.remove_op_node(conditioned)
+        assert dag.wire_successor(first, creg[0]) is None
+        assert dag.wire_predecessor(last, creg[1]) is None
+        assert dag.wire_predecessor(last, qreg[1]) is None
+        assert dag.front_layer() == [first, last]
+        # The emptied wires accept new nodes at their heads again.
+        tail = dag.apply_operation_back(conditioned.operation, [qreg[1]])
+        assert dag.wire_predecessor(tail, creg[0]) is first
+        assert dag.wire_predecessor(tail, creg[1]) is last
+
+    def test_barrier_naming_a_qubit_twice_holds_the_wire_once(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        circuit.barrier(0, 0, 1)
+        circuit.h(0)
+        dag = DAGCircuit(circuit)
+        first, barrier, last = dag.op_nodes()
+        assert barrier.qubits == (circuit.qubits[0],) * 2 + (circuit.qubits[1],)
+        assert barrier.wires == tuple(circuit.qubits)
+        assert dag.wire_successor(barrier, circuit.qubits[0]) is last
+        assert dag.predecessors(last) == [barrier]
+        assert dag.depth() == 2
+        dag.remove_op_node(barrier)
+        assert dag.wire_successor(first, circuit.qubits[0]) is last
+        assert dag.wire_predecessor(last, circuit.qubits[0]) is first
+        assert dag.front_layer() == [first]

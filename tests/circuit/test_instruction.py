@@ -3,7 +3,12 @@
 import pytest
 
 from repro.circuit import ClassicalRegister, Instruction, Parameter
-from repro.circuit.library.standard_gates import HGate, RXGate, SGate
+from repro.circuit.library.standard_gates import (
+    STANDARD_GATES,
+    HGate,
+    RXGate,
+    SGate,
+)
 from repro.circuit.measure import Barrier, Measure, Reset
 from repro.exceptions import CircuitError
 
@@ -74,3 +79,28 @@ class TestNonUnitaryInstructions:
 
     def test_sgate_inverse_type(self):
         assert SGate().inverse().name == "sdg"
+
+
+class TestCopy:
+    @pytest.mark.parametrize("name", sorted(STANDARD_GATES))
+    def test_every_standard_gate_copies_equal_with_own_params(self, name):
+        ctor, num_params, _num_qubits = STANDARD_GATES[name]
+        gate = ctor(*[0.25 * (index + 1) for index in range(num_params)])
+        clone = gate.copy()
+        assert type(clone) is type(gate)
+        assert clone == gate
+        assert clone.params == gate.params
+        assert clone.params is not gate.params
+
+    def test_conditioned_parameterized_copy(self):
+        register = ClassicalRegister(2, "c")
+        theta = Parameter("theta")
+        gate = RXGate(theta).c_if(register, 3)
+        clone = gate.copy()
+        assert clone == gate
+        assert clone.condition == (register, 3)
+        assert clone.is_parameterized()
+        clone.params[0] = 0.5
+        assert gate.params == [theta]
+        clone.condition = None
+        assert gate.condition == (register, 3)

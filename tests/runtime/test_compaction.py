@@ -24,7 +24,10 @@ import os
 import threading
 import time
 
+import pytest
+
 from repro.circuit import QuantumCircuit
+from repro.exceptions import BackendError
 from repro.providers import Aer, Job, checkpoint, journal
 from repro.runtime import (
     JobRecord,
@@ -255,6 +258,42 @@ class TestCompactionUnderService:
             job = revived.submit(_bell(), shots=100, seed=2)
             assert job.job_id == "rt-2"
             job.result(timeout=30)
+
+    def test_undecodable_job_is_journaled_error_once_then_pruned(
+        self, tmp_path
+    ):
+        store = JobStore(tmp_path)
+        store.append_job(_record("rt-0", submitted_at=time.time()))
+        store.append_state("rt-0", "DONE")
+        store.append_job(_record("rt-1", submitted_at=time.time()),
+                         blob="corrupt")
+        store.append_state("rt-1", "QUEUED")
+        store.append_job(_record("rt-2", submitted_at=time.time()),
+                         blob="corrupt")
+        store.append_state("rt-2", "CANCELLED")
+        for _ in range(2):  # the second restart journals nothing new
+            with RuntimeService(tmp_path, autostart=False) as service:
+                lost = service.job("rt-1")
+                assert lost.status() == "ERROR"
+                with pytest.raises(BackendError, match="does not decode"):
+                    lost.result(timeout=1)
+                with pytest.raises(BackendError, match="does not decode"):
+                    service.requeue("rt-1")
+                # A terminal job keeps its own state.
+                assert service.job("rt-2").status() == "CANCELLED"
+                with pytest.raises(BackendError, match="does not decode"):
+                    service.requeue("rt-2")
+        states = [
+            (entry["job_id"], entry["state"])
+            for entry in journal.Journal(store.path).replay()
+            if entry["type"] == "state" and entry["job_id"] != "rt-0"
+        ]
+        assert states == [("rt-1", "QUEUED"), ("rt-2", "CANCELLED"),
+                          ("rt-1", "ERROR")]
+        # Terminal now, so retention prunes it with the other two.
+        stats = store.compact(retention=RetentionPolicy(max_age=0))
+        assert (stats["jobs_kept"], stats["jobs_pruned"]) == (0, 3)
+        assert JobStore(tmp_path).load() == {}
 
     def test_compact_while_service_is_running(self, tmp_path):
         with RuntimeService(tmp_path, max_workers=2) as service:

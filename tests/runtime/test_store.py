@@ -41,9 +41,9 @@ class TestJobStore:
         store.append_job(_record("rt-1"), blob="corrupt")
         store.append_state("rt-1", "QUEUED")
         reopened = JobStore(tmp_path)
-        # rt-1's payload does not decode, so replay drops the job, but
-        # its id stays taken.
-        assert sorted(reopened.load()) == ["rt-0"]
+        # rt-1's payload does not decode, so nothing can run it again;
+        # replay keeps it as ERROR and its id stays taken.
+        assert sorted(reopened.load()) == ["rt-0", "rt-1"]
         assert reopened.next_job_id() == "rt-2"
 
     def test_roundtrip_preserves_payload_and_options(self, tmp_path):
@@ -118,8 +118,43 @@ class TestJobStore:
         loaded = JobStore(tmp_path).load()
         assert loaded["rt-0"].state == "DONE"
         assert loaded["rt-0"].result.get_counts() == result.get_counts()
-        # A queued job the service cannot decode cannot run: dropped.
-        assert "rt-1" not in loaded
+        # A queued job the service cannot decode cannot run: ERROR.
+        assert loaded["rt-1"].state == "ERROR"
+        assert loaded["rt-1"].payload is None
+
+    def test_undecodable_job_replays_as_error_without_payload(
+        self, tmp_path
+    ):
+        from repro.providers.checkpoint import append_chunk
+        from repro.providers.result import ExperimentResult
+
+        store = JobStore(tmp_path)
+        store.append_job(_record("rt-0"))
+        store.append_state("rt-0", "DONE")
+        store.append_job(_record("rt-1"), blob="corrupt")
+        store.append_state("rt-1", "RUNNING")
+        append_chunk(store.path, "rt-1", 0, 0,
+                     ExperimentResult("bell", 1, {"counts": {"00": 1}}))
+        loaded = JobStore(tmp_path).load()
+        assert sorted(loaded) == ["rt-0", "rt-1"]
+        lost = loaded["rt-1"]
+        assert lost.state == "ERROR"
+        assert lost.payload is None and lost.options is None
+        assert lost.checkpoint is None
+        # Replay does not journal anything: the service's recovery does.
+        assert lost.error is None
+        with pytest.raises(BackendError, match="does not decode"):
+            store.requeue(lost)
+
+    def test_undecodable_terminal_job_keeps_its_state(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.append_job(_record("rt-0"), blob="corrupt")
+        store.append_state("rt-0", "CANCELLED")
+        (cancelled,) = JobStore(tmp_path).load().values()
+        assert cancelled.state == "CANCELLED"
+        assert cancelled.payload is None and cancelled.error is None
+        with pytest.raises(BackendError, match="does not decode"):
+            store.requeue(cancelled)
 
     def test_torn_tail_is_ignored(self, tmp_path):
         store = JobStore(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit, random_circuit
+from repro.circuit.dag import DAGCircuit
 from repro.exceptions import TranspilerError
 from repro.quantum_info import Operator
 from repro.transpiler import CouplingMap, PassManager
@@ -15,6 +16,7 @@ from repro.transpiler.passes import (
     GateCancellation,
     Optimize1qGates,
     RemoveBarriers,
+    optimization,
 )
 
 
@@ -29,6 +31,25 @@ class TestCXDirection:
         cx_item = [i for i in fixed.data if i.operation.name == "cx"][0]
         assert fixed.find_bit(cx_item.qubits[0]) == 1  # now control=1
         assert Operator.from_circuit(fixed).equiv(Operator.from_circuit(circuit))
+
+    def test_reversed_cx_keeps_its_condition_and_place(self):
+        from repro.circuit import ClassicalRegister, QuantumRegister
+
+        creg = ClassicalRegister(1, "c")
+        circuit = QuantumCircuit(QuantumRegister(5, "q"), creg)
+        circuit.x(0)
+        circuit.cx(0, 1)  # illegal direction on QX4
+        circuit.data[-1].operation.c_if(creg, 1)
+        circuit.x(1)
+        fixed = PassManager([CXDirection(CouplingMap.qx4())]).run(circuit)
+        assert [item.operation.name for item in fixed.data] == [
+            "x", "h", "h", "cx", "h", "h", "x"
+        ]
+        assert [item.operation.condition for item in fixed.data[1:6]] == [
+            (creg, 1)
+        ] * 5
+        assert fixed.data[0].operation.condition is None
+        assert fixed.data[6].operation.condition is None
 
     def test_legal_direction_untouched(self):
         coupling = CouplingMap.qx4()
@@ -213,3 +234,80 @@ class TestRemoveBarriers:
         stripped = PassManager([RemoveBarriers()]).run(circuit)
         assert "barrier" not in stripped.count_ops()
         assert stripped.size() == 2
+
+    def test_barrier_naming_a_qubit_twice(self):
+        circuit = QuantumCircuit.from_qasm_str(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+            "h q[0];\nbarrier q, q[0];\ncx q[0], q[1];\n"
+        )
+        dag = RemoveBarriers().run(DAGCircuit(circuit), {})
+        h, cx = dag.op_nodes()
+        assert dag.wire_successor(h, circuit.qubits[0]) is cx
+        assert dag.wire_successor(cx, circuit.qubits[0]) is None
+        assert dag.depth() == 2
+
+
+def _ulp_neighbours(value, count=3):
+    """``value`` and the ``count`` floats on either side of it."""
+    values = [value]
+    up = down = value
+    for _ in range(count):
+        up = np.nextafter(up, np.inf)
+        down = np.nextafter(down, -np.inf)
+        values += [up, down]
+    return values
+
+
+class TestOptimize1qInternals:
+    """The scalar identity check, and resynthesis into the basis."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8, 1e-6])
+    def test_identity_check_matches_allclose_on_random_matrices(self, tol):
+        rng = np.random.default_rng(2019)
+        outcomes = set()
+        for _ in range(10_000):
+            scale = 10.0 ** rng.uniform(-14, 0)
+            noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            matrix = np.eye(2) + scale * noise
+            expected = np.allclose(matrix, np.eye(2), atol=tol)
+            assert optimization._is_identity(matrix, tol) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8])
+    def test_identity_check_matches_allclose_at_the_bounds(self, tol):
+        off = _ulp_neighbours(tol) + [-x for x in _ulp_neighbours(tol)]
+        diagonal = _ulp_neighbours(1.0 + (tol + 1e-05)) + _ulp_neighbours(
+            1.0 - (tol + 1e-05)
+        )
+        outcomes = set()
+        for a in diagonal:
+            for b in off:
+                for matrix in (
+                    np.array([[a, 0], [0, 1]], dtype=complex),
+                    np.array([[1, 0], [0, a]], dtype=complex),
+                    np.array([[1, b], [0, 1]], dtype=complex),
+                    np.array([[1, 0], [1j * b, 1]], dtype=complex),
+                    np.array([[a, b], [b, 1 + 0j]], dtype=complex),
+                ):
+                    expected = np.allclose(matrix, np.eye(2), atol=tol)
+                    assert optimization._is_identity(matrix, tol) == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_resynthesis_keeps_to_the_basis(self):
+        circuit = QuantumCircuit(2)
+        circuit.t(0)
+        circuit.t(0)
+        circuit.h(1)
+        full = PassManager(
+            [Optimize1qGates(basis=["u1", "u2", "u3", "cx"])]
+        ).run(circuit)
+        assert set(full.count_ops()) == {"u1", "u2"}
+        restricted = PassManager(
+            [Optimize1qGates(basis=["u3", "cx"])]
+        ).run(circuit)
+        assert set(restricted.count_ops()) == {"u3"}
+        assert Operator.from_circuit(restricted).equiv(
+            Operator.from_circuit(circuit)
+        )

@@ -114,6 +114,22 @@ class TestTranspileOptions:
         counts = QasmSimulator().run(result, shots=300, seed=6)["counts"]
         assert set(counts) == {"00", "11"}
 
+    @pytest.mark.parametrize(
+        "coupling,level",
+        [(CouplingMap.qx5(), 1), (CouplingMap.qx4(), 3), (CouplingMap.qx5(), 3)],
+    )
+    def test_barrier_naming_a_qubit_twice(self, coupling, level):
+        """``barrier q, q[0];`` names q[0] twice; its DAG node holds the
+        wire once, so routing and the optimization loop get past it."""
+        circuit = QuantumCircuit.from_qasm_str(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+            "h q[0];\ncx q[0], q[2];\nbarrier q, q[0];\n"
+            "cx q[1], q[2];\nh q[1];\n"
+        )
+        result = transpile(circuit, coupling, optimization_level=level, seed=3)
+        assert_device_legal(result, coupling)
+        assert routed_equivalent(circuit, result)
+
 
 class TestEquivalenceChecker:
     def test_detects_wrong_circuit(self, bell):

@@ -89,6 +89,24 @@ class TestUnroller:
         unrolled = PassManager([Unroller(["cx", "u3", "h"])]).run(circuit)
         assert unrolled.count_ops() == {"cx": 3}
 
+    def test_dag_already_in_basis_comes_back_unchanged(self):
+        from repro.circuit.dag import circuit_to_dag
+
+        circuit = QuantumCircuit(2, 1)
+        circuit.u2(0.0, math.pi, 0)
+        circuit.cx(0, 1)
+        circuit.barrier()
+        circuit.measure(1, 0)
+        dag = circuit_to_dag(circuit)
+        assert Unroller(IBMQX_BASIS).run(dag, {}) is dag
+        circuit.h(1)
+        dag = circuit_to_dag(circuit)
+        unrolled = Unroller(IBMQX_BASIS).run(dag, {})
+        assert unrolled is not dag
+        assert [n.name for n in unrolled.op_nodes()] == [
+            "u2", "cx", "barrier", "measure", "u2"
+        ]
+
     def test_measure_barrier_pass_through(self, measured_bell):
         unrolled = PassManager([Unroller(IBMQX_BASIS)]).run(measured_bell)
         assert unrolled.count_ops()["measure"] == 2
