@@ -60,26 +60,21 @@ class Job:
     ``DONE`` or ``ERROR`` (at least one experiment failed); ``cancel()``
     before execution starts moves the job to ``CANCELLED``.  With the
     serial executor, execution is deferred until :meth:`result` is first
-    called; pool executors start running at submission.
+    called; pool executors start running at submission.  The job's
+    :class:`~repro.providers.executor.Dispatch` holds every unit of the
+    plan, and its outcome table is the job's one record of finished
+    units — checkpoint-restored chunks included.
     """
 
     _id_counter = itertools.count()
 
-    def __init__(self, backend, dispatch, plan, trace, preloaded):
+    def __init__(self, backend, dispatch, plan, trace):
         self._backend = backend
         self._dispatch = dispatch
         self._result = None
         #: Dispatch plan: one entry per payload unit, in payload order —
         #: ``{"experiment_index", "name", "chunk": int|None, "chunks"}``.
         self._plan = plan
-        #: Checkpoint-restored outcomes keyed by plan position (resume).
-        self._preloaded = preloaded
-        #: Plan position of each dispatch payload (the positions that
-        #: were not restored from a checkpoint).
-        self._dispatch_positions = [
-            position for position in range(len(plan))
-            if position not in self._preloaded
-        ]
         self._trace = trace
         self.job_id = trace.job_id
 
@@ -101,17 +96,17 @@ class Job:
         submission wrote again from its ``job`` record — reproducing
         every payload (derived seeds, retry policy, fault schedule) — on
         a backend rebuilt from its provider spec, and launches it with
-        the DONE chunks recorded after that record preloaded, so the
-        merged result is bit-identical to an uninterrupted run.  The job
-        gets a fresh id and runs serially unless ``executor`` says
+        the DONE chunks recorded after that record as finished units, so
+        the merged result is bit-identical to an uninterrupted run.  The
+        job gets a fresh id and runs serially unless ``executor`` says
         otherwise; restored chunks count as ``resumed_chunks`` in
         ``fault_stats`` and stream first from :meth:`stream`, and new
         completions append under the checkpointed job's id, so resume
         is itself resumable.
 
-        A ledger with no missing units dispatches no payloads: the
-        returned job is DONE immediately and ``result()`` just merges the
-        restored chunks.
+        A ledger with no missing units runs nothing: the returned job is
+        DONE immediately and ``result()`` just merges the restored
+        chunks.
         """
         from repro.providers.checkpoint import load_ledger
         from repro.providers.engine import get_execution_engine
@@ -127,18 +122,6 @@ class Job:
             checkpoint_id=job["job_id"],
         )
         return engine.launch(prepared, chunks)
-
-    def _weave(self, raw) -> list:
-        """Interleave dispatch outcomes with checkpoint-restored ones,
-        back into full plan order."""
-        if not self._preloaded:
-            return list(raw)
-        full = [None] * len(self._plan)
-        for position, outcome in self._preloaded.items():
-            full[position] = outcome
-        for position, outcome in zip(self._dispatch_positions, raw):
-            full[position] = outcome
-        return full
 
     @staticmethod
     def _merge_group(group):
@@ -200,9 +183,8 @@ class Job:
         """
         if self._result is None:
             with self._trace.stage("collect"):
-                raw = self._dispatch.collect(timeout=timeout,
-                                             partial=partial)
-                full = self._weave(raw)
+                full = self._dispatch.collect(timeout=timeout,
+                                              partial=partial)
                 self._trace.merge_outcomes(full)
             return self._finalize(full)
         return self._result
@@ -258,11 +240,8 @@ class Job:
                 )
             return events
 
-        for position in sorted(self._preloaded):
-            for event in deliver(position, self._preloaded[position]):
-                yield event
-        for index, outcome in self._dispatch.iter_outcomes():
-            for event in deliver(self._dispatch_positions[index], outcome):
+        for position, outcome in self._dispatch.iter_outcomes():
+            for event in deliver(position, outcome):
                 yield event
         if all(outcome is not None for outcome in full):
             self._trace.merge_outcomes(full)
@@ -280,7 +259,7 @@ class Job:
             "status": outcome.status,
             "shots": outcome.shots,
             "counts": data.get("counts"),
-            "resumed": bool(getattr(outcome, "resumed", False)),
+            "resumed": outcome.resumed,
         }
 
     @staticmethod
@@ -297,27 +276,22 @@ class Job:
 
     @property
     def fault_stats(self) -> dict:
-        """The job's fault/retry ledger, aggregated from its own outcomes.
+        """The job's fault/retry ledger, aggregated from its own units.
 
         Accounts for every attempt (retries included), total backoff
         seconds, injected faults, the executor fallback taken when a
         process pool broke, failed experiments, and the shot-chunk tallies
         (``total_chunks`` / ``completed_chunks`` / ``resumed_chunks`` —
         a cancelled streaming job reports how many chunks it delivered).
-        Once the job is collected it covers the merged results; before
-        that, the restored and finished outcomes so far.
-        ``total_chunks`` always comes from the dispatch plan.
+        It always reads the dispatch's finished units (restored ones
+        included), before and after collection alike, so a unit's entries
+        never change once it has finished; ``total_chunks`` comes from
+        the dispatch plan.
         """
         from repro.providers.retry import aggregate_fault_stats
 
-        if self._result is not None:
-            outcomes = self._result.results
-        else:
-            outcomes = (
-                list(self._preloaded.values())
-                + self._dispatch.finished_outcomes()
-            )
-        stats = aggregate_fault_stats(outcomes, self._dispatch.fallbacks)
+        stats = aggregate_fault_stats(self._dispatch.finished_outcomes(),
+                                      self._dispatch.fallbacks)
         layout = {
             entry["experiment_index"]: entry["chunks"] for entry in self._plan
         }
@@ -387,7 +361,7 @@ class BaseBackend:
         Returns a :class:`Job` whose ``result()`` blocks until the batch
         completes.  Options:
 
-        * ``shots`` (an integer) / ``seed`` / ``memory`` /
+        * ``shots`` (an integer, at least 1) / ``seed`` / ``memory`` /
           ``noise_model`` — forwarded to the simulator engines.  The batch ``seed`` is expanded into
           one derived seed per experiment by the assembler, so results are
           bit-identical no matter which executor runs the batch.

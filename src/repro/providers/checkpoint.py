@@ -19,14 +19,14 @@ A checkpointed job writes two kinds of records into a
 
 A resume prepares the job again from its job record and hands the
 restored chunks to :meth:`~repro.providers.engine.ExecutionEngine
-.launch`, which preloads them and dispatches the rest.  Preparing again
-reproduces every payload: experiment and chunk seeds derive from the
-recorded ``seed``, the fault schedule hashes the pickled injector, and
-compilation ignores the run seed.  :func:`replay` holds the rule every
-reader applies: a job's checkpoint is its latest ``job`` record plus the
-first DONE chunk record per ``(experiment, chunk)`` after it, so a
-re-run chunk never double-counts; the ``header`` records of older
-journals are skipped.
+.launch`, which gives them to the dispatch as finished units and runs
+only the rest.  Preparing again reproduces every payload: experiment
+and chunk seeds derive from the recorded ``seed``, the fault schedule
+hashes the pickled injector, and compilation ignores the run seed.
+:func:`replay` holds the rule every reader applies: a job's checkpoint
+is its latest ``job`` record plus the first DONE chunk record per
+``(experiment, chunk)`` after it, so a re-run chunk never double-counts;
+the ``header`` records of older journals are skipped.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ that split:
   plan, the resolved executor kind, and the job's telemetry hub — without
   running anything;
 * :meth:`ExecutionEngine.launch` creates the dispatch for a prepared
-  execution, preloading any chunks a checkpoint restored (a resume is
-  ``prepare`` + ``launch``), and returns the live
+  execution, handing it any chunks a checkpoint restored as finished
+  units (a resume is ``prepare`` + ``launch``), and returns the live
   :class:`~repro.providers.backend.Job` — the one place either is built;
 * :meth:`ExecutionEngine.run` is both in sequence — exactly what
   ``BaseBackend.run`` did before the refactor, bit for bit;
@@ -30,8 +30,6 @@ bit-identical.  The engine is stateless; the process-wide instance from
 """
 
 from __future__ import annotations
-
-import operator
 
 from repro.exceptions import BackendError
 from repro.providers.executor import (
@@ -75,8 +73,8 @@ class ExecutionEngine:
         :meth:`prepare_pubs`; returns ``(shots, kind, engine_options,
         job_trace)``.
 
-        Refuses unknown options, checks that ``shots`` is an integer
-        within the backend maximum, runs the backend's batch validation,
+        Refuses unknown options and a ``shots`` that is not an integer
+        from 1 to the backend maximum, runs the backend's batch validation,
         resolves the executor kind, splits the engine options from the
         scheduling ones, normalizes the fault-tolerance knobs, and takes
         the job's trace (or starts one).
@@ -86,12 +84,6 @@ class ExecutionEngine:
 
         check_run_options(options)
         shots = options.get("shots", 1024)
-        try:
-            operator.index(shots)
-        except TypeError:
-            raise BackendError(
-                f"shots must be an integer, not {type(shots).__name__}"
-            ) from None
         max_shots = backend.configuration().max_shots
         if shots > max_shots:
             raise BackendError(
@@ -223,17 +215,17 @@ class ExecutionEngine:
     def launch(self, prepared: PreparedExecution, restored=None):
         """Create the dispatch for a prepared batch; returns the live Job.
 
-        The ``restored`` checkpoint outcomes (see
-        :func:`~repro.providers.checkpoint.restore`) are preloaded and
-        marked ``resumed`` where their recorded ``chunk`` descriptor is
-        the payload's own ``shot_chunk`` (both None for an unchunked
-        unit); every other unit is dispatched, so a record cut under
-        another layout re-runs instead of merging in.
+        The dispatch gets every payload.  The ``restored`` checkpoint
+        outcomes (see :func:`~repro.providers.checkpoint.restore`) join
+        it as finished units, marked ``resumed``, where their recorded
+        ``chunk`` descriptor is the payload's own ``shot_chunk`` (both
+        None for an unchunked unit); only the other units run, so a
+        record cut under another layout re-runs instead of merging in.
         """
         from repro.providers.backend import Job
 
         restored = restored or {}
-        preloaded = {}
+        finished = {}
         for position, (entry, (_experiment, config)) in enumerate(
             zip(prepared.plan, prepared.payloads)
         ):
@@ -243,15 +235,12 @@ class ExecutionEngine:
             if outcome is not None \
                     and outcome.chunk == config.get("shot_chunk"):
                 outcome.resumed = True
-                preloaded[position] = outcome
-        dispatch = Dispatch(
-            prepared.backend,
-            [payload for position, payload in enumerate(prepared.payloads)
-             if position not in preloaded],
-            prepared.kind, prepared.max_workers, prepared.job_trace,
-        )
+                finished[position] = outcome
+        dispatch = Dispatch(prepared.backend, prepared.payloads,
+                            prepared.kind, prepared.max_workers,
+                            prepared.job_trace, finished)
         return Job(prepared.backend, dispatch, prepared.plan,
-                   prepared.job_trace, preloaded)
+                   prepared.job_trace)
 
     def run(self, backend, circuits, options):
         """Prepare and launch in one step (the ``BaseBackend.run`` path);
@@ -366,8 +355,7 @@ class ExecutionEngine:
         return self.launch(self.prepare_pubs(backend, pubs, options))
 
     def compile_batch(self, backend, circuits, job_trace, *,
-                      optimization_level=1, transpile_cache=True,
-                      cache_namespace=None):
+                      optimization_level=1, transpile_cache=True):
         """Compile circuits for a device backend (``execute``'s old inline
         stage).
 
@@ -381,8 +369,6 @@ class ExecutionEngine:
         in the content-hash transpile cache, so repeated runs and warm
         sessions skip the pass pipeline entirely (and, where its disk
         tier is enabled, so do repeated processes).
-        ``cache_namespace`` isolates the cache reads/writes to a private
-        namespace (per-session sub-tier).
         """
         if backend.configuration().simulator:
             return list(circuits)
@@ -402,7 +388,6 @@ class ExecutionEngine:
                     target=target,
                     optimization_level=optimization_level,
                     transpile_cache=transpile_cache,
-                    cache_namespace=cache_namespace,
                 )
                 span.set_attribute("depth_out", mapped.depth())
             mapped.name = circuit.name

@@ -82,11 +82,20 @@ RUN_OPTIONS = SCHEDULING_OPTIONS + (
 
 def check_run_options(options, extra=()) -> None:
     """Refuse any option outside ``RUN_OPTIONS`` (and ``extra``), naming
-    it: nothing would read it, so a misspelt one would silently run with
-    its default."""
+    it — nothing would read it, so a misspelt one would silently run with
+    its default — and a ``shots`` that is not an integer of at least 1.
+    """
     unknown = sorted(set(options).difference(RUN_OPTIONS, extra))
     if unknown:
         raise BackendError(f"unknown run option(s): {', '.join(unknown)}")
+    if "shots" in options:
+        shots = options["shots"]
+        if isinstance(shots, bool) or not hasattr(shots, "__index__"):
+            raise BackendError(
+                f"shots must be an integer, not {type(shots).__name__}"
+            )
+        if shots < 1:
+            raise BackendError(f"shots must be at least 1, not {shots}")
 
 
 #: Seconds one wait on pool futures may block before the collection loop
@@ -305,21 +314,23 @@ def _placeholder(payload, status: str, message: str):
 class Dispatch:
     """A batch of ``(experiment, config)`` payloads on one executor.
 
-    One collection loop, :meth:`_drain`, serves :meth:`collect`,
-    :meth:`iter_outcomes` and the gather after a :meth:`cancel`.  Serial
-    payloads run inside that loop, in the collecting thread, from the
-    first collect on; pool payloads are submitted at construction and
-    awaited in completion order.  A process pool that breaks mid-batch (a
-    crashed worker, most commonly) re-submits its unfinished payloads to
-    a thread pool once — recorded in :attr:`fallbacks` as
-    ``"processes->threads"`` — and the batch completes; a thread pool
-    built without an initializer cannot break.  A dispatch with no
-    payloads (``Job.resume`` over a complete ledger) is DONE from
-    construction.
+    The dispatch holds every unit of a job's plan, and :attr:`_outcomes`
+    is the one table of its finished units: the ``finished`` outcomes
+    passed at construction (chunks a checkpoint restored) are in it from
+    the start, and the rest land as they run.  One collection loop,
+    :meth:`_drain`, serves :meth:`collect`, :meth:`iter_outcomes` and the
+    gather after a :meth:`cancel`.  Serial payloads run inside that loop,
+    in the collecting thread, from the first collect on; pools submit the
+    missing payloads at construction and await them in completion order.
+    A process pool that breaks mid-batch (a crashed worker, most
+    commonly) re-submits its unfinished payloads to a thread pool once —
+    recorded in :attr:`fallbacks` as ``"processes->threads"`` — and the
+    batch completes; a thread pool built without an initializer cannot
+    break.
     """
 
     def __init__(self, backend, payloads, kind, max_workers=None,
-                 job_trace=None):
+                 job_trace=None, finished=None):
         if kind == "processes" and backend._backend_spec() is None:
             # No provider registry entry to rebuild the backend from in a
             # worker process; threads share the instance instead.
@@ -333,18 +344,20 @@ class Dispatch:
         self._backend = backend
         self._payloads = payloads
         self._job_trace = job_trace
-        #: index -> outcome, filled as payloads finish, so repeated or
-        #: partial collects never re-run finished work.
-        self._outcomes: dict = {}
+        #: index -> outcome: the finished units, restored ones from the
+        #: start, so repeated or partial collects never re-run them.
+        self._outcomes: dict = dict(finished or {})
         #: index -> future (pool executors only).
         self._futures: dict = {}
         self._pool = None
         self._cancelled = False
         self._started = kind != "serial"
-        if kind == "serial" or not payloads:
+        missing = [index for index in range(len(payloads))
+                   if index not in self._outcomes]
+        if kind == "serial" or not missing:
             return
         self._workers = max(
-            1, max_workers or min(len(payloads), os.cpu_count() or 1)
+            1, max_workers or min(len(missing), os.cpu_count() or 1)
         )
         if kind == "processes":
             self._pool = ProcessPoolExecutor(max_workers=self._workers)
@@ -352,7 +365,7 @@ class Dispatch:
         else:
             self._pool = ThreadPoolExecutor(max_workers=self._workers)
             self._call = (run_assembled_experiment, backend)
-        for index in range(len(payloads)):
+        for index in missing:
             self._submit(index)
 
     def _submit(self, index: int) -> None:
@@ -486,7 +499,8 @@ class Dispatch:
         """Yield ``(index, outcome)`` for every payload as it finishes.
 
         The streaming twin of :meth:`collect`: outcomes finished earlier
-        come first, then the rest as they finish — in batch order on the
+        (restored units included) come first, in batch order, then the
+        rest as they finish — in batch order on the
         serial executor, in completion order on a pool, so the chunks of
         one experiment surface the moment their worker is done.
         Abandoning the iterator keeps the finished outcomes, and a later
@@ -499,7 +513,7 @@ class Dispatch:
         yield from self._drain(None)
 
     def collect(self, timeout=None, partial=False) -> list:
-        """Await and return the experiment outcomes in batch order.
+        """Await and return the outcomes of every unit, in batch order.
 
         ``timeout`` bounds the whole collection; hitting it raises
         :class:`JobTimeoutError` on every executor and leaves the

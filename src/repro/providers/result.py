@@ -114,12 +114,16 @@ class ExperimentResult:
         #: (empty unless tracing was enabled at submission); merged into
         #: the job's trace at collect time.
         self.spans = list(spans)
-        #: Shot-chunk bookkeeping.  For a chunk-of-an-experiment outcome,
-        #: ``chunk`` is the dispatch-time chunk descriptor (index/start/
-        #: stop); for a merged experiment, ``chunks`` is the layout size
-        #: and ``completed_chunks``/``resumed_chunks`` count the chunks
-        #: that finished / were loaded from a checkpoint ledger.
+        #: Shot-chunk bookkeeping.  A dispatch unit's outcome carries the
+        #: dispatch-time ``chunk`` descriptor (index/start/stop) when it
+        #: is one chunk of its experiment, and ``resumed`` when it is a
+        #: finished unit a checkpoint restored; ``job.fault_stats`` is
+        #: aggregated from these unit outcomes.  For a merged experiment,
+        #: ``chunks`` is the layout size and ``completed_chunks``/
+        #: ``resumed_chunks`` count the chunks that finished / were
+        #: restored.
         self.chunk = None
+        self.resumed = False
         self.chunks = 1
         self.completed_chunks = 1 if status == "DONE" else 0
         self.resumed_chunks = 0
@@ -141,21 +145,29 @@ class ExperimentResult:
         )
 
 
+def unit_faults(outcome) -> list:
+    """A unit outcome's fault log, each entry prefixed ``c<chunk>:`` when
+    the unit is one shot-chunk of its experiment."""
+    if outcome.chunk is None:
+        return list(outcome.faults)
+    return [f"c{outcome.chunk['index']}:{entry}" for entry in outcome.faults]
+
+
 def merge_chunk_outcomes(name, outcomes, total_chunks):
     """Merge one experiment's shot-chunk outcomes into one result.
 
     ``outcomes`` are the per-chunk :class:`ExperimentResult` entries of a
-    ``total_chunks`` layout, in chunk-index order (checkpoint-loaded
-    chunks included); the one outcome of an unchunked experiment
+    ``total_chunks`` layout, in chunk-index order (restored chunks
+    included); the one outcome of an unchunked experiment
     (``total_chunks == 1``) passes through.  Counts are added with
     :meth:`Counts.merge` — exact integer addition, so the merged
     histogram is bit-identical to an unchunked run — and memory lists
     concatenate in chunk order.  Non-shot payload keys (a DD chunk's
     node counts, say) are identical across chunks and taken from the
-    first completed one.  Attempt/backoff/fault ledgers accumulate
-    (``retries`` counts each chunk's attempts past its first); fault
-    entries gain a ``c<chunk>:`` prefix so ``fault_stats`` stays
-    attributable per chunk.
+    first completed one.  ``attempts`` and ``backoff_total`` add up and
+    the ``faults`` concatenate, each entry prefixed ``c<chunk>:`` (see
+    :func:`unit_faults`).  Retry counts and telemetry spans stay on the
+    unit outcomes, which ``job.fault_stats`` and the job trace read.
 
     Status: DONE only when every chunk of the layout completed; a chunk
     that failed makes the merge ERROR; otherwise a cancelled or
@@ -212,28 +224,12 @@ def merge_chunk_outcomes(name, outcomes, total_chunks):
     merged = ExperimentResult(name, shots, data, status=status, error=error)
     times = [o.time_taken for o in outcomes if o.time_taken is not None]
     merged.time_taken = sum(times) if times else None
-    attempts = [getattr(o, "attempts", 1) or 0 for o in outcomes]
-    merged.attempts = sum(attempts)
-    # Each chunk's first attempt is a run, not a retry.
-    merged.retries = sum(max(0, count - 1) for count in attempts)
-    merged.backoff_total = sum(
-        getattr(o, "backoff_total", 0.0) or 0.0 for o in outcomes
-    )
-    faults: list = []
-    spans: list = []
-    for outcome in outcomes:
-        index = outcome.chunk["index"] if outcome.chunk else 0
-        faults.extend(
-            f"c{index}:{entry}" for entry in getattr(outcome, "faults", ())
-        )
-        spans.extend(getattr(outcome, "spans", ()) or ())
-    merged.faults = faults
-    merged.spans = spans
+    merged.attempts = sum(o.attempts for o in outcomes)
+    merged.backoff_total = sum(o.backoff_total for o in outcomes)
+    merged.faults = [entry for o in outcomes for entry in unit_faults(o)]
     merged.chunks = total_chunks
     merged.completed_chunks = len(done)
-    merged.resumed_chunks = sum(
-        1 for o in outcomes if getattr(o, "resumed", False)
-    )
+    merged.resumed_chunks = sum(1 for o in outcomes if o.resumed)
     return merged
 
 

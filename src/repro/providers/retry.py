@@ -30,6 +30,7 @@ from repro.exceptions import (
     TransientFaultError,
     WorkerCrashError,
 )
+from repro.providers.result import unit_faults
 
 #: Exception types retried by default: the transient/flaky family.
 DEFAULT_RETRYABLE = (
@@ -174,59 +175,53 @@ def resolve_retry_policy(value) -> RetryPolicy:
     )
 
 
-def aggregate_fault_stats(outcomes, fallbacks=()) -> dict:
-    """Build the job-level fault/retry ledger from experiment outcomes.
+#: Per-experiment status precedence when its units disagree: the
+#: merged result's own (a failed chunk wins over a cancelled one, which
+#: wins over one not finished).
+_STATUS_RANK = {"DONE": 0, "INCOMPLETE": 1, "CANCELLED": 2, "ERROR": 3}
 
-    Accounts for every attempt, backoff wait, injected fault, and executor
-    fallback; exposed as ``job.fault_stats``.
+
+def aggregate_fault_stats(outcomes, fallbacks=()) -> dict:
+    """Build the job-level fault/retry ledger from unit outcomes.
+
+    ``outcomes`` are dispatch units — one per unchunked experiment or
+    per shot-chunk, in plan order.  Accounts for every attempt (each
+    unit's first attempt is a run, the rest retries), backoff wait,
+    injected fault and executor fallback; exposed as ``job.fault_stats``.
+    An experiment's units fold into one ``per_experiment`` entry with
+    their faults prefixed ``c<chunk>:`` and the merged result's status
+    precedence (ERROR > CANCELLED > INCOMPLETE > DONE).
     """
-    outcomes = list(outcomes)
-    per_experiment = {}
-    attempts = retries = faults = 0
-    total_chunks = completed_chunks = resumed_chunks = 0
-    backoff_total = 0.0
+    per_experiment: dict = {}
+    attempts = retries = faults = completed = resumed = 0
     failed = []
     for outcome in outcomes:
-        exp_attempts = getattr(outcome, "attempts", 1) or 0
-        exp_backoff = getattr(outcome, "backoff_total", 0.0) or 0.0
-        exp_faults = list(getattr(outcome, "faults", ()) or ())
-        attempts += exp_attempts
-        # A merged chunked experiment carries its own count: every chunk
-        # has a first attempt.
-        retries += getattr(outcome, "retries", max(0, exp_attempts - 1))
-        backoff_total += exp_backoff
-        faults += len(exp_faults)
-        # Chunk accounting: an outcome is either a merged experiment
-        # (chunks/completed_chunks set by the merge), one chunk of an
-        # experiment (descriptor in .chunk, counted as 1-of-1 here since
-        # its siblings are separate outcomes), or plain unchunked.
-        total_chunks += getattr(outcome, "chunks", 1) or 1
-        completed_chunks += getattr(
-            outcome, "completed_chunks", 1 if outcome.status == "DONE" else 0
-        )
-        resumed_chunks += getattr(outcome, "resumed_chunks", 0) or 0
-        if getattr(outcome, "resumed", False):
-            resumed_chunks += 1
+        name = outcome.circuit_name
+        unit = unit_faults(outcome)
+        attempts += outcome.attempts
+        retries += max(0, outcome.attempts - 1)
+        faults += len(unit)
+        completed += outcome.status == "DONE"
+        resumed += outcome.resumed
         if not outcome.success:
-            failed.append(outcome.circuit_name)
-        entry = per_experiment.get(outcome.circuit_name)
+            failed.append(name)
+        entry = per_experiment.get(name)
         if entry is None:
-            per_experiment[outcome.circuit_name] = {
-                "status": outcome.status,
-                "attempts": exp_attempts,
-                "backoff_s": round(exp_backoff, 6),
-                "faults": exp_faults,
+            # backoff_s sums unrounded until every unit is in.
+            per_experiment[name] = {
+                "status": outcome.status, "attempts": outcome.attempts,
+                "backoff_s": outcome.backoff_total, "faults": unit,
             }
-        else:
-            # Several chunk outcomes of one experiment (pre-collect live
-            # view): accumulate, and let any non-DONE status win.
-            entry["attempts"] += exp_attempts
-            entry["backoff_s"] = round(
-                entry["backoff_s"] + exp_backoff, 6
-            )
-            entry["faults"].extend(exp_faults)
-            if outcome.status != "DONE":
-                entry["status"] = outcome.status
+            continue
+        entry["attempts"] += outcome.attempts
+        entry["backoff_s"] += outcome.backoff_total
+        entry["faults"].extend(unit)
+        if _STATUS_RANK[outcome.status] > _STATUS_RANK[entry["status"]]:
+            entry["status"] = outcome.status
+    backoff_total = 0.0
+    for entry in per_experiment.values():
+        backoff_total += entry["backoff_s"]
+        entry["backoff_s"] = round(entry["backoff_s"], 6)
     return {
         "experiments": len(per_experiment),
         "attempts": attempts,
@@ -236,7 +231,7 @@ def aggregate_fault_stats(outcomes, fallbacks=()) -> dict:
         "fallbacks": list(fallbacks),
         "failed_experiments": sorted(set(failed), key=failed.index),
         "per_experiment": per_experiment,
-        "total_chunks": total_chunks,
-        "completed_chunks": completed_chunks,
-        "resumed_chunks": resumed_chunks,
+        "total_chunks": len(outcomes),
+        "completed_chunks": completed,
+        "resumed_chunks": resumed,
     }

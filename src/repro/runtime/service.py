@@ -15,9 +15,9 @@ Durability: every job's ``job`` record lands in the store's journal,
 its chunks into the same journal.  A service constructed over an
 existing store directory **recovers** from one replay of it: unfinished
 jobs re-queue, and a job that died mid-run is prepared again from its
-``job`` record with the chunks that replay holds preloaded — re-running
-only the missing chunks, with merged results bit-identical to an
-uninterrupted run.
+``job`` record with the chunks that replay holds as finished units —
+running only the missing chunks, with merged results bit-identical to
+an uninterrupted run.
 
 **Overload and failure containment** (the production-hardening layer):
 
@@ -92,10 +92,10 @@ from repro.telemetry.jobtrace import JobTrace
 from repro.telemetry.metrics import get_metrics_registry
 
 #: Options a job takes besides the run options, by kind: a circuits job
-#: compiles, so it takes ``execute``'s compile knobs and the session's
-#: disk-cache namespace; pubs never compile and take none.
+#: compiles, so it takes ``execute``'s compile knobs; pubs never compile
+#: and take none.
 SERVICE_OPTIONS = {
-    "circuits": ("cache_namespace", "optimization_level", "transpile_cache"),
+    "circuits": ("optimization_level", "transpile_cache"),
     "pubs": (),
 }
 
@@ -439,24 +439,16 @@ class RuntimeService:
             return backend
 
     def session(self, backend: str = "qasm_simulator",
-                provider: str = "aer", tenant: str = "default",
-                cache_namespace: str = None):
+                provider: str = "aer", tenant: str = "default"):
         """Open a :class:`~repro.runtime.session.Session` on a warm
-        backend.
-
-        ``cache_namespace`` isolates the session's disk-tier transpile
-        cache entries under a private namespace (default: the shared
-        root), so a tenant's compiles cannot be evicted — or polluted —
-        by another tenant's retention sweeps.
-        """
+        backend."""
         from repro.runtime.session import Session
 
         warm = self.backend(backend, provider)
         with self._lock:
             self._session_counter += 1
             session_id = f"sess-{self._session_counter}"
-        return Session(self, warm, tenant=tenant, session_id=session_id,
-                       cache_namespace=cache_namespace)
+        return Session(self, warm, tenant=tenant, session_id=session_id)
 
     def _breaker(self, backend_name: str):
         """The (lazily created) breaker for a backend, or None when
@@ -1109,7 +1101,7 @@ class RuntimeService:
         A circuits job compiles, prepares and runs under the runtime
         job's own trace, checkpointing its chunks into the store's
         journal; when replay held a checkpoint (a restart), the restored
-        chunks are preloaded and only the missing ones run.
+        chunks are finished units and only the missing ones run.
         """
         from repro.providers.checkpoint import restore
         from repro.providers.engine import get_execution_engine
@@ -1133,7 +1125,6 @@ class RuntimeService:
             backend, batch, job._trace,
             optimization_level=options.pop("optimization_level", 1),
             transpile_cache=options.pop("transpile_cache", True),
-            cache_namespace=options.pop("cache_namespace", None),
         )
         options["checkpoint"] = self._store.path
         checkpoint, record.checkpoint = record.checkpoint, None

@@ -9,8 +9,7 @@ across jobs) and shares the process transpile cache, so the session's
 second job never recompiles what the first one did in this process.
 The cache's on-disk tier, which carries compiles across processes, is
 on only where ``REPRO_TRANSPILE_CACHE_DIR`` or an explicit
-:func:`~repro.transpiler.cache.configure_disk_cache` call enabled it;
-``cache_namespace`` then gives the session a private subdirectory.
+:func:`~repro.transpiler.cache.configure_disk_cache` call enabled it.
 
 A session quacks like a backend: it exposes ``run``/``run_pubs``/
 ``name``/``configuration``, so the V2 primitives run over the service
@@ -36,15 +35,11 @@ class Session:
     """
 
     def __init__(self, service, backend, tenant: str = "default",
-                 session_id: str = None, cache_namespace: str = None):
+                 session_id: str = None):
         self._service = service
         self._backend = backend
         self.tenant = tenant
         self.session_id = session_id
-        #: Private disk-tier transpile-cache namespace (None = shared
-        #: root tier); rides every submission as the ``cache_namespace``
-        #: run option.
-        self.cache_namespace = cache_namespace
         self._closed = False
 
     # -- backend-compatible surface --------------------------------------
@@ -71,8 +66,6 @@ class Session:
         :class:`~repro.runtime.service.RuntimeJob`.
         """
         self._check_open()
-        if self.cache_namespace is not None:
-            options.setdefault("cache_namespace", self.cache_namespace)
         return self._service.submit(
             circuits, backend=self._backend, tenant=self.tenant,
             priority=priority, session=self.session_id, **options,

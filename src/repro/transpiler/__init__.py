@@ -15,9 +15,7 @@ from repro.transpiler.layout import Layout
 from repro.transpiler.passmanager import (
     AnalysisPass,
     BasePass,
-    ConditionalController,
     DoWhileController,
-    FlowController,
     PassManager,
     PropertySet,
     TransformationPass,
@@ -32,12 +30,10 @@ from repro.transpiler.target import (
 __all__ = [
     "AnalysisPass",
     "BasePass",
-    "ConditionalController",
     "CouplingMap",
     "DAGCircuit",
     "DiskCacheTier",
     "DoWhileController",
-    "FlowController",
     "InstructionProperties",
     "Layout",
     "PassManager",

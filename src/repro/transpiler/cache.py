@@ -151,62 +151,12 @@ class DiskCacheTier:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
 
-    @staticmethod
-    def _safe_namespace(namespace: str) -> str:
-        """A filesystem-safe directory name for a namespace label."""
-        cleaned = "".join(
-            ch if ch.isalnum() or ch in "-_." else "_"
-            for ch in str(namespace)
-        )
-        return f"ns-{cleaned}" if cleaned else "ns-_"
+    def _path(self, key: tuple) -> str:
+        return os.path.join(self.directory, disk_entry_name(key))
 
-    def _path(self, key: tuple, namespace: str = None) -> str:
-        if namespace is None:
-            return os.path.join(self.directory, disk_entry_name(key))
-        subdir = os.path.join(
-            self.directory, self._safe_namespace(namespace)
-        )
-        os.makedirs(subdir, exist_ok=True)
-        return os.path.join(subdir, disk_entry_name(key))
-
-    def namespaces(self) -> list:
-        """The namespace labels' directory names present on disk."""
-        try:
-            return sorted(
-                name for name in os.listdir(self.directory)
-                if name.startswith("ns-")
-                and os.path.isdir(os.path.join(self.directory, name))
-            )
-        except OSError:
-            return []
-
-    def purge_namespace(self, namespace: str) -> int:
-        """Delete one namespace's entries; returns how many were
-        removed.
-
-        A session's private compiles can be retired without touching the
-        shared root tier or any other namespace.
-        """
-        subdir = os.path.join(
-            self.directory, self._safe_namespace(namespace)
-        )
-        removed = 0
-        try:
-            for name in os.listdir(subdir):
-                if name.endswith(".transpile.pkl"):
-                    try:
-                        os.unlink(os.path.join(subdir, name))
-                        removed += 1
-                    except OSError:
-                        pass
-            os.rmdir(subdir)
-        except OSError:
-            pass
-        return removed
-
-    def load(self, key: tuple, namespace: str = None):
+    def load(self, key: tuple):
         """The stored ``(compiled, layout, permutation)`` entry, or None."""
-        path = self._path(key, namespace)
+        path = self._path(key)
         try:
             with open(path, "rb") as handle:
                 payload = pickle.load(handle)
@@ -224,9 +174,9 @@ class DiskCacheTier:
             return None
         return payload["entry"]
 
-    def store(self, key: tuple, entry, namespace: str = None) -> None:
+    def store(self, key: tuple, entry) -> None:
         """Publish one entry atomically; failures are silently dropped."""
-        path = self._path(key, namespace)
+        path = self._path(key)
         payload = {"version": DISK_CACHE_VERSION, "entry": entry}
         try:
             fd, temp_path = tempfile.mkstemp(
@@ -292,7 +242,7 @@ class TranspileCache:
         result.final_permutation = final_permutation
         return result
 
-    def lookup(self, key, namespace: str = None):
+    def lookup(self, key):
         """The cached compiled circuit for ``key``, or None (counts a
         hit/miss either way).
 
@@ -300,23 +250,20 @@ class TranspileCache:
         entry is loaded from disk (counted as ``disk_hits``/
         ``disk_misses``), promoted into the memory tier, and returned —
         so a fresh process pays the pass pipeline only for circuits no
-        previous process compiled.  ``namespace`` isolates the lookup to
-        a private disk subdirectory (and a disjoint memory key), so
-        namespaced sessions never read another namespace's entries.
+        previous process compiled.
         """
-        memory_key = key if namespace is None else (namespace, key)
-        entry = self._entries.get(memory_key)
+        entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
             self._sync_registry()
-            self._entries.move_to_end(memory_key)
+            self._entries.move_to_end(key)
             return self._materialize(entry)
         if self.disk is not None:
-            entry = self.disk.load(key, namespace)
+            entry = self.disk.load(key)
             if entry is not None:
                 self.disk_hits += 1
                 # Promote: later lookups in this process are memory hits.
-                self._store_memory(memory_key, entry)
+                self._store_memory(key, entry)
                 self._sync_registry()
                 return self._materialize(entry)
             self.disk_misses += 1
@@ -332,13 +279,9 @@ class TranspileCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    def store(self, key, compiled, namespace: str = None) -> None:
+    def store(self, key, compiled) -> None:
         """Cache a compiled circuit (a private copy is stored), writing
-        through to the disk tier when one is configured.
-
-        With a ``namespace`` the disk entry lands in that namespace's
-        subdirectory and the memory entry under a disjoint key.
-        """
+        through to the disk tier when one is configured."""
         if self.maxsize <= 0 and self.disk is None:
             return
         kept = compiled.copy()
@@ -348,10 +291,9 @@ class TranspileCache:
             getattr(compiled, "initial_layout", None),
             getattr(compiled, "final_permutation", None),
         )
-        memory_key = key if namespace is None else (namespace, key)
-        self._store_memory(memory_key, entry)
+        self._store_memory(key, entry)
         if self.disk is not None:
-            self.disk.store(key, entry, namespace)
+            self.disk.store(key, entry)
         self._sync_registry()
 
     def resize(self, maxsize: int) -> None:

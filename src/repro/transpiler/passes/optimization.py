@@ -180,8 +180,6 @@ class FixedPoint(AnalysisPass):
     optimization stage to a fixed point.
     """
 
-    cacheable = False  # stateful across iterations of a do-while loop
-
     def __init__(self, property_name: str):
         self._property = property_name
 

@@ -6,15 +6,13 @@ boundary (``PassManager.run`` converts on entry and exit).  Passes come in
 two flavours:
 
 * :class:`AnalysisPass` — inspects the DAG and writes properties, never
-  rewrites.  Its results stay *valid* until some transformation that does
-  not ``preserve`` it runs, so re-scheduled analyses are skipped.
+  rewrites.
 * :class:`TransformationPass` — rewrites the DAG and returns the new (or
-  mutated) one.  Its ``preserves`` tuple names analyses that survive it.
+  mutated) one.
 
-``requires`` declares prerequisite passes, run on demand when their result
-is not currently valid.  :class:`ConditionalController` and
-:class:`DoWhileController` schedule nested passes conditionally or to a
-fixed point, replacing hand-unrolled repeats in the preset pipelines.
+Every scheduled pass runs each time the schedule reaches it.
+:class:`DoWhileController` repeats nested passes to a fixed point,
+replacing hand-unrolled repeats in the preset pipelines.
 
 A pass that is neither an :class:`AnalysisPass` nor a
 :class:`TransformationPass` is rejected with a :class:`TranspilerError`.
@@ -38,8 +36,8 @@ class PropertySet(dict):
     keys: ``layout``, ``final_permutation``, ``physical_register``,
     ``original_qubits``, ``is_swap_mapped``, ``is_direction_mapped``,
     ``depth``, ``size``, ``fixed_point``, and ``pass_times`` — a list of
-    ``(pass_name, seconds)`` entries, one per pass actually executed, in
-    execution order (skipped analyses do not appear).
+    ``(pass_name, seconds)`` entries, one per pass run, in execution
+    order.
     """
 
     def __getattr__(self, key):
@@ -61,15 +59,6 @@ class BasePass:
     and runs on the DAG IR; the pass manager rejects any other pass.
     """
 
-    #: Passes whose results must be valid before this one runs.
-    requires: tuple = ()
-    #: Analysis pass names whose results survive this pass (transformations).
-    preserves: tuple = ()
-    #: Whether a valid prior result lets the scheduler skip this pass.
-    #: Analyses that are stateful across invocations (e.g. fixed-point
-    #: detection) must opt out.
-    cacheable: bool = True
-
     @property
     def name(self) -> str:
         """Pass name (class name by default)."""
@@ -78,18 +67,6 @@ class BasePass:
     def run(self, dag, property_set):
         """Transform the DAG; analysis passes return None."""
         raise NotImplementedError
-
-    def fingerprint(self):
-        """Hashable identity used by the redundant-analysis skip logic.
-
-        Two pass objects with the same class and the same configuration
-        attributes are interchangeable.
-        """
-        try:
-            config = repr(sorted(vars(self).items()))
-        except TypeError:
-            config = repr(id(self))
-        return (type(self).__name__, config)
 
 
 class AnalysisPass(BasePass):
@@ -100,24 +77,7 @@ class TransformationPass(BasePass):
     """A pass that rewrites the DAG; ``run(dag, ps)`` returns a DAG."""
 
 
-class FlowController:
-    """Base for controllers that schedule a nested pass list."""
-
-    def __init__(self, passes):
-        if not isinstance(passes, (list, tuple)):
-            passes = [passes]
-        self.passes = list(passes)
-
-
-class ConditionalController(FlowController):
-    """Run the nested passes only when ``condition(property_set)`` holds."""
-
-    def __init__(self, passes, condition):
-        super().__init__(passes)
-        self.condition = condition
-
-
-class DoWhileController(FlowController):
+class DoWhileController:
     """Run the nested passes repeatedly while ``do_while(property_set)``.
 
     The body always executes at least once; ``max_iterations`` guards
@@ -125,7 +85,9 @@ class DoWhileController(FlowController):
     """
 
     def __init__(self, passes, do_while, max_iterations: int = 100):
-        super().__init__(passes)
+        if not isinstance(passes, (list, tuple)):
+            passes = [passes]
+        self.passes = list(passes)
         self.do_while = do_while
         self.max_iterations = max_iterations
 
@@ -136,7 +98,6 @@ class PassManager:
     def __init__(self, passes=None):
         self._passes: list = list(passes or [])
         self.property_set: PropertySet = PropertySet()
-        self._valid: set = set()
 
     def append(self, pass_) -> "PassManager":
         """Add a pass, controller, or list of them to the schedule."""
@@ -159,7 +120,6 @@ class PassManager:
         DAG.
         """
         self.property_set = PropertySet()
-        self._valid = set()
         dag = circuit_to_dag(circuit)
         dag = self._execute(self._passes, dag)
         return dag_to_circuit(dag)
@@ -172,10 +132,6 @@ class PassManager:
         return dag
 
     def _dispatch(self, item, dag: DAGCircuit) -> DAGCircuit:
-        if isinstance(item, ConditionalController):
-            if item.condition(self.property_set):
-                dag = self._execute(item.passes, dag)
-            return dag
         if isinstance(item, DoWhileController):
             for _ in range(item.max_iterations):
                 dag = self._execute(item.passes, dag)
@@ -185,21 +141,9 @@ class PassManager:
                 f"DoWhileController exceeded {item.max_iterations} "
                 "iterations without reaching a fixed point"
             )
-        if isinstance(item, FlowController):
-            return self._execute(item.passes, dag)
         return self._run_pass(item, dag)
 
     def _run_pass(self, pass_: BasePass, dag: DAGCircuit) -> DAGCircuit:
-        for prerequisite in pass_.requires:
-            if prerequisite.fingerprint() not in self._valid:
-                dag = self._run_pass(prerequisite, dag)
-        if (
-            isinstance(pass_, AnalysisPass)
-            and pass_.cacheable
-            and pass_.fingerprint() in self._valid
-        ):
-            # Valid prior result: skipped passes record no timing entry.
-            return dag
         start = time.perf_counter()
         with get_tracer().span(f"pass:{pass_.name}"):
             dag = self._apply_pass(pass_, dag)
@@ -211,8 +155,6 @@ class PassManager:
     def _apply_pass(self, pass_: BasePass, dag: DAGCircuit) -> DAGCircuit:
         if isinstance(pass_, AnalysisPass):
             pass_.run(dag, self.property_set)
-            if pass_.cacheable:
-                self._valid.add(pass_.fingerprint())
             return dag
 
         if not isinstance(pass_, TransformationPass):
@@ -225,6 +167,4 @@ class PassManager:
             raise TranspilerError(
                 f"pass {pass_.name} returned None instead of a DAG"
             )
-        preserved = set(pass_.preserves)
-        self._valid = {fp for fp in self._valid if fp[0] in preserved}
         return result

@@ -184,7 +184,7 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
               optimization_level=1, routing_method=None,
               seed=None, backend=None, target=None,
               fuse_diagonals=None, transpile_cache=True,
-              cache_namespace=None, verbose=False) -> QuantumCircuit:
+              verbose=False) -> QuantumCircuit:
     """Compile ``circuit`` for a device (the paper's Sec. IV ``compile``).
 
     The compilation target comes from (highest priority first) ``target``,
@@ -203,10 +203,7 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
     fused diagonal instructions; ``None`` (default) enables it exactly when
     the target natively supports ``diagonal`` (simulators do, devices do
     not).  ``transpile_cache=False`` bypasses the content-hash result cache
-    for this call; ``cache_namespace`` isolates this call's cache reads
-    and writes to a private namespace (a per-session sub-tier of the
-    disk cache), so one tenant's entries never serve — or pollute —
-    another's.  ``verbose=True`` prints a slowest-pass timing table
+    for this call.  ``verbose=True`` prints a slowest-pass timing table
     (per-pass wall times also land in the property set's ``pass_times``
     and, when tracing is enabled, as ``pass:*`` spans feeding the
     ``repro_stage_seconds`` histogram).
@@ -254,7 +251,7 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
             bool(fuse_diagonals),
         )
         cache_key = cache.make_key(circuit, target, options_key)
-        cached = cache.lookup(cache_key, namespace=cache_namespace)
+        cached = cache.lookup(cache_key)
         if cached is not None:
             span = current_span()
             if span is not None:
@@ -327,5 +324,5 @@ def transpile(circuit: QuantumCircuit, coupling_map=None,
     if verbose:
         _print_pass_report(circuit.name, pass_times)
     if cache_key is not None:
-        cache.store(cache_key, compiled, namespace=cache_namespace)
+        cache.store(cache_key, compiled)
     return compiled

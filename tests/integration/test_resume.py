@@ -78,17 +78,25 @@ def _reference():
 
 class TestResume:
     def test_resume_after_partial_run_is_bit_identical(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        _run(path, consume=2)  # 2 of 3 chunks persisted, then "crash"
-        _header, chunks = load_ledger(str(path))
-        assert set(chunks) == {(0, 0), (0, 1)}
+        for executor in ("serial", "processes"):
+            path = tmp_path / f"{executor}.jsonl"
+            _run(path, consume=2)  # 2 of 3 chunks persisted, then "crash"
+            _header, chunks = load_ledger(str(path))
+            assert set(chunks) == {(0, 0), (0, 1)}
 
-        resumed = Job.resume(str(path))
-        result = resumed.result()
-        assert result.get_counts() == _reference()
-        stats = resumed.fault_stats
-        assert stats["resumed_chunks"] == 2
-        assert stats["completed_chunks"] == 3
+            resumed = Job.resume(str(path), executor=executor)
+            # The restored units are finished from launch: a pool is
+            # handed only the missing one.
+            dispatch = resumed._dispatch
+            assert sorted(dispatch._outcomes) == [0, 1]
+            assert sorted(dispatch._futures) == (
+                [] if executor == "serial" else [2]
+            )
+            result = resumed.result()
+            assert result.get_counts() == _reference()
+            stats = resumed.fault_stats
+            assert stats["resumed_chunks"] == 2
+            assert stats["completed_chunks"] == 3
 
     def test_resumed_chunks_stream_first(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -105,15 +113,20 @@ class TestResume:
         assert resumed.result().get_counts() == _reference()
 
     def test_resume_with_complete_ledger_reruns_nothing(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        reference = _run(path).get_counts()
+        for executor in ("serial", "processes"):
+            path = tmp_path / f"{executor}.jsonl"
+            reference = _run(path).get_counts()
 
-        resumed = Job.resume(str(path))
-        result = resumed.result()
-        assert result.get_counts() == reference
-        stats = resumed.fault_stats
-        assert stats["resumed_chunks"] == 3
-        assert stats["total_chunks"] == 3
+            resumed = Job.resume(str(path), executor=executor)
+            # DONE at launch: no pool, nothing dispatched.
+            assert resumed._dispatch.status() == "DONE"
+            assert resumed._dispatch._pool is None
+            assert resumed._dispatch._futures == {}
+            result = resumed.result()
+            assert result.get_counts() == reference
+            stats = resumed.fault_stats
+            assert stats["resumed_chunks"] == 3
+            assert stats["total_chunks"] == 3
 
     def test_resume_under_chaos_is_bit_identical(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -201,6 +201,8 @@ class TestRunPubsValidation:
         backend = Aer.get_backend("qasm_simulator")
         with pytest.raises(BackendError, match="shots must be an integer"):
             backend.run_pubs([(measured, values, parameters)], shots=2.5)
+        with pytest.raises(BackendError, match="shots must be at least 1"):
+            backend.run_pubs([(measured, values, parameters)], shots=0)
         job = backend.run_pubs([(measured, values, parameters)],
                                shots=np.int64(16), seed=3)
         assert job.result().success

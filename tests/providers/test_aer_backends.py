@@ -63,12 +63,22 @@ class TestQasmBackend:
         with pytest.raises(BackendError):
             backend.run(measured_bell, shots=100)
 
-    @pytest.mark.parametrize("shots", [2.5, 1024.0, "1024", None])
+    @pytest.mark.parametrize("shots", [2.5, 1024.0, "1024", None, True])
     def test_non_integer_shots_rejected(self, measured_bell, shots):
         """Rejected at submission, not as a TypeError per experiment."""
         backend = Aer.get_backend("qasm_simulator")
         with pytest.raises(BackendError, match="shots must be an integer"):
             backend.run(measured_bell, shots=shots)
+
+    @pytest.mark.parametrize("shots", [0, -3])
+    @pytest.mark.parametrize("name", [
+        "qasm_simulator", "statevector_simulator", "density_matrix_simulator",
+    ])
+    def test_shots_below_one_rejected(self, measured_bell, name, shots):
+        """Rejected at submission on every backend, before anything
+        runs."""
+        with pytest.raises(BackendError, match="shots must be at least 1"):
+            Aer.get_backend(name).run(measured_bell, shots=shots)
 
     def test_numpy_integer_shots_accepted(self, measured_bell):
         job = Aer.get_backend("qasm_simulator").run(

@@ -115,8 +115,8 @@ class TestChooseExecutor:
 
 
 class TestEmptyDispatch:
-    """A dispatch with no payloads — ``Job.resume`` over a complete
-    ledger — is DONE from construction on every executor."""
+    """A dispatch with no payloads is DONE from construction on every
+    executor."""
 
     @pytest.mark.parametrize("kind", EXECUTORS)
     def test_done_at_construction(self, kind):

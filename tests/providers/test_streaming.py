@@ -9,6 +9,7 @@ here run a Bell under :func:`_noise`, a small gate-noise model.
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
@@ -455,6 +456,60 @@ class TestStreaming:
         assert [e["experiment"] for e in experiment_events] == ["a", "b"]
         assert len([e for e in events if e["type"] == "chunk"]) == 6
         assert job.result().success
+
+
+def _is_subsequence(part, whole) -> bool:
+    remaining = iter(whole)
+    return all(entry in remaining for entry in part)
+
+
+class TestOneOutcomeTable:
+    """``fault_stats`` is aggregated from the dispatch's units before
+    collection and after it alike, so every ledger read while a job
+    streams already holds each finished unit's collected entries."""
+
+    #: Two of the three chunks take a transient fault, drawn per seed.
+    FAULTED = sorted(random.Random(CHAOS_SEED).sample(range(3), 2))
+
+    def _jobs(self, executor):
+        """A gate-noisy Bell in three chunks, and an unchunked noise-free
+        sibling whose one unit counts as chunk 0."""
+        backend = Aer.get_backend("qasm_simulator")
+        options = {"shots": 3000, "seed": CHAOS_SEED, "executor": executor,
+                   "retry_policy": FAST_RETRY}
+        chunked = backend.run(
+            [_bell("chunked")], shot_chunk_size=1000, noise_model=_noise(),
+            fault_injector=FaultInjector(
+                [FaultSpec("transient", chunks=self.FAULTED)],
+                seed=CHAOS_SEED,
+            ), **options,
+        )
+        sibling = backend.run(
+            [_bell("plain")], fault_injector=FaultInjector(
+                [FaultSpec("transient")], seed=CHAOS_SEED,
+            ), **options,
+        )
+        return chunked, sibling
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_streamed_ledgers_are_the_collected_ledger(self, executor):
+        chunked, sibling = self._jobs(executor)
+        for job in (chunked, sibling):
+            seen = [job.fault_stats for _event in job.stream()]
+            job.result()
+            collected = job.fault_stats
+            assert seen[-1] == collected
+            for stats in seen:
+                assert stats["total_chunks"] == collected["total_chunks"]
+                for name, entry in stats["per_experiment"].items():
+                    final = collected["per_experiment"][name]
+                    assert _is_subsequence(entry["faults"], final["faults"])
+                    assert entry["attempts"] <= final["attempts"]
+        assert chunked.fault_stats["per_experiment"]["chunked"]["faults"] \
+            == [f"c{chunk}:transient@0" for chunk in self.FAULTED]
+        assert chunked.fault_stats["retries"] == 2
+        assert sibling.fault_stats["per_experiment"]["plain"]["faults"] \
+            == ["transient@0"]
 
 
 class TestCancelDuringStream:

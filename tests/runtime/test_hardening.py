@@ -350,8 +350,7 @@ class TestQuarantine:
             job = service.submit_pubs([(template, [[0.3]], [a])], shots=10)
             job.cancel()
             assert job.status() == "CANCELLED"
-            # Pubs never compile: the compile cache's namespace is not
-            # one of their options.
+            # ``cache_namespace`` is no option of any job.
             with pytest.raises(BackendError, match="cache_namespace"):
                 service.requeue(job.job_id, cache_namespace="a")
             assert job.status() == "CANCELLED"

@@ -137,6 +137,47 @@ class TestServiceParity:
             ("chunk", None), ("result", None), ("state", "DONE"),
         ]
 
+    @pytest.mark.parametrize("shots", [0, 1.5, "8", "abc"])
+    def test_bad_shots_are_refused_before_journaling(self, tmp_path, shots):
+        with RuntimeService(tmp_path, autostart=False) as service:
+            with pytest.raises(BackendError, match="shots must be"):
+                service.submit(_bell(), shots=shots)
+            assert service.jobs() == []
+        # Nothing was journaled: a restart finds no job to recover.
+        with RuntimeService(tmp_path, autostart=False) as service:
+            assert service.jobs() == []
+
+    def test_requeue_refuses_bad_shots(self, tmp_path):
+        with RuntimeService(tmp_path, autostart=False) as service:
+            job = service.submit(_bell(), shots=10)
+            job.cancel()
+            with pytest.raises(BackendError, match="shots must be"):
+                service.requeue(job.job_id, shots=0)
+            assert job.status() == "CANCELLED"
+
+    def test_cache_namespace_is_an_unknown_option(self, tmp_path):
+        with RuntimeService(tmp_path, autostart=False) as service:
+            with pytest.raises(BackendError, match="cache_namespace"):
+                service.submit(_bell(), shots=10, cache_namespace="a")
+            with pytest.raises(BackendError, match="cache_namespace"):
+                service.session().run(_bell(), cache_namespace="a")
+            assert service.jobs() == []
+
+    def test_journaled_cache_namespace_job_ends_error(self, tmp_path):
+        from repro.runtime.store import JobRecord, JobStore
+
+        store = JobStore(tmp_path)
+        store.append_job(JobRecord(
+            "rt-0", "default", ("aer", "qasm_simulator"), 0, None,
+            "circuits", _bell(), {"shots": 10, "cache_namespace": "a"},
+        ))
+        store.append_state("rt-0", "QUEUED")
+        with RuntimeService(tmp_path) as service:
+            job = service.job("rt-0")
+            with pytest.raises(BackendError, match="cache_namespace"):
+                job.result(timeout=30)
+            assert job.status() == "ERROR"
+
     def test_unknown_backend_rejected_at_submit(self, tmp_path):
         with RuntimeService(tmp_path, autostart=False) as service:
             with pytest.raises(BackendError):

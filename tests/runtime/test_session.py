@@ -65,7 +65,7 @@ class TestSession:
             session.run(_bell(), shots=10, optimization_level=0)
             with pytest.raises(BackendError, match="optimization_level"):
                 session.run_pubs([], optimization_level=0)
-            # Pubs never compile, so no cache namespace reaches them.
+            # ``cache_namespace`` is no option of any job.
             with pytest.raises(BackendError, match="cache_namespace"):
                 session.run_pubs([], cache_namespace="a")
             assert len(service.jobs()) == 1
@@ -102,34 +102,6 @@ class TestSession:
                 second.result(timeout=30)
                 after = get_transpile_cache().stats()["hits"]
         assert after > before
-
-    def test_session_cache_namespace_isolates_compiles(self, tmp_path):
-        """A namespaced session's compiles land in its private disk-tier
-        namespace and never serve another session's lookups."""
-        from repro.transpiler.cache import get_transpile_cache
-
-        clear_transpile_cache()
-        circuit = QuantumCircuit(2, 2, name="namespaced")
-        circuit.h(0)
-        circuit.cx(0, 1)
-        circuit.measure(0, 0)
-        circuit.measure(1, 1)
-        with RuntimeService(tmp_path) as service:
-            with service.session(backend="ibmqx2", provider="ibmq",
-                                 cache_namespace="alice") as session:
-                assert session.cache_namespace == "alice"
-                session.run(circuit, shots=50, seed=1).result(timeout=30)
-                # Warm within the namespace: the repeat compile hits.
-                before = get_transpile_cache().stats()["hits"]
-                session.run(circuit, shots=50, seed=1).result(timeout=30)
-                assert get_transpile_cache().stats()["hits"] > before
-            # A differently-namespaced session must not see Alice's
-            # entry: its first compile is a miss.
-            with service.session(backend="ibmqx2", provider="ibmq",
-                                 cache_namespace="bob") as other:
-                misses = get_transpile_cache().stats()["misses"]
-                other.run(circuit, shots=50, seed=1).result(timeout=30)
-                assert get_transpile_cache().stats()["misses"] > misses
 
     def test_sampler_v2_runs_over_a_session(self, tmp_path):
         from repro.primitives import SamplerV2

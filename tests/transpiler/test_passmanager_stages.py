@@ -8,34 +8,11 @@ from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import TranspilerError
 from repro.transpiler.passes.optimization import FixedPoint, Size
 from repro.transpiler.passmanager import (
-    AnalysisPass,
-    ConditionalController,
     DoWhileController,
     PassManager,
     PropertySet,
     TransformationPass,
 )
-
-
-class CountingAnalysis(AnalysisPass):
-    def __init__(self):
-        self.runs = 0
-
-    def run(self, dag, property_set):
-        self.runs += 1
-        property_set["counted"] = dag.size()
-
-
-class NoopTransform(TransformationPass):
-    preserves = ("CountingAnalysis",)
-
-    def run(self, dag, property_set):
-        return dag
-
-
-class ClobberTransform(TransformationPass):
-    def run(self, dag, property_set):
-        return dag
 
 
 class AddHGate(TransformationPass):
@@ -67,56 +44,7 @@ class TestPropertySet:
             PropertySet()._nope
 
 
-class TestAnalysisCaching:
-    def test_valid_analysis_not_rerun(self):
-        analysis = CountingAnalysis()
-        manager = PassManager([analysis, NoopTransform(), analysis])
-        manager.run(_bell())
-        assert analysis.runs == 1
-
-    def test_non_preserving_transform_invalidates(self):
-        analysis = CountingAnalysis()
-        manager = PassManager([analysis, ClobberTransform(), analysis])
-        manager.run(_bell())
-        assert analysis.runs == 2
-
-    def test_requires_runs_prerequisite(self):
-        analysis = CountingAnalysis()
-
-        class Dependent(TransformationPass):
-            requires = (analysis,)
-
-            def run(self, dag, property_set):
-                assert property_set["counted"] is not None
-                return dag
-
-        manager = PassManager([Dependent()])
-        manager.run(_bell())
-        assert analysis.runs == 1
-
-
 class TestControllers:
-    def test_conditional_controller_runs_when_true(self):
-        grower = AddHGate()
-        controller = ConditionalController(
-            [grower], condition=lambda ps: ps["go"]
-        )
-        manager = PassManager()
-        manager.append(SetGo(True))
-        manager.append(controller)
-        result = manager.run(_bell())
-        assert result.size() == 3
-
-    def test_conditional_controller_skips_when_false(self):
-        controller = ConditionalController(
-            [AddHGate()], condition=lambda ps: ps["go"]
-        )
-        manager = PassManager()
-        manager.append(SetGo(False))
-        manager.append(controller)
-        result = manager.run(_bell())
-        assert result.size() == 2
-
     def test_do_while_reaches_fixed_point(self):
         manager = PassManager()
         manager.append(
@@ -139,10 +67,3 @@ class TestControllers:
         with pytest.raises(TranspilerError):
             manager.run(_bell())
 
-
-class SetGo(AnalysisPass):
-    def __init__(self, value):
-        self._value = value
-
-    def run(self, dag, property_set):
-        property_set["go"] = self._value

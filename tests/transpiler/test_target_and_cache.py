@@ -294,54 +294,6 @@ class TestDiskCacheTier:
 
 
 class TestCacheNamespaces:
-    def test_namespaces_are_isolated_from_root_and_each_other(
-        self, tmp_path
-    ):
-        cache = TranspileCache(disk=DiskCacheTier(str(tmp_path)))
-        circuit = qft_circuit(3)
-        key = cache.make_key(circuit, None, ())
-        cache.store(key, circuit, namespace="sess-1")
-        # Neither the shared root tier nor another namespace sees it.
-        fresh = TranspileCache(disk=DiskCacheTier(str(tmp_path)))
-        assert fresh.lookup(key) is None
-        assert fresh.lookup(key, namespace="sess-2") is None
-        assert fresh.lookup(key, namespace="sess-1") is not None
-
-    def test_namespace_entries_live_in_a_subdirectory(self, tmp_path):
-        disk = DiskCacheTier(str(tmp_path))
-        cache = TranspileCache(disk=disk)
-        circuit = qft_circuit(2)
-        key = cache.make_key(circuit, None, ())
-        cache.store(key, circuit, namespace="tenant/a b")
-        assert disk.namespaces() == ["ns-tenant_a_b"]
-        # The root tier's entry count is unaffected.
-        assert len(disk) == 0
-
-    def test_purge_namespace_removes_only_its_entries(self, tmp_path):
-        disk = DiskCacheTier(str(tmp_path))
-        cache = TranspileCache(disk=disk)
-        shared = qft_circuit(2)
-        private = qft_circuit(3)
-        shared_key = cache.make_key(shared, None, ())
-        private_key = cache.make_key(private, None, ())
-        cache.store(shared_key, shared)
-        cache.store(private_key, private, namespace="sess-1")
-        assert disk.purge_namespace("sess-1") == 1
-        assert disk.namespaces() == []
-        fresh = TranspileCache(disk=DiskCacheTier(str(tmp_path)))
-        assert fresh.lookup(private_key, namespace="sess-1") is None
-        assert fresh.lookup(shared_key) is not None
-
-    def test_namespaced_memory_keys_do_not_collide(self, tmp_path):
-        # Same key, different namespaces: the memory tier must keep them
-        # apart even before disk is consulted.
-        cache = TranspileCache(disk=DiskCacheTier(str(tmp_path)))
-        circuit = qft_circuit(2)
-        key = cache.make_key(circuit, None, ())
-        cache.store(key, circuit, namespace="a")
-        assert cache.lookup(key, namespace="b") is None
-        assert cache.lookup(key, namespace="a") is not None
-
     def test_second_process_hits_disk_tier(self, tmp_path):
         """The acceptance check: a fresh *process* pointed at the same
         cache directory reports a disk-tier hit in its registry gauges."""
