@@ -12,14 +12,10 @@ from repro.exceptions import BackendError
 from repro.providers.backend import BackendConfiguration, BaseBackend
 from repro.providers.result import ExperimentResult
 from repro.qobj.assembler import derive_experiment_seeds
-from repro.simulators.batched import (
-    broadcast_supported,
-    estimate_broadcast_shots,
-    estimator_broadcastable,
-    sample_broadcast,
-)
+from repro.simulators.batched import estimate_broadcast_shots, sample_broadcast
 from repro.simulators.dd_simulator import DDSimulator
 from repro.simulators.density_matrix_simulator import DensityMatrixSimulator
+from repro.simulators.program import Program
 from repro.simulators.qasm_simulator import QasmSimulator
 from repro.simulators.stabilizer_simulator import StabilizerSimulator
 from repro.simulators.statevector_simulator import StatevectorSimulator
@@ -96,21 +92,24 @@ class QasmSimulatorBackend(_AerBackend, QasmEngineBackend):
         """Run one chunk of a PUB: the vectorized engine when the template
         allows it, else a per-binding loop inside this experiment.
 
-        ``data["path"]`` records which of the two ran.  Both give every
-        binding what ``run`` gives its bound circuit under the binding's
-        seed: all its shots from that one seed.
+        The template is lowered once; its program's flags pick the path and
+        the engine runs that same program.  ``data["path"]`` records which
+        of the two ran.  Both give every binding what ``run`` gives its
+        bound circuit under the binding's seed: all its shots from that one
+        seed.
         """
         shots = options.get("shots", 1024)
         values = broadcast["values"]
         parameters = broadcast["parameters"]
         seeds = broadcast["seeds"]
         observable = broadcast["observable"]
-        if observable is None and broadcast_supported(circuit):
+        program = Program(circuit, strip_idle=True)
+        if observable is None and program.broadcastable:
             path = "broadcast"
-            rows = sample_broadcast(circuit, values, parameters, shots, seeds)
-        elif observable is not None and estimator_broadcastable(circuit):
+            rows = sample_broadcast(program, values, parameters, shots, seeds)
+        elif observable is not None and program.estimable:
             path = "broadcast"
-            rows = estimate_broadcast_shots(circuit, values, parameters,
+            rows = estimate_broadcast_shots(program, values, parameters,
                                             observable, shots, seeds)
         else:
             path = "loop"

@@ -82,13 +82,8 @@ class ExecutionEngine:
         from repro.providers.faults import resolve_injector
         from repro.providers.retry import resolve_retry_policy
 
-        check_run_options(options)
+        check_run_options(options, backend=backend)
         shots = options.get("shots", 1024)
-        max_shots = backend.configuration().max_shots
-        if shots > max_shots:
-            raise BackendError(
-                f"shots {shots} exceeds backend maximum {max_shots}"
-            )
         backend._validate_batch(circuits)
         kind = resolve_executor(options.get("executor"))
         engine_options = {

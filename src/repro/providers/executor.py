@@ -80,10 +80,11 @@ RUN_OPTIONS = SCHEDULING_OPTIONS + (
 )
 
 
-def check_run_options(options, extra=()) -> None:
+def check_run_options(options, extra=(), backend=None) -> None:
     """Refuse any option outside ``RUN_OPTIONS`` (and ``extra``), naming
     it — nothing would read it, so a misspelt one would silently run with
-    its default — and a ``shots`` that is not an integer of at least 1.
+    its default — a ``shots`` that is not an integer of at least 1, and,
+    given the ``backend``, one above its ``max_shots``.
     """
     unknown = sorted(set(options).difference(RUN_OPTIONS, extra))
     if unknown:
@@ -96,6 +97,13 @@ def check_run_options(options, extra=()) -> None:
             )
         if shots < 1:
             raise BackendError(f"shots must be at least 1, not {shots}")
+    if backend is not None:
+        shots = options.get("shots", 1024)
+        max_shots = backend.configuration().max_shots
+        if shots > max_shots:
+            raise BackendError(
+                f"shots {shots} exceeds backend maximum {max_shots}"
+            )
 
 
 #: Seconds one wait on pool futures may block before the collection loop

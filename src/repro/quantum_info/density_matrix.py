@@ -83,20 +83,16 @@ class DensityMatrix:
         """Apply a gate, matrix, circuit, or Kraus channel.
 
         A Kraus channel is supplied as a list of matrices ``[K_0, K_1, ...]``.
+        A circuit must hold only unconditioned gates (and barriers).
         """
         if isinstance(operation, QuantumCircuit):
+            from repro.simulators.program import Program
+
+            program = Program(operation)
+            program.require_unitary("cannot evolve density matrix by '{}'")
             state = self
-            qubit_index = {q: i for i, q in enumerate(operation.qubits)}
-            for item in operation.data:
-                op = item.operation
-                if op.name == "barrier":
-                    continue
-                if not isinstance(op, Gate):
-                    raise SimulatorError(
-                        f"cannot evolve density matrix by '{op.name}'"
-                    )
-                targets = [qubit_index[q] for q in item.qubits]
-                state = state.evolve(op.to_matrix(), qargs=targets)
+            for step in program.gates:
+                state = state.evolve(step.matrix(), qargs=step.targets)
             return state
         if isinstance(operation, Gate):
             operation = operation.to_matrix()

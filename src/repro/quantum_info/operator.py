@@ -37,27 +37,19 @@ class Operator:
     def from_circuit(cls, circuit: QuantumCircuit) -> "Operator":
         """Compute the full unitary of a unitary-only circuit.
 
-        The identity's ``2**n`` columns evolve as one batched state through
-        the specialized kernels.
+        The circuit's lowered program runs on the identity's ``2**n``
+        columns as one batch.  A measurement, reset, other non-gate
+        operation or classically conditioned gate raises
+        :class:`SimulatorError`.
         """
         from repro.simulators import kernels
+        from repro.simulators.program import Program
 
+        program = Program(circuit)
+        program.require_unitary("circuit contains non-unitary operation '{}'")
         dim = 2**circuit.num_qubits
-        unitary = np.eye(dim, dtype=complex)
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        for item in circuit.data:
-            op = item.operation
-            if op.name == "barrier":
-                continue
-            if not isinstance(op, Gate):
-                raise SimulatorError(
-                    f"circuit contains non-unitary operation '{op.name}'"
-                )
-            targets = [qubit_index[q] for q in item.qubits]
-            unitary = kernels.apply_gate(
-                unitary, op, targets, circuit.num_qubits, mutate=True
-            )
-        return cls(unitary)
+        return cls(kernels.apply_steps(np.eye(dim, dtype=complex),
+                                       program.gates, circuit.num_qubits, dim))
 
     @property
     def data(self) -> np.ndarray:

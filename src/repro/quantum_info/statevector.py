@@ -93,30 +93,24 @@ class Statevector:
 
         Args:
             operation: a :class:`Gate`, a dense matrix, or a
-                :class:`QuantumCircuit` containing only unitary gates (and
-                barriers, which are skipped).
+                :class:`QuantumCircuit` containing only unconditioned gates
+                (and barriers, which are skipped); anything else in a
+                circuit raises :class:`SimulatorError`.
             qargs: target qubit indices for gate/matrix operations; defaults
                 to all qubits in order.
         """
         from repro.simulators import kernels
 
         if isinstance(operation, QuantumCircuit):
+            from repro.simulators.program import Program
+
             if qargs is not None:
                 raise SimulatorError("qargs not supported for circuit evolution")
-            state = self._data.copy()  # owned buffer for in-place kernels
-            qubit_index = {q: i for i, q in enumerate(operation.qubits)}
-            for item in operation.data:
-                op = item.operation
-                if op.name == "barrier":
-                    continue
-                if not isinstance(op, Gate):
-                    raise SimulatorError(
-                        f"cannot evolve by non-unitary operation '{op.name}'"
-                    )
-                targets = [qubit_index[q] for q in item.qubits]
-                state = kernels.apply_gate(
-                    state, op, targets, self._num_qubits, mutate=True
-                )
+            program = Program(operation)
+            program.require_unitary("cannot evolve by non-unitary operation '{}'")
+            # A copy: the kernels update their owned buffer in place.
+            state = kernels.apply_steps(self._data.copy(), program.gates,
+                                        self._num_qubits)
             return Statevector(state, validate=False)
         if isinstance(operation, Gate):
             matrix = operation.to_matrix()

@@ -635,7 +635,7 @@ class RuntimeService:
                 )
         else:
             spec = (provider, backend)
-            resolve_backend(spec)  # validate the name before persisting
+            backend = resolve_backend(spec)  # validate before persisting
         if deadline is not None and deadline <= 0:
             raise BackendError("deadline must be positive seconds")
         if "checkpoint" in options:
@@ -643,7 +643,7 @@ class RuntimeService:
                 "runtime jobs checkpoint into the store's journal; the "
                 "checkpoint option is not accepted"
             )
-        check_run_options(options, SERVICE_OPTIONS[kind])
+        check_run_options(options, SERVICE_OPTIONS[kind], backend)
         try:
             blob = encode((payload, options))
         except Exception as error:
@@ -1077,8 +1077,10 @@ class RuntimeService:
         the journal for the audit trail.
         """
         job = self.job(job_id)
+        spec = job._record.backend_spec
         check_run_options(option_overrides,
-                          SERVICE_OPTIONS[job._record.kind])
+                          SERVICE_OPTIONS[job._record.kind],
+                          self.backend(spec[1], spec[0]))
         with self._wake:
             record = job._record
             self._store.requeue(record, option_overrides)

@@ -3,14 +3,15 @@
 The V2 primitives evaluate one parameterized template at a whole array of
 parameter value sets.  Evolving each binding separately repeats every
 binding-independent gate ``batch`` times; this module instead stacks the
-states into one C-contiguous ``(batch, 2**n)`` array and applies each gate
-across the batch axis in a handful of numpy ops:
+states into one C-contiguous ``(batch, 2**n)`` array and runs the
+template's lowered :class:`~repro.simulators.program.Program` across the
+batch axis:
 
-* **shared** gates (no unbound parameters) apply identically to every row:
-  dense blocks go through one flat GEMM / stacked matmul over all rows at
-  once, diagonal/permutation/controlled structures reuse the slice kernels
-  of :mod:`repro.simulators.kernels` on a batch-leading compact view;
-* **per-binding** gates (``rx``/``rz``/``u3``/``crz``/... with symbolic
+* **shared** steps (gates with no unbound parameters) go through the one
+  step dispatch of :mod:`repro.simulators.kernels`, which folds the rows
+  into the leading extent of its views and takes every decision on one
+  row's size, so each row sees the single-state arithmetic;
+* **per-binding** steps (``rx``/``rz``/``u3``/``crz``/... with symbolic
   angles) get their matrices built as stacked ``(batch, 2, 2)`` tensors in
   one vectorized pass over the resolved angle vectors, then applied with a
   broadcast matmul (dense), a broadcast elementwise multiply (diagonal), or
@@ -22,16 +23,20 @@ single-state kernels (``np.matmul`` on a row-contiguous stack equals the
 per-row GEMM; ``np.exp``/``np.sin``/``np.cos`` agree bitwise with their
 ``cmath``/``math`` scalar counterparts on float64), so the broadcast
 results — statevectors, sampled counts, expectation values — are bitwise
-identical to a per-binding loop under the same seeds.  The only documented
+identical to a per-binding loop under the same seeds.  Where numpy's
+arithmetic would depend on the row count (a GEMM whose every row is one
+whole state, a step spanning every qubit), rows go one at a time.  The
+only documented
 exception: a binding sitting exactly on a structural corner (``rx(0)``,
 ``rx(pi)``, a generically-parameterized diagonal entry landing on ``1``)
 may flip the sign of a ``-0.0`` component, because the single-state path
 reclassifies such matrices structurally while the batch path dispatches by
 gate name.
 
-Memory model: the working set is two ``(chunk, 2**n)`` complex buffers.
-The batch axis is chunked so one buffer never exceeds
-``MAX_BROADCAST_AMPLITUDES`` amplitudes (64 MiB at complex128), i.e.
+Memory model: the working set is two ``(chunk, 2**n)`` complex buffers
+(dense steps ping-pong through the kernels' scratch pool).  The batch axis
+is chunked so one buffer never exceeds ``MAX_BROADCAST_AMPLITUDES``
+amplitudes (64 MiB at complex128), i.e.
 ``chunk = max(1, MAX_BROADCAST_AMPLITUDES // 2**n)`` rows at a time.
 """
 
@@ -39,13 +44,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.gate import Gate
 from repro.circuit.parameterbinding import get_bind_plan
 from repro.exceptions import SimulatorError
 from repro.qobj.assembler import derive_experiment_seeds
 from repro.simulators import kernels
+from repro.simulators.program import Program
 from repro.simulators.qasm_simulator import (
-    QasmSimulator,
     _sample_outcomes,
     _zeros_for_width,
     bin_counts,
@@ -69,114 +73,12 @@ def broadcast_chunk_bounds(batch, num_qubits, cap=None):
     ]
 
 
-def broadcast_supported(circuit) -> bool:
-    """True when one broadcast pass can stand in for the per-binding runs.
-
-    Every operation must be a gate, a barrier or a measurement, and the
-    circuit must be samplable (no condition, reset, gate after a
-    measurement on its qubit, or clbit written twice).
-    """
-    return QasmSimulator._samplable(circuit) and all(
-        item.operation.name in ("barrier", "measure")
-        or isinstance(item.operation, Gate)
-        for item in circuit.data
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batch-leading views and shared-gate application
-#
-# ``states`` everywhere below is ``(B, 2**n)`` C-contiguous complex128: each
-# row is one binding's full state, itself contiguous, so any per-row
-# operation is *the* single-state operation.
-# ---------------------------------------------------------------------------
-
-
-def _batch_view(states, targets, num_qubits):
-    """Batch-leading analogue of :func:`kernels._compact_view`.
-
-    Same compact shape per row with an extra leading batch axis; returned
-    ``axes`` are the single-state axes shifted by one.
-    """
-    descending = sorted(targets, reverse=True)
-    shape = [states.shape[0]]
-    prev = num_qubits
-    for qubit in descending:
-        shape.append(1 << (prev - qubit - 1))
-        shape.append(2)
-        prev = qubit
-    shape.append(1 << prev)
-    position = {qubit: 2 + 2 * i for i, qubit in enumerate(descending)}
-    return states.reshape(shape), [position[qubit] for qubit in targets]
-
-
-def _apply_shared_sliced(states, descriptor, targets, num_qubits):
-    """Apply a non-dense shared descriptor to every row at once."""
-    if descriptor[0] == "diag":
-        if kernels._diag_tile_selected(states.shape[1], targets, 1):
-            _diag_tiled(states, descriptor[1][None, :], targets, num_qubits)
-            return
-        if len(targets) == 1:
-            d0, d1 = descriptor[1]
-            stride = 1 << targets[0]
-            narrow = states.reshape(-1, 2, stride)
-            if d0 != 1:
-                narrow[:, 0, :] *= d0
-            if d1 != 1:
-                narrow[:, 1, :] *= d1
-            return
-    view, axes = _batch_view(states, targets, num_qubits)
-    kernels._dispatch_sliced(view, axes, descriptor)
-
-
-def _apply_shared_dense(states, scratch, matrix, lowest):
-    """Dense shared gate on a contiguous ascending block for all rows.
-
-    The flat reshape never crosses a row boundary (the gate's span divides
-    ``2**n``), so this is the per-row low/high dense kernel verbatim.
-    Returns the ping-ponged ``(states, scratch)`` pair.
-    """
-    dim = matrix.shape[0]
-    stride = 1 << lowest
-    if lowest <= kernels._KRON_GEMM_MAX_TARGET:
-        operator = kernels._kron_gemm_operator(matrix, stride)
-        width = dim * stride
-        np.matmul(
-            states.reshape(-1, width), operator,
-            out=scratch.reshape(-1, width),
-        )
-    else:
-        np.matmul(
-            matrix,
-            states.reshape(-1, dim, stride),
-            out=scratch.reshape(-1, dim, stride),
-        )
-    return scratch, states
-
-
-def _make_shared_step(op, targets, num_qubits):
-    """Compile one binding-independent operation into a step tuple.
-
-    Mirrors the dispatch decisions of :func:`kernels.apply_gate` exactly so
-    every row sees the same arithmetic the single-state path would use.
-    """
-    diagonal = getattr(op, "diagonal", None)
-    if diagonal is not None:
-        vector = np.ascontiguousarray(diagonal, dtype=complex)
-        return ("ssliced", ("diag", vector), targets)
-    if len(targets) > kernels._MAX_ANALYZED_QUBITS:
-        return ("srow", op, targets)
-    matrix = np.ascontiguousarray(op.to_matrix(), dtype=complex)
-    descriptor = kernels._analysis(matrix)
-    if descriptor[0] != "dense":
-        return ("ssliced", descriptor, targets)
-    if len(targets) > 1 and not kernels._is_contiguous_block(targets):
-        return ("srow", op, targets)
-    lowest = min(targets)
-    positions = [t - lowest for t in targets]
-    if positions != list(range(len(targets))):
-        matrix = kernels._permute_gate_qubits(matrix, positions)
-    return ("sdense", matrix, lowest)
+def _row_view(states, targets):
+    """:func:`kernels._compact_view` of a row stack with the rows split
+    back out as axis 0, for kernels that scale each row differently."""
+    view, axes = kernels._compact_view(states, targets, 1)
+    return (view.reshape((states.shape[0], -1) + view.shape[1:]),
+            [axis + 1 for axis in axes])
 
 
 # ---------------------------------------------------------------------------
@@ -316,34 +218,34 @@ def _kron_stack(mats, stride):
     return operators
 
 
-def _apply_bound_dense1(states, scratch, mats, target):
+def _apply_bound_dense1(states, mats, target):
     """Per-binding dense 1q gate: one broadcast matmul over the row stack."""
     count = states.shape[0]
     stride = 1 << target
+    out = kernels._dense_out(states).reshape(states.shape)
     if target <= kernels._KRON_GEMM_MAX_TARGET:
         width = 2 * stride
         operators = _kron_stack(mats, stride)
         np.matmul(
             states.reshape(count, -1, width), operators,
-            out=scratch.reshape(count, -1, width),
+            out=out.reshape(count, -1, width),
         )
     else:
         np.matmul(
             mats[:, None, :, :],
             states.reshape(count, -1, 2, stride),
-            out=scratch.reshape(count, -1, 2, stride),
+            out=out.reshape(count, -1, 2, stride),
         )
-    return scratch, states
+    kernels._dense_retire(states, True)
+    return out
 
 
-def _diag_tiled(states, entries, targets, num_qubits):
+def _diag_tiled(states, entries, targets):
     """Row-wise mirror of :func:`kernels._apply_diag_tiled` (batch=1 shape).
 
-    ``entries`` is ``(rows, 2**k)``: one row per binding, or a single row
-    that broadcasting applies to every binding (a shared diagonal).  The
-    tiled pattern of one state divides each row exactly, so either way
-    every amplitude sees one multiply by the same value as the
-    single-state path.
+    ``entries`` is ``(rows, 2**k)``, one row per binding.  The tiled
+    pattern of one state divides each row exactly, so every amplitude sees
+    one multiply by the same value as the single-state path.
     """
     count, dim = states.shape
     rows = entries.shape[0]
@@ -360,7 +262,7 @@ def _diag_tiled(states, entries, targets, num_qubits):
     while length * repeats * 2 <= min(block, kernels._DIAG_TILE_TARGET):
         repeats *= 2
     if high:
-        view, axes = _batch_view(states, high, num_qubits)
+        view, axes = _row_view(states, high)
     for bits in range(1 << len(high)):
         offset = 0
         for position, target in enumerate(targets):
@@ -384,7 +286,7 @@ def _diag_tiled(states, entries, targets, num_qubits):
             states.reshape(count, -1, tile.shape[1])[...] *= tile[:, None, :]
 
 
-def _apply_bound_diag(states, entries, targets, num_qubits):
+def _apply_bound_diag(states, entries, targets):
     """Per-binding diagonal: broadcast multiply each basis slice.
 
     An entry column is skipped only when it is 1 for *every* binding (the
@@ -393,7 +295,7 @@ def _apply_bound_diag(states, entries, targets, num_qubits):
     """
     count, dim = states.shape
     if kernels._diag_tile_selected(dim, targets, 1):
-        _diag_tiled(states, entries, targets, num_qubits)
+        _diag_tiled(states, entries, targets)
         return
     if len(targets) == 1:
         stride = 1 << targets[0]
@@ -404,7 +306,7 @@ def _apply_bound_diag(states, entries, targets, num_qubits):
                 continue
             narrow[:, :, j, :] *= column[:, None, None]
         return
-    view, axes = _batch_view(states, targets, num_qubits)
+    view, axes = _row_view(states, targets)
     for j in range(entries.shape[1]):
         column = entries[:, j]
         if np.all(column == 1):
@@ -433,9 +335,9 @@ def _bound_dense1_tensor(view, axis, mats):
     view[index0] = new0
 
 
-def _apply_bound_ctrl(states, mats, targets, num_qubits):
+def _apply_bound_ctrl(states, mats, targets):
     """Controlled per-binding dense 1q (crx/cry/cu3): slice then update."""
-    view, axes = _batch_view(states, targets, num_qubits)
+    view, axes = _row_view(states, targets)
     control_axis = axes[0]
     sub = view[kernels._axis_slice(view, control_axis, 1)]
     target_axis = axes[1] - 1 if axes[1] > control_axis else axes[1]
@@ -443,25 +345,23 @@ def _apply_bound_ctrl(states, mats, targets, num_qubits):
 
 
 # ---------------------------------------------------------------------------
-# Program compilation and execution
+# Binding a lowered template, and the entry points
 # ---------------------------------------------------------------------------
 
 
 class BroadcastProgram:
-    """One circuit structure compiled against a batch of parameter values.
+    """A lowered template bound to a batch of parameter values.
 
-    Every ``circuit.data`` position maps to a precompiled step (or ``None``
-    for barriers/measures); applying a subset of positions — the estimator
-    appends its basis-change steps after the template's and applies each
-    term's — slices per-binding arrays by batch-row range so chunked
-    execution composes freely.  The entry points below check that every
-    other operation is a plain gate.
+    ``steps`` are the program's gate steps, in order, with every ``bound``
+    step replaced by its per-binding step.  Applying a subset of positions
+    — the estimator appends its basis-change steps after the template's
+    and applies each term's — slices per-binding arrays by batch-row range
+    so chunked execution composes freely.
     """
 
-    def __init__(self, circuit, parameter_values, parameters=None):
-        self.circuit = circuit
-        self.num_qubits = circuit.num_qubits
-        self.plan = get_bind_plan(circuit)
+    def __init__(self, program, parameter_values, parameters=None):
+        self.num_qubits = program.num_qubits
+        plan = get_bind_plan(program.circuit)
         values = np.asarray(parameter_values, dtype=float)
         if values.ndim != 2:
             raise SimulatorError(
@@ -471,9 +371,9 @@ class BroadcastProgram:
             raise SimulatorError("parameter value batch is empty")
         if parameters is not None:
             parameters = list(parameters)
-            if set(parameters) != set(self.plan.ordered) or len(
+            if set(parameters) != set(plan.ordered) or len(
                 parameters
-            ) != len(self.plan.ordered):
+            ) != len(plan.ordered):
                 raise SimulatorError(
                     "parameters do not match the circuit's free parameters"
                 )
@@ -482,45 +382,26 @@ class BroadcastProgram:
                     f"parameter values must have shape (batch, "
                     f"{len(parameters)}), got {values.shape}"
                 )
-            order = [parameters.index(p) for p in self.plan.ordered]
+            order = [parameters.index(p) for p in plan.ordered]
             values = np.ascontiguousarray(values[:, order])
         #: ``(batch, num_parameters)`` in ``plan.ordered`` column order.
         self.values = values
         self.batch = values.shape[0]
-        resolved = self.plan.resolve_arrays(values)
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        clbit_index = {c: i for i, c in enumerate(circuit.clbits)}
-        #: measured qubit -> clbit (data order, later measures overwrite).
-        self.measures: dict = {}
-        self.steps: list = []
-        for index, item in enumerate(circuit.data):
-            op = item.operation
-            if op.name == "barrier":
-                self.steps.append(None)
-                continue
-            if op.name == "measure":
-                self.measures[qubit_index[item.qubits[0]]] = clbit_index[
-                    item.clbits[0]
-                ]
-                self.steps.append(None)
-                continue
-            targets = [qubit_index[q] for q in item.qubits]
-            if index in resolved:
-                self.steps.append(
-                    self._make_bound_step(op, targets, resolved[index])
-                )
-            else:
-                self.steps.append(
-                    _make_shared_step(op, targets, self.num_qubits)
-                )
+        resolved = plan.resolve_arrays(values)
+        self.steps = [
+            self._bind(step, *resolved[step.data])
+            if step.kind == "bound" else step
+            for step in program.gates
+        ]
 
-    def _make_bound_step(self, op, targets, resolved):
-        slots, angle_vectors = resolved
+    def _bind(self, step, slots, angle_vectors):
+        op = step.source
         entry = _BOUND_BUILDERS.get(op.name)
         if entry is None:
             # No vectorized builder (rxx/ryy/custom gates): bind and apply
             # row by row through the ordinary kernels.
-            return ("brow", op, slots, angle_vectors, targets)
+            return kernels.Step("brow", (slots, angle_vectors),
+                                step.targets, op)
         kind, builder = entry
         arguments = []
         for slot in range(len(op.params)):
@@ -528,70 +409,70 @@ class BroadcastProgram:
                 arguments.append(angle_vectors[slots.index(slot)])
             else:
                 arguments.append(np.full(self.batch, float(op.params[slot])))
-        payload = builder(self.batch, *arguments)
-        return (kind, payload, targets)
+        return kernels.Step(kind, builder(self.batch, *arguments),
+                            step.targets, op)
 
-    def apply(self, states, scratch, positions, rows):
+    def apply(self, states, positions, rows):
         """Run the steps at ``positions`` over ``states`` rows ``rows``.
 
         ``rows`` is the slice of the full batch these state rows represent;
-        per-binding step payloads are sliced to match.  Returns the
-        (possibly swapped) ``(states, scratch)`` buffer pair.
+        per-binding step payloads are sliced to match.  The caller owns
+        ``states`` and uses only the returned array afterwards (dense steps
+        may hand back another buffer).
         """
         num_qubits = self.num_qubits
+        start = rows.start or 0
         for position in positions:
             step = self.steps[position]
-            if step is None:
-                continue
-            kind = step[0]
-            if kind == "sdense":
-                states, scratch = _apply_shared_dense(
-                    states, scratch, step[1], step[2]
-                )
-            elif kind == "ssliced":
-                _apply_shared_sliced(states, step[1], step[2], num_qubits)
-            elif kind == "srow":
+            if len(step.targets) == num_qubits and states.shape[0] > 1:
+                # Each slice of a step spanning every qubit holds one
+                # amplitude per row, and numpy rounds a lone complex product
+                # apart from a run of them: go row by row, as each row's
+                # own run does.
                 for row in range(states.shape[0]):
-                    states[row] = kernels.apply_gate(
-                        states[row], step[1], step[2], num_qubits
-                    )
-            elif kind == "bdense1":
-                states, scratch = _apply_bound_dense1(
-                    states, scratch, step[1][rows], step[2][0]
+                    states[row] = self.apply(
+                        states[row:row + 1].copy(), (position,),
+                        slice(start + row, start + row + 1),
+                    )[0]
+                continue
+            kind = step.kind
+            if kind == "bdense1":
+                states = _apply_bound_dense1(
+                    states, step.data[rows], step.targets[0]
                 )
             elif kind == "bdiag":
-                _apply_bound_diag(
-                    states, step[1][rows], step[2], num_qubits
-                )
+                _apply_bound_diag(states, step.data[rows], step.targets)
             elif kind == "bctrl":
-                _apply_bound_ctrl(
-                    states, step[1][rows], step[2], num_qubits
-                )
-            else:  # brow
-                _, op, slots, angle_vectors, targets = step
-                start = rows.start or 0
+                _apply_bound_ctrl(states, step.data[rows], step.targets)
+            elif kind == "brow":
+                slots, angle_vectors = step.data
                 for row in range(states.shape[0]):
-                    params = list(op.params)
+                    params = list(step.source.params)
                     for slot, vector in zip(slots, angle_vectors):
                         params[slot] = float(vector[start + row])
-                    bound = op.copy()
+                    bound = step.source.copy()
                     bound._params = params
                     bound._definition = None
                     states[row] = kernels.apply_gate(
-                        states[row], bound, targets, num_qubits
+                        states[row], bound, step.targets, num_qubits
                     )
-        return states, scratch
+            else:
+                states = kernels.apply_step(states, step, num_qubits)
+        return states
 
-    def fresh_buffers(self, rows):
-        """A zeroed ``|0...0>`` row stack and a matching scratch buffer."""
+    def fresh_states(self, rows):
+        """A ``|0...0>`` row stack."""
         states = np.zeros((rows, 1 << self.num_qubits), dtype=complex)
         states[:, 0] = 1.0
-        return states, np.empty_like(states)
+        return states
 
 
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
+def _lowered(template) -> Program:
+    """The template's program, idle qubits dropped: lowered here, unless
+    the caller hands over the one it lowered already."""
+    if isinstance(template, Program):
+        return template
+    return Program(template, strip_idle=True)
 
 
 def evolve_broadcast(circuit, parameter_values, parameters=None):
@@ -603,41 +484,19 @@ def evolve_broadcast(circuit, parameter_values, parameters=None):
     """
     if circuit.num_qubits == 0:
         raise SimulatorError("cannot simulate a circuit with no qubits")
-    measured: set = set()
-    for item in circuit.data:
-        op = item.operation
-        if op.name == "barrier":
-            continue
-        if op.name == "measure":
-            measured.add(item.qubits[0])
-            continue
-        if op.condition is not None:
-            raise SimulatorError(
-                "classical conditions require the qasm simulator"
-            )
-        if op.name == "reset":
-            raise SimulatorError("reset requires the qasm simulator")
-        if not isinstance(op, Gate):
-            raise SimulatorError(f"cannot simulate operation '{op.name}'")
-        for qubit in item.qubits:
-            if qubit in measured:
-                raise SimulatorError(
-                    "gate after measurement requires the qasm simulator"
-                )
-    program = BroadcastProgram(circuit, parameter_values, parameters)
-    positions = range(len(circuit.data))
-    out = np.empty((program.batch, 1 << program.num_qubits), dtype=complex)
-    for start, stop in broadcast_chunk_bounds(
-        program.batch, program.num_qubits
-    ):
+    program = Program(circuit)
+    program.require_static()
+    bound = BroadcastProgram(program, parameter_values, parameters)
+    positions = range(len(bound.steps))
+    out = np.empty((bound.batch, 1 << bound.num_qubits), dtype=complex)
+    for start, stop in broadcast_chunk_bounds(bound.batch, bound.num_qubits):
         with get_tracer().span("chunk:evolve", attributes={
             "rows": stop - start, "binding_start": start,
         }):
-            states, scratch = program.fresh_buffers(stop - start)
-            states, _ = program.apply(
-                states, scratch, positions, slice(start, stop)
+            out[start:stop] = bound.apply(
+                bound.fresh_states(stop - start), positions,
+                slice(start, stop),
             )
-            out[start:stop] = states
     return out
 
 
@@ -647,38 +506,37 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds):
     Entry ``b`` is bitwise identical to
     ``QasmSimulator().run(bound_b, shots, seed=seeds[b])`` (noise-free,
     samplable circuits only): like that run, the pass applies every gate
-    of the template.
+    of the template.  ``circuit`` may also be the template's
+    :class:`Program`, lowered with ``strip_idle=True``.
     Returns ``[{"counts", "shots"}, ...]``.
     """
     if shots < 1:
         raise SimulatorError("shots must be positive")
-    if circuit.num_qubits == 0:
+    program = _lowered(circuit)
+    if program.circuit.num_qubits == 0:
         raise SimulatorError("circuit has no qubits")
-    if circuit.num_clbits == 0:
+    width = program.circuit.num_clbits
+    if width == 0:
         raise SimulatorError(
             "qasm simulation needs classical bits; add measurements"
         )
-    stripped = QasmSimulator._strip_idle_qubits(circuit)
-    if not broadcast_supported(stripped):
+    if not program.broadcastable:
         raise SimulatorError(
             "broadcast sampling requires a samplable circuit "
             "(no reset, conditions, or mid-circuit measurement)"
         )
-    program = BroadcastProgram(stripped, parameter_values, parameters)
-    if len(seeds) != program.batch:
+    bound = BroadcastProgram(program, parameter_values, parameters)
+    if len(seeds) != bound.batch:
         raise SimulatorError("need one seed per parameter binding")
-    positions = range(len(stripped.data))
-    width = stripped.num_clbits
+    positions = range(len(bound.steps))
     results = []
-    for start, stop in broadcast_chunk_bounds(
-        program.batch, program.num_qubits
-    ):
+    for start, stop in broadcast_chunk_bounds(bound.batch, bound.num_qubits):
         with get_tracer().span("chunk:sample", attributes={
             "rows": stop - start, "binding_start": start, "shots": shots,
         }):
-            states, scratch = program.fresh_buffers(stop - start)
-            states, _ = program.apply(
-                states, scratch, positions, slice(start, stop)
+            states = bound.apply(
+                bound.fresh_states(stop - start), positions,
+                slice(start, stop),
             )
             for row in range(stop - start):
                 outcomes = _sample_outcomes(
@@ -694,26 +552,6 @@ def sample_broadcast(circuit, parameter_values, parameters, shots, seeds):
     return results
 
 
-def estimator_broadcastable(circuit) -> bool:
-    """Whether the shots-mode broadcast estimator reproduces the loop path.
-
-    The per-binding comparator routes each term circuit through
-    ``QasmSimulator.run``, which strips idle qubits; a template leaving any
-    qubit untouched would then be sampled at a smaller width than the
-    broadcast evolution uses.  Measurements in the template land
-    mid-circuit after composition.  The backend runs both cases per
-    binding instead.
-    """
-    if not broadcast_supported(circuit):
-        return False
-    used: set = set()
-    for item in circuit.data:
-        if item.operation.name == "measure":
-            return False
-        used.update(item.qubits)
-    return len(used) == circuit.num_qubits
-
-
 def estimate_broadcast_shots(circuit, parameter_values, parameters,
                              observable, shots, seeds):
     """Shots-mode ``<H>`` per binding via broadcast sampling.
@@ -722,53 +560,57 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
     ``ExpectationEstimator(observable, mode="shots", shots=shots,
     seed=seeds[b]).estimate(bound_b)``.  The whole template evolves once
     per chunk; each term then applies only its basis-change rotations
-    (compiled once per ``(gate, qubit)``) to a copy, which is what its
+    (lowered once per ``(gate, qubit)``) to a copy, which is what its
     term circuit applies after the template, and samples under the same
-    derived seed, in the same float accumulation order.
+    derived seed, in the same float accumulation order.  ``circuit`` may
+    also be the template's :class:`Program` (see :func:`sample_broadcast`);
+    it must be ``estimable``.
     """
     from repro.algorithms.expectation import (
         measurement_basis_change,
         measurement_terms,
     )
 
-    num_qubits = circuit.num_qubits
-    if observable.num_qubits != num_qubits:
+    program = _lowered(circuit)
+    num_qubits = program.num_qubits
+    if observable.num_qubits != program.circuit.num_qubits:
         raise SimulatorError("circuit width does not match the observable")
-    if not estimator_broadcastable(circuit):
+    if not program.estimable:
         raise SimulatorError(
             "broadcast estimation requires a measurement-free template "
             "using every qubit"
         )
-    program = BroadcastProgram(circuit, parameter_values, parameters)
-    if len(seeds) != program.batch:
+    bound = BroadcastProgram(program, parameter_values, parameters)
+    if len(seeds) != bound.batch:
         raise SimulatorError("need one seed per parameter binding")
     base, terms = measurement_terms(observable)
     if not terms:
-        return [base] * program.batch
-    size = len(program.steps)
-    numbered: dict = {}  # (gate name, qubit) -> its program position
+        return [base] * bound.batch
+    size = len(bound.steps)
+    numbered: dict = {}  # (gate name, qubit) -> its step position
     term_plans = []  # (coeff, parity mask, rotation positions) per term
     for _index, coeff, pauli in terms:
         rotations = []
         for gate, qubit in measurement_basis_change(pauli):
             key = (gate.name, qubit)
             if key not in numbered:
-                numbered[key] = len(program.steps)
-                program.steps.append(
-                    _make_shared_step(gate, [qubit], num_qubits)
-                )
+                numbered[key] = len(bound.steps)
+                bound.steps.append(kernels.gate_step(gate, [qubit]))
             rotations.append(numbered[key])
         mask = sum(1 << qubit for qubit in pauli.support)
         term_plans.append((coeff, mask, rotations))
 
-    energies = [base] * program.batch
-    for start, stop in broadcast_chunk_bounds(program.batch, num_qubits):
+    energies = [base] * bound.batch
+    for start, stop in broadcast_chunk_bounds(bound.batch, num_qubits):
         with get_tracer().span("chunk:estimate", attributes={
             "rows": stop - start, "binding_start": start, "shots": shots,
         }):
             rows = slice(start, stop)
-            final, scratch = program.fresh_buffers(stop - start)
-            final, scratch = program.apply(final, scratch, range(size), rows)
+            final = bound.apply(bound.fresh_states(stop - start),
+                                range(size), rows)
+            # Dense steps hand their input buffer to the kernels' scratch
+            # pool and return another; ``final`` is never a step's input,
+            # so it never reaches the pool and every term copies it intact.
             work = np.empty_like(final)
             term_seeds = [
                 derive_experiment_seeds(seeds[start + row], len(term_plans))
@@ -778,7 +620,7 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                 term_plans
             ):
                 np.copyto(work, final)
-                states, aux = program.apply(work, scratch, rotations, rows)
+                work = bound.apply(work, rotations, rows)
                 # <P> from counts is (#even-parity - #odd-parity) / shots — an
                 # exact integer accumulator divided once — so computing the
                 # parity tally straight off the outcome integers reproduces
@@ -786,7 +628,7 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                 # skipping the bitstring rendering entirely.
                 for row in range(stop - start):
                     outcomes = _sample_outcomes(
-                        states[row], shots,
+                        work[row], shots,
                         np.random.default_rng(term_seeds[row][term_index]),
                     )
                     odd = int(
@@ -795,8 +637,4 @@ def estimate_broadcast_shots(circuit, parameter_values, parameters,
                     energies[start + row] += coeff * (
                         (shots - 2 * odd) / shots
                     )
-                # Dense ping-pong permutes {work, scratch}; final is never
-                # handed out as an output buffer, so rebinding keeps the trio
-                # distinct for the next term's copy.
-                work, scratch = states, aux
     return energies

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.gate import Gate
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import SimulatorError
 from repro.quantum_info.density_matrix import DensityMatrix
+from repro.simulators.program import Program
 
 
 class DensityMatrixSimulator:
@@ -25,40 +25,20 @@ class DensityMatrixSimulator:
         self._max_qubits = max_qubits
 
     def run(self, circuit: QuantumCircuit, noise_model=None) -> DensityMatrix:
-        """Return the final density matrix (measurements must be terminal)."""
-        num_qubits = circuit.num_qubits
-        if num_qubits == 0:
-            raise SimulatorError("circuit has no qubits")
-        if num_qubits > self._max_qubits:
-            raise SimulatorError(
-                f"{num_qubits} qubits exceeds the density-matrix limit "
-                f"({self._max_qubits})"
-            )
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        state = DensityMatrix.zero_state(num_qubits)
-        measured: set = set()
-        for item in circuit.data:
-            op = item.operation
-            if op.name == "barrier":
-                continue
-            if op.name == "measure":
-                measured.add(item.qubits[0])
-                continue
-            if op.condition is not None or op.name == "reset":
-                raise SimulatorError(
-                    f"'{op.name}' with conditions/reset requires the qasm "
-                    "simulator"
-                )
-            if any(q in measured for q in item.qubits):
-                raise SimulatorError("mid-circuit measurement not supported")
-            if not isinstance(op, Gate):
-                raise SimulatorError(f"cannot simulate '{op.name}'")
-            targets = [qubit_index[q] for q in item.qubits]
-            state = state.evolve(op.to_matrix(), qargs=targets)
-            if noise_model is not None:
-                error = noise_model.gate_error(op.name, targets)
-                if error is not None:
-                    state = state.apply_channel(error.kraus_operators, targets)
+        """Return the final density matrix (measurements must be terminal).
+
+        Each gate step's matrix applies, then its error's channel.
+        ``circuit`` may also be the program :meth:`counts` lowered with
+        the run's noise model.
+        """
+        program = (circuit if isinstance(circuit, Program)
+                   else self._lower(circuit, noise_model))
+        state = DensityMatrix.zero_state(program.num_qubits)
+        for step in program.gates:
+            state = state.evolve(step.matrix(), qargs=step.targets)
+            if step.error is not None:
+                state = state.apply_channel(step.error.kraus_operators,
+                                            step.targets)
         return state
 
     def counts(self, circuit: QuantumCircuit, shots: int = 1024, seed=None,
@@ -72,22 +52,29 @@ class DensityMatrixSimulator:
         """
         if circuit.num_clbits == 0:
             raise SimulatorError("counts need classical bits; add measurements")
-        state = self.run(circuit, noise_model=noise_model)
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        clbit_index = {c: i for i, c in enumerate(circuit.clbits)}
-        qubit_to_clbit = {}
-        for item in circuit.data:
-            if item.operation.name == "measure":
-                qubit_to_clbit[qubit_index[item.qubits[0]]] = clbit_index[
-                    item.clbits[0]
-                ]
+        program = self._lower(circuit, noise_model)
+        state = self.run(program)
         probs = state.probabilities()
         probs = probs / probs.sum()
         counts = self._sample_counts(
-            probs, qubit_to_clbit, circuit.num_clbits, shots,
+            probs, program.measures, circuit.num_clbits, shots,
             np.random.default_rng(seed), noise_model,
         )
         return {"counts": counts, "shots": shots, "density_matrix": state}
+
+    def _lower(self, circuit, noise_model) -> Program:
+        """The circuit's program, refused unless its measurements are
+        terminal and it holds nothing but gates."""
+        if circuit.num_qubits == 0:
+            raise SimulatorError("circuit has no qubits")
+        if circuit.num_qubits > self._max_qubits:
+            raise SimulatorError(
+                f"{circuit.num_qubits} qubits exceeds the density-matrix "
+                f"limit ({self._max_qubits})"
+            )
+        program = Program(circuit, noise_model)
+        program.require_static()
+        return program
 
     @staticmethod
     def _sample_counts(probs, qubit_to_clbit, width, shots, rng,

@@ -29,8 +29,21 @@ bytes), so the fast paths also cover unitary noise branches, diagonal
 ``UnitaryGate``s, and anything else with exploitable shape — not just gates
 recognized by name.
 
-State layout matches ``apply_matrix``: shape ``(2**n,)`` or ``(2**n, B)``
-for a batch of ``B`` column vectors, little-endian qubit indexing.
+A classified gate application is a :class:`Step` (kernel kind,
+precomputed descriptor, targets).  :class:`repro.simulators.program.Program`
+lowers a whole circuit into steps once, and :func:`apply_step` is the one
+dispatch every statevector path runs them through, whatever the layout:
+
+* **rows** — ``R`` states stacked as a C-contiguous ``(R, 2**n)`` array
+  (the broadcast engine's bindings; a lone state is one row).  Rows fold
+  into the leading extent of every view, and every decision (the tiled
+  diagonal, the low-target GEMM) is taken on one row's size, so each row
+  sees exactly the arithmetic of its own one-row run;
+* **columns** — ``(2**n, B)`` for ``B`` column vectors (the batched-noise
+  shots, ``Operator.from_circuit``'s identity), the trailing ``batch``
+  factor of every stride, as ``apply_matrix`` lays them out.
+
+Little-endian qubit indexing throughout.
 """
 
 from __future__ import annotations
@@ -133,12 +146,84 @@ def _analysis(matrix: np.ndarray):
     return descriptor
 
 
+class Step:
+    """One lowered operation: kernel ``kind``, its precomputed ``data``,
+    and its ``targets``.
+
+    Gate kinds and their ``data``: ``diag``/``perm``/``ctrl`` hold the
+    structural descriptor, ``dense`` the matrix reordered for its ascending
+    contiguous target block, and ``matrix`` nothing (``apply_matrix`` on
+    the full matrix: gates wider than three qubits or dense on scattered
+    targets).  ``source`` is the gate (or bare matrix) the step came from;
+    :meth:`matrix` rebuilds the full matrix from it for the reference path
+    (:func:`apply_diagonal`'s bare vector has none: it takes the reference
+    path before building its step).
+    A program also lowers ``measure``/``reset`` steps and tags gate steps
+    with their classical ``condition`` and noise ``error``.
+    """
+
+    __slots__ = ("kind", "data", "targets", "source", "condition", "error")
+
+    def __init__(self, kind, data, targets, source=None):
+        self.kind = kind
+        self.data = data
+        self.targets = targets
+        self.source = source
+        self.condition = None
+        self.error = None
+
+    def matrix(self):
+        """The full ``2**k x 2**k`` matrix of a gate step."""
+        source = self.source
+        if isinstance(source, np.ndarray):
+            return source
+        return source.to_matrix()
+
+
+def matrix_step(matrix, targets, source=None) -> Step:
+    """Classify ``matrix`` on ``targets`` into the step of its fastest kernel."""
+    targets = list(targets)
+    if len(targets) > _MAX_ANALYZED_QUBITS:
+        return Step("matrix", None, targets,
+                    matrix if source is None else source)
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    if source is None:
+        source = matrix
+    descriptor = _analysis(matrix)
+    if descriptor[0] != "dense":
+        return Step(descriptor[0], descriptor, targets, source)
+    if len(targets) > 1:
+        if not _is_contiguous_block(targets):
+            return Step("matrix", None, targets, source)
+        # Reorder the gate's qubits to match ascending targets, so the 1q
+        # machinery applies with a wider matrix.
+        lowest = min(targets)
+        positions = [t - lowest for t in targets]
+        if positions != list(range(len(targets))):
+            matrix = _permute_gate_qubits(matrix, positions)
+    return Step("dense", matrix, targets, source)
+
+
+def gate_step(gate, targets) -> Step:
+    """The step of one gate application.
+
+    Gates that carry their diagonal vector (``DiagonalGate``) stay a
+    vector: no dense matrix is built and no width cap applies.
+    """
+    diagonal = getattr(gate, "diagonal", None)
+    if diagonal is not None:
+        vector = np.ascontiguousarray(diagonal, dtype=complex)
+        return Step("diag", ("diag", vector), list(targets), gate)
+    return matrix_step(gate.to_matrix(), targets, gate)
+
+
 # ---------------------------------------------------------------------------
 # Kernel primitives
 #
 # ``flat`` below is the C-contiguous state raveled to 1D; a batch of B
 # columns folds into the trailing (least-significant) end of the index, so
-# qubit q occupies a stride of ``2**q * B`` flat elements.
+# qubit q occupies a stride of ``2**q * B`` flat elements, and stacked rows
+# fold into the leading end.
 # ---------------------------------------------------------------------------
 
 
@@ -148,22 +233,21 @@ def _axis_slice(tensor, axis, index):
     return tuple(full)
 
 
-def _compact_view(flat, targets, num_qubits, batch):
+def _compact_view(flat, targets, batch):
     """Reshape ``flat`` splitting out only the target qubits.
 
     Returns ``(view, axes)`` with ``axes[i]`` the view axis of ``targets[i]``.
     Non-target qubits stay merged into large contiguous blocks, so the slice
     kernels below iterate over a few long runs instead of the size-2 inner
     loops a full ``(2,)*n`` tensor view would force on numpy's iterator.
+    The leading extent is ``-1``: the qubits above the highest target and,
+    for a row stack, the rows.
     """
     descending = sorted(targets, reverse=True)
-    shape = []
-    prev = num_qubits
-    for qubit in descending:
-        shape.append(1 << (prev - qubit - 1))
-        shape.append(2)
-        prev = qubit
-    shape.append((1 << prev) * batch)
+    shape = [-1, 2]
+    for higher, qubit in zip(descending, descending[1:]):
+        shape += [1 << (higher - qubit - 1), 2]
+    shape.append((1 << descending[-1]) * batch)
     position = {qubit: 1 + 2 * i for i, qubit in enumerate(descending)}
     return flat.reshape(shape), [position[qubit] for qubit in targets]
 
@@ -205,10 +289,10 @@ _DIAG_TILE_UNIT_STRIDE_MIN = 1 << 18
 def _diag_tile_selected(size, targets, batch):
     """Whether the tiled diagonal path is the measured winner.
 
-    ``size`` is the flat element count (``2**n * batch``).  The decision is
-    a pure function of structure — target strides and state size — so the
-    batched broadcast engine can replay it per gate and stay on the exact
-    arithmetic the single-state path uses.
+    ``size`` is one row's flat element count (``2**n * batch``).  The
+    decision is a pure function of structure — target strides and row
+    size — so a row stack takes it exactly as each of its rows alone would,
+    and so does the broadcast engine's per-binding diagonal.
     """
     stride = (1 << min(targets)) * batch
     if stride >= _DIAG_TILE_RUN:
@@ -240,12 +324,12 @@ def _apply_diag_tiled(flat, diagonal, targets, num_qubits, batch):
     for position, target in enumerate(targets):
         if target in low:
             pattern += ((offsets // ((1 << target) * batch)) & 1) << position
-    block = ((1 << min(high)) if high else (flat.size // batch)) * batch
+    block = (1 << (min(high) if high else num_qubits)) * batch
     repeats = 1
     while length * repeats * 2 <= min(block, _DIAG_TILE_TARGET):
         repeats *= 2
     if high:
-        view, axes = _compact_view(flat, high, num_qubits, batch)
+        view, axes = _compact_view(flat, high, batch)
     for bits in range(1 << len(high)):
         offset = 0
         for position, target in enumerate(targets):
@@ -402,17 +486,26 @@ def _dense_retire(flat, mutate):
         _DENSE_SCRATCH[flat.nbytes] = flat
 
 
-def _apply_dense_low(flat, matrix, target, batch, mutate):
+def _apply_dense_low(flat, matrix, target, batch, mutate, row_size):
     """Dense k-qubit gate on targets ``[target, target+1, ...]`` — low index.
 
     One BLAS GEMM against ``kron(U^T, I_R)``; only worthwhile while the
-    inflation factor ``R = 2**target * batch`` stays small.
+    inflation factor ``R = 2**target * batch`` stays small.  When the
+    block spans a whole row, each row is one GEMM row, and BLAS takes a
+    vector-matrix path for a lone one: a row stack then multiplies row by
+    row, so every row keeps the arithmetic of its own run.
     """
     stride = (1 << target) * batch
     operator = _kron_gemm_operator(matrix, stride)
     out = _dense_out(flat)
     width = matrix.shape[0] * stride
-    np.matmul(flat.reshape(-1, width), operator, out=out.reshape(-1, width))
+    if width == row_size:
+        for row, out_row in zip(flat.reshape(-1, 1, width),
+                                out.reshape(-1, 1, width)):
+            np.matmul(row, operator, out=out_row)
+    else:
+        np.matmul(flat.reshape(-1, width), operator,
+                  out=out.reshape(-1, width))
     _dense_retire(flat, mutate)
     return out
 
@@ -432,10 +525,12 @@ def _apply_dense_high(flat, matrix, target, batch, mutate):
     return out
 
 
-def _apply_dense_contiguous(flat, matrix, target, batch, mutate):
-    """Dense gate on a contiguous ascending target block starting at ``target``."""
+def _apply_dense_contiguous(flat, matrix, target, batch, mutate, row_size):
+    """Dense gate on a contiguous ascending target block starting at
+    ``target``; ``row_size`` is one row's flat length (``2**n * batch``)."""
     if batch == 1 and target <= _KRON_GEMM_MAX_TARGET:
-        return _apply_dense_low(flat, matrix, target, batch, mutate)
+        return _apply_dense_low(flat, matrix, target, batch, mutate,
+                                row_size)
     return _apply_dense_high(flat, matrix, target, batch, mutate)
 
 
@@ -453,8 +548,114 @@ def _permute_gate_qubits(matrix, positions):
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# The step dispatch and its public entry points
 # ---------------------------------------------------------------------------
+
+
+def _is_contiguous_block(targets) -> bool:
+    """True when ``targets`` is ``[q, q+1, ..., q+k-1]`` up to reordering."""
+    lowest = min(targets)
+    return sorted(targets) == list(range(lowest, lowest + len(targets)))
+
+
+def _reference(flat, step, num_qubits, batch, mutate):
+    """``apply_matrix`` on the step's full matrix, one row at a time."""
+    matrix = step.matrix()
+    shape = (1 << num_qubits, batch) if batch > 1 else (1 << num_qubits,)
+    rows = flat.reshape((-1,) + shape)
+    if rows.shape[0] == 1:
+        return apply_matrix(rows[0], matrix, step.targets,
+                            num_qubits).reshape(-1)
+    if not mutate:
+        flat = flat.copy()
+        rows = flat.reshape((-1,) + shape)
+    for row in rows:
+        row[...] = apply_matrix(row, matrix, step.targets, num_qubits)
+    return flat
+
+
+def _dispatch(flat, step, num_qubits, batch, mutate):
+    kind = step.kind
+    targets = step.targets
+    if not ENABLED or kind not in ("diag", "perm", "ctrl", "dense"):
+        return _reference(flat, step, num_qubits, batch, mutate)
+    if kind == "dense":
+        return _apply_dense_contiguous(flat, step.data, min(targets), batch,
+                                       mutate, (1 << num_qubits) * batch)
+    # Slice kernels mutate; honor the purity contract up front.
+    if not mutate:
+        flat = flat.copy()
+    if kind == "diag":
+        diagonal = step.data[1]
+        if _diag_tile_selected((1 << num_qubits) * batch, targets, batch):
+            _apply_diag_tiled(flat, diagonal, targets, num_qubits, batch)
+            return flat
+        if len(targets) == 1:
+            # Single-stride layout beats multi-axis slicing for 1q diagonals.
+            narrow = flat.reshape(-1, 2, (1 << targets[0]) * batch)
+            if diagonal[0] != 1:
+                narrow[:, 0, :] *= diagonal[0]
+            if diagonal[1] != 1:
+                narrow[:, 1, :] *= diagonal[1]
+            return flat
+    view, axes = _compact_view(flat, targets, batch)
+    _dispatch_sliced(view, axes, step.data)
+    return flat
+
+
+def _dispatch_sliced(view, axes, descriptor):
+    kind = descriptor[0]
+    if kind == "diag":
+        _apply_diag_tensor(view, axes, descriptor[1])
+        return
+    if kind == "perm":
+        _apply_perm_tensor(view, axes, descriptor[1], descriptor[2])
+        return
+    if kind == "ctrl":
+        # Restrict to the slice where the control (low) qubit is 1, then
+        # recurse with the remaining targets.
+        control_axis = axes[0]
+        sub = view[_axis_slice(view, control_axis, 1)]
+        sub_axes = [axis - 1 if axis > control_axis else axis for axis in axes[1:]]
+        _dispatch_sliced(sub, sub_axes, descriptor[1])
+        return
+    # Dense base of a controlled gate (1q only, by construction).
+    _apply_dense_1q_tensor(view, axes[0], descriptor[1])
+
+
+def apply_step(state, step, num_qubits, batch=1):
+    """Apply one lowered gate step to an owned state buffer.
+
+    ``state`` is C-contiguous complex128: one row ``(2**n,)``, a row stack
+    ``(R, 2**n)``, or ``batch`` columns ``(2**n, batch)``.  The caller owns
+    it and uses only the returned array afterwards: kernels update it in
+    place or hand back a different buffer of the same shape.  Under
+    :class:`disabled` every step runs ``apply_matrix``.
+    """
+    return _dispatch(state.reshape(-1), step, num_qubits, batch,
+                     True).reshape(state.shape)
+
+
+def apply_steps(state, steps, num_qubits, batch=1):
+    """Apply ``steps`` in order; same contract as :func:`apply_step`."""
+    flat = state.reshape(-1)
+    for step in steps:
+        flat = _dispatch(flat, step, num_qubits, batch, True)
+    return flat.reshape(state.shape)
+
+
+def _apply_once(state, step, num_qubits, mutate):
+    """One step on a caller's ``(2**n,)`` or ``(2**n, B)`` array."""
+    state = np.asarray(state)
+    original_shape = state.shape
+    batch = 1
+    for extent in state.shape[1:]:
+        batch *= extent
+    if state.dtype != np.complex128 or not state.flags.c_contiguous:
+        state = np.ascontiguousarray(state, dtype=complex)
+        mutate = True  # we own the converted copy
+    result = _dispatch(state.reshape(-1), step, num_qubits, batch, mutate)
+    return result.reshape(original_shape)
 
 
 def apply_unitary(state, matrix, targets, num_qubits, *, mutate=False):
@@ -480,26 +681,10 @@ def apply_unitary(state, matrix, targets, num_qubits, *, mutate=False):
     """
     if not ENABLED:
         return apply_matrix(state, matrix, targets, num_qubits)
-    k = len(targets)
-    if k > _MAX_ANALYZED_QUBITS:
-        return apply_matrix(state, matrix, targets, num_qubits)
-    state = np.asarray(state)
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
-    descriptor = _analysis(matrix)
-    if descriptor[0] == "dense" and k > 1 and not _is_contiguous_block(targets):
-        return apply_matrix(state, matrix, targets, num_qubits)
-
-    original_shape = state.shape
-    batch = 1
-    for extent in state.shape[1:]:
-        batch *= extent
-    if state.dtype != np.complex128 or not state.flags.c_contiguous:
-        state = np.ascontiguousarray(state, dtype=complex)
-        mutate = True  # we own the converted copy
-    flat = state.reshape(-1)
-
-    result = _dispatch(flat, descriptor, list(targets), num_qubits, batch, mutate)
-    return result.reshape(original_shape)
+    step = matrix_step(matrix, targets)
+    if step.kind == "matrix":
+        return apply_matrix(state, step.source, targets, num_qubits)
+    return _apply_once(state, step, num_qubits, mutate)
 
 
 def apply_diagonal(state, diagonal, targets, num_qubits, *, mutate=False):
@@ -514,103 +699,17 @@ def apply_diagonal(state, diagonal, targets, num_qubits, *, mutate=False):
     diagonal = np.ascontiguousarray(diagonal, dtype=complex)
     if not ENABLED:
         return apply_matrix(state, np.diag(diagonal), targets, num_qubits)
-    state = np.asarray(state)
-    original_shape = state.shape
-    batch = 1
-    for extent in state.shape[1:]:
-        batch *= extent
-    if state.dtype != np.complex128 or not state.flags.c_contiguous:
-        state = np.ascontiguousarray(state, dtype=complex)
-        mutate = True  # we own the converted copy
-    flat = state.reshape(-1)
-    if not mutate:
-        flat = flat.copy()
-    targets = list(targets)
-    if _diag_tile_selected(flat.size, targets, batch):
-        _apply_diag_tiled(flat, diagonal, targets, num_qubits, batch)
-    else:
-        view, axes = _compact_view(flat, targets, num_qubits, batch)
-        _apply_diag_tensor(view, axes, diagonal)
-    return flat.reshape(original_shape)
+    step = Step("diag", ("diag", diagonal), list(targets))
+    return _apply_once(state, step, num_qubits, mutate)
 
 
 def apply_gate(state, gate, targets, num_qubits, *, mutate=False):
     """Apply a :class:`~repro.circuit.gate.Gate` via its (cached) matrix.
 
     Gates that carry their diagonal vector directly (``DiagonalGate``)
-    skip matrix construction entirely via :func:`apply_diagonal`.
+    skip matrix construction entirely (see :func:`gate_step`).
     """
-    diagonal = getattr(gate, "diagonal", None)
-    if diagonal is not None and ENABLED:
-        return apply_diagonal(
-            state, diagonal, targets, num_qubits, mutate=mutate
-        )
-    return apply_unitary(
-        state, gate.to_matrix(), targets, num_qubits, mutate=mutate
-    )
-
-
-def _is_contiguous_block(targets) -> bool:
-    """True when ``targets`` is ``[q, q+1, ..., q+k-1]`` up to reordering."""
-    lowest = min(targets)
-    return sorted(targets) == list(range(lowest, lowest + len(targets)))
-
-
-def _dispatch(flat, descriptor, targets, num_qubits, batch, mutate):
-    kind = descriptor[0]
-    if kind == "dense":
-        matrix = descriptor[1]
-        if matrix.shape[0] == 2:
-            return _apply_dense_contiguous(flat, matrix, targets[0], batch,
-                                           mutate)
-        # Contiguous multi-qubit block (guaranteed by apply_unitary); reorder
-        # the gate's qubits to match ascending targets, then use the 1q
-        # machinery with a wider matrix.
-        lowest = min(targets)
-        positions = [t - lowest for t in targets]
-        if positions != list(range(len(targets))):
-            matrix = _permute_gate_qubits(matrix, positions)
-        return _apply_dense_contiguous(flat, matrix, lowest, batch, mutate)
-
-    # Slice kernels mutate; honor the purity contract up front.
-    if not mutate:
-        flat = flat.copy()
-    if kind == "diag" and _diag_tile_selected(flat.size, targets, batch):
-        _apply_diag_tiled(flat, descriptor[1], targets, num_qubits, batch)
-        return flat
-    if kind == "diag" and len(targets) == 1:
-        # Single-stride layout beats multi-axis slicing for 1q diagonals.
-        diagonal = descriptor[1]
-        stride = (1 << targets[0]) * batch
-        narrow = flat.reshape(-1, 2, stride)
-        if diagonal[0] != 1:
-            narrow[:, 0, :] *= diagonal[0]
-        if diagonal[1] != 1:
-            narrow[:, 1, :] *= diagonal[1]
-        return flat
-    view, axes = _compact_view(flat, targets, num_qubits, batch)
-    _dispatch_sliced(view, axes, descriptor)
-    return flat
-
-
-def _dispatch_sliced(view, axes, descriptor):
-    kind = descriptor[0]
-    if kind == "diag":
-        _apply_diag_tensor(view, axes, descriptor[1])
-        return
-    if kind == "perm":
-        _apply_perm_tensor(view, axes, descriptor[1], descriptor[2])
-        return
-    if kind == "ctrl":
-        # Restrict to the slice where the control (low) qubit is 1, then
-        # recurse with the remaining targets.
-        control_axis = axes[0]
-        sub = view[_axis_slice(view, control_axis, 1)]
-        sub_axes = [axis - 1 if axis > control_axis else axis for axis in axes[1:]]
-        _dispatch_sliced(sub, sub_axes, descriptor[1])
-        return
-    # Dense base of a controlled gate (1q only, by construction).
-    _apply_dense_1q_tensor(view, axes[0], descriptor[1])
+    return _apply_once(state, gate_step(gate, targets), num_qubits, mutate)
 
 
 def clear_caches():

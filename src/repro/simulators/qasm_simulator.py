@@ -1,19 +1,23 @@
 """Shot-based simulator — the ``qasm_simulator`` of the paper's Section IV.
 
-Three execution strategies, tried in this order:
+The circuit is lowered once into a
+:class:`~repro.simulators.program.Program` (idle qubits dropped when the
+noise model treats every qubit alike, each gate step tagged with its
+error), and its flags pick one of three execution strategies, tried in
+this order:
 
-* **Sampling**: when the circuit is free of gate noise, reset,
-  conditions and mid-circuit measurement, the statevector is evolved
-  once and ``shots`` outcomes are sampled from the final distribution
-  (readout errors flip the sampled bits).
-* **Batched unitary noise**: when every gate error is a mixture of
-  unitaries and measurements are terminal, all shots evolve together as
+* **Sampling**: when the circuit is free of gate noise and ``samplable``
+  (no reset, conditions or mid-circuit measurement), the gate steps evolve
+  one statevector and ``shots`` outcomes are sampled from the final
+  distribution (readout errors flip the sampled bits).
+* **Batched unitary noise**: when it is ``samplable`` and ``batchable``
+  (every gate error a mixture of unitaries), all shots evolve together as
   the columns of one ``(2**n, shots)`` array, each column taking its own
   sampled noise branch; outcomes are drawn per column.
-* **Trajectories**: otherwise each shot is simulated individually; noise
-  channels are applied by Monte-Carlo sampling one Kraus branch per
-  application (quantum-trajectory method), and measurements collapse the
-  state.
+* **Trajectories**: otherwise each shot runs the steps individually from
+  the shared noise-free ``prefix``; noise channels are applied by
+  Monte-Carlo sampling one Kraus branch per application (quantum-trajectory
+  method), and measurements collapse the state.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import math
 
 import numpy as np
 
-from repro.circuit.gate import Gate
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import SimulatorError
 from repro.simulators import kernels
+from repro.simulators.program import Program
 
 
 def _prob_one(state: np.ndarray, qubit: int, num_qubits: int) -> float:
@@ -169,32 +173,37 @@ class QasmSimulator:
             raise SimulatorError(
                 "qasm simulation needs classical bits; add measurements"
             )
-        if self._strippable(noise_model):
-            circuit = self._strip_idle_qubits(circuit)
+        program = Program(circuit, noise_model,
+                          strip_idle=self._strippable(noise_model))
+        if program.nongate is not None:
+            raise SimulatorError(f"cannot simulate '{program.nongate}'")
         rng = np.random.default_rng(seed)
         gate_noise_free = noise_model is None or not noise_model.noisy_gates
-        if gate_noise_free and self._samplable(circuit):
+        if gate_noise_free and program.samplable:
             # Readout errors (if any) are applied to the sampled bits, so
             # readout-only noise models still take the fast sampling path.
-            state, qubit_to_clbit = self._evolve_sampling_state(circuit)
+            state = np.zeros(2**program.num_qubits, dtype=complex)
+            state[0] = 1.0
+            state = kernels.apply_steps(state, program.gates,
+                                        program.num_qubits)
             shot_values = _measured_values(
                 _sample_outcomes(state, shots, rng),
-                qubit_to_clbit, circuit.num_clbits, rng, noise_model,
+                program.measures, circuit.num_clbits, rng, noise_model,
             )
-        elif self._samplable(circuit) and self._batchable(circuit, noise_model):
+        elif program.samplable and program.batchable:
             # Probabilistic-unitary noise with terminal measurement: evolve
             # all shots as one (2**n x chunk) batch, splitting columns only
             # where noise branches differ.  Chunk to bound memory at ~64 MiB.
-            max_columns = max(1, (1 << 22) // (2**circuit.num_qubits))
+            max_columns = max(1, (1 << 22) // (2**program.num_qubits))
             shot_values = []
             for start in range(0, shots, max_columns):
                 shot_values.extend(self._run_batched(
-                    circuit, min(max_columns, shots - start), rng,
+                    program, min(max_columns, shots - start), rng,
                     noise_model,
                 ))
         else:
             shot_values = self._run_trajectories(
-                circuit, shots, rng, noise_model
+                program, shots, rng, noise_model
             )
         counts, memory_list = bin_counts(
             shot_values, circuit.num_clbits, memory=memory
@@ -213,135 +222,17 @@ class QasmSimulator:
             return False
         return all(key is None for key in noise_model._readout)
 
-    @staticmethod
-    def _strip_idle_qubits(circuit: QuantumCircuit):
-        """Drop qubits no instruction touches (e.g. unused device wires).
-
-        Transpiled circuits span the whole physical register; simulating the
-        idle wires would square the state dimension for nothing.  Idle
-        qubits are always in |0>, so dropping them leaves counts unchanged.
-        """
-        used = set()
-        for item in circuit.data:
-            used.update(item.qubits)
-        if len(used) == circuit.num_qubits or not used:
-            return circuit
-        from repro.circuit.circuitinstruction import CircuitInstruction
-        from repro.circuit.register import QuantumRegister
-
-        kept = [q for q in circuit.qubits if q in used]
-        compact_reg = QuantumRegister(len(kept), "sim")
-        mapping = dict(zip(kept, compact_reg))
-        compact = QuantumCircuit(compact_reg, name=circuit.name)
-        for creg in circuit.cregs:
-            compact.add_register(creg)
-        for item in circuit.data:
-            compact.data.append(
-                CircuitInstruction(
-                    item.operation,
-                    [mapping[q] for q in item.qubits],
-                    list(item.clbits),
-                )
-            )
-        return compact
-
-    # -- sampling strategy ----------------------------------------------------------
-
-    @staticmethod
-    def _samplable(circuit: QuantumCircuit) -> bool:
-        """True when one statevector pass plus sampling is exact."""
-        measured: set = set()
-        written: set = set()
-        for item in circuit.data:
-            op = item.operation
-            if op.condition is not None or op.name == "reset":
-                return False
-            if op.name == "barrier":
-                continue
-            if op.name == "measure":
-                if item.clbits[0] in written:
-                    return False
-                measured.add(item.qubits[0])
-                written.add(item.clbits[0])
-                continue
-            if any(q in measured for q in item.qubits):
-                return False
-        return True
-
-    def _evolve_sampling_state(self, circuit):
-        """Evolve the final statevector once for the sampling strategy.
-
-        Returns ``(state, qubit_to_clbit)``; deterministic — no RNG is
-        consumed — so every shot of the run is drawn from this one state.
-        """
-        num_qubits = circuit.num_qubits
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        clbit_index = {c: i for i, c in enumerate(circuit.clbits)}
-        state = np.zeros(2**num_qubits, dtype=complex)
-        state[0] = 1.0
-        qubit_to_clbit: dict[int, int] = {}
-        for item in circuit.data:
-            op = item.operation
-            if op.name == "barrier":
-                continue
-            if op.name == "measure":
-                qubit_to_clbit[qubit_index[item.qubits[0]]] = clbit_index[
-                    item.clbits[0]
-                ]
-                continue
-            if not isinstance(op, Gate):
-                raise SimulatorError(f"cannot simulate '{op.name}'")
-            targets = [qubit_index[q] for q in item.qubits]
-            state = kernels.apply_gate(
-                state, op, targets, num_qubits, mutate=True
-            )
-        return state, qubit_to_clbit
-
     # -- batched trajectory strategy ---------------------------------------------------
 
-    def _batchable(self, circuit, noise_model) -> bool:
-        """True when every gate error is a probabilistic-unitary mixture."""
-        if noise_model is None:
-            return True
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        for item in circuit.data:
-            op = item.operation
-            if op.name in ("barrier", "measure"):
-                continue
-            targets = [qubit_index[q] for q in item.qubits]
-            error = noise_model.gate_error(op.name, targets)
-            if error is not None and error._unitary_branches is None:
-                return False
-        return True
-
-    def _run_batched(self, circuit, shots, rng, noise_model) -> list[int]:
-        num_qubits = circuit.num_qubits
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        clbit_index = {c: i for i, c in enumerate(circuit.clbits)}
+    def _run_batched(self, program, shots, rng, noise_model) -> list[int]:
+        num_qubits = program.num_qubits
         states = np.zeros((2**num_qubits, shots), dtype=complex)
         states[0, :] = 1.0
-        qubit_to_clbit: dict[int, int] = {}
-        for item in circuit.data:
-            op = item.operation
-            if op.name == "barrier":
+        for step in program.gates:
+            states = kernels.apply_step(states, step, num_qubits, shots)
+            if step.error is None:
                 continue
-            if op.name == "measure":
-                qubit_to_clbit[qubit_index[item.qubits[0]]] = clbit_index[
-                    item.clbits[0]
-                ]
-                continue
-            if not isinstance(op, Gate):
-                raise SimulatorError(f"cannot simulate '{op.name}'")
-            targets = [qubit_index[q] for q in item.qubits]
-            states = kernels.apply_gate(
-                states, op, targets, num_qubits, mutate=True
-            )
-            if noise_model is None:
-                continue
-            error = noise_model.gate_error(op.name, targets)
-            if error is None:
-                continue
-            branches = error._unitary_branches
+            branches = step.error._unitary_branches
             probabilities = np.array([b[0] for b in branches])
             probabilities = probabilities / probabilities.sum()
             choice = rng.choice(len(branches), size=shots, p=probabilities)
@@ -353,8 +244,8 @@ class QasmSimulator:
                     # Fancy-indexed columns are a copy; evolve the copy in
                     # place and scatter it back.
                     states[:, columns] = kernels.apply_unitary(
-                        states[:, columns], unitary, targets, num_qubits,
-                        mutate=True,
+                        states[:, columns], unitary, step.targets,
+                        num_qubits, mutate=True,
                     )
         # Per-column measurement sampling via the inverse-CDF trick.
         probabilities = states.real**2 + states.imag**2
@@ -362,73 +253,38 @@ class QasmSimulator:
         cumulative = np.cumsum(probabilities, axis=0)
         draws = rng.random(shots)
         outcomes = (cumulative < draws[None, :]).sum(axis=0)
-        return _measured_values(outcomes, qubit_to_clbit,
-                                circuit.num_clbits, rng, noise_model)
+        return _measured_values(outcomes, program.measures,
+                                program.circuit.num_clbits, rng, noise_model)
 
     # -- trajectory strategy ----------------------------------------------------------
 
-    def _deterministic_prefix(self, data, qubit_index, noise_model) -> int:
-        """Length of the leading run of noise-free unconditioned gates.
-
-        Every trajectory evolves identically through this prefix, so it is
-        simulated once and each shot starts from a copy of the result.
-        """
-        split = 0
-        for item in data:
-            op = item.operation
-            if (
-                op.condition is not None
-                or op.name in ("measure", "reset")
-                or not isinstance(op, Gate)
-            ):
-                break
-            if noise_model is not None:
-                targets = [qubit_index[q] for q in item.qubits]
-                if noise_model.gate_error(op.name, targets) is not None:
-                    break
-            split += 1
-        return split
-
-    def _run_trajectories(self, circuit, shots, rng, noise_model) -> list[int]:
-        num_qubits = circuit.num_qubits
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        clbit_index = {c: i for i, c in enumerate(circuit.clbits)}
-        creg_slices = {
-            reg: [clbit_index[c] for c in reg] for reg in circuit.cregs
-        }
-        data = [
-            item for item in circuit.data if item.operation.name != "barrier"
-        ]
-        split = self._deterministic_prefix(data, qubit_index, noise_model)
+    def _run_trajectories(self, program, shots, rng, noise_model) -> list[int]:
+        num_qubits = program.num_qubits
+        steps = program.steps
         prefix_state = np.zeros(2**num_qubits, dtype=complex)
         prefix_state[0] = 1.0
-        for item in data[:split]:
-            targets = [qubit_index[q] for q in item.qubits]
-            prefix_state = kernels.apply_gate(
-                prefix_state, item.operation, targets, num_qubits, mutate=True
-            )
-        suffix = data[split:]
+        prefix_state = kernels.apply_steps(
+            prefix_state, steps[:program.prefix], num_qubits
+        )
+        suffix = steps[program.prefix:]
         buffer = np.empty_like(prefix_state)
         shot_values = []
         for _ in range(shots):
             np.copyto(buffer, prefix_state)
             state = buffer
             classical = 0
-            for item in suffix:
-                op = item.operation
-                name = op.name
-                if op.condition is not None:
-                    register, target_value = op.condition
-                    positions = creg_slices[register]
+            for step in suffix:
+                if step.condition is not None:
+                    positions, target_value = step.condition
                     actual = 0
                     for offset, position in enumerate(positions):
                         if (classical >> position) & 1:
                             actual |= 1 << offset
                     if actual != target_value:
                         continue
-                if name == "measure":
-                    qubit = qubit_index[item.qubits[0]]
-                    clbit = clbit_index[item.clbits[0]]
+                kind = step.kind
+                if kind == "measure":
+                    qubit = step.targets[0]
                     outcome = int(rng.random() < _prob_one(state, qubit, num_qubits))
                     state = _project(
                         state, qubit, outcome, num_qubits, mutate=True
@@ -439,39 +295,33 @@ class QasmSimulator:
                         if readout is not None:
                             recorded = readout.sample(outcome, rng)
                     if recorded:
-                        classical |= 1 << clbit
+                        classical |= 1 << step.data
                     else:
-                        classical &= ~(1 << clbit)
+                        classical &= ~(1 << step.data)
                     continue
-                if name == "reset":
-                    qubit = qubit_index[item.qubits[0]]
+                if kind == "reset":
+                    qubit = step.targets[0]
                     outcome = int(rng.random() < _prob_one(state, qubit, num_qubits))
                     state = _project(
                         state, qubit, outcome, num_qubits, mutate=True
                     )
                     if outcome:
-                        x_matrix = np.array([[0, 1], [1, 0]], dtype=complex)
-                        state = kernels.apply_unitary(
-                            state, x_matrix, [qubit], num_qubits, mutate=True
-                        )
+                        state = kernels.apply_step(state, step.data, num_qubits)
                     continue
-                if not isinstance(op, Gate):
-                    raise SimulatorError(f"cannot simulate '{name}'")
-                targets = [qubit_index[q] for q in item.qubits]
-                state = kernels.apply_gate(
-                    state, op, targets, num_qubits, mutate=True
-                )
-                if noise_model is not None:
-                    error = noise_model.gate_error(name, targets)
-                    if error is not None:
-                        if error.num_qubits != len(targets):
-                            raise SimulatorError(
-                                f"noise for '{name}' acts on "
-                                f"{error.num_qubits} qubit(s), gate on "
-                                f"{len(targets)}"
-                            )
-                        state = error.sample_kraus(
-                            state, targets, num_qubits, rng
+                state = kernels.apply_step(state, step, num_qubits)
+                error = step.error
+                if error is not None:
+                    if error.num_qubits != len(step.targets):
+                        raise SimulatorError(
+                            f"noise for '{step.source.name}' acts on "
+                            f"{error.num_qubits} qubit(s), gate on "
+                            f"{len(step.targets)}"
                         )
+                    state = error.sample_kraus(
+                        state, step.targets, num_qubits, rng
+                    )
             shot_values.append(classical)
+            # The shot's final buffer is ours; the first one may have gone
+            # to the kernels' scratch pool.
+            buffer = state
         return shot_values

@@ -2,19 +2,22 @@
 
 Implements exactly the scheme of Sec. V-A: simulation "boils down to a
 sequence of matrix-vector multiplications", with the vector stored densely
-(2**n amplitudes).  The decision-diagram simulator in
-:mod:`repro.simulators.dd_simulator` is the paper's improved alternative.
+(2**n amplitudes).  The circuit is lowered once into a
+:class:`~repro.simulators.program.Program` and its gate steps run as one
+row through :func:`repro.simulators.kernels.apply_steps`.  The
+decision-diagram simulator in :mod:`repro.simulators.dd_simulator` is the
+paper's improved alternative.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.gate import Gate
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.exceptions import SimulatorError
 from repro.quantum_info.statevector import Statevector
 from repro.simulators import kernels
+from repro.simulators.program import Program
 
 
 class StatevectorSimulator:
@@ -53,32 +56,9 @@ class StatevectorSimulator:
             if init.shape != (2**num_qubits,):
                 raise SimulatorError("initial state has the wrong dimension")
             state = init.copy()
-        qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
-        measured: set = set()
-        for item in circuit.data:
-            op = item.operation
-            if op.name == "barrier":
-                continue
-            if op.name == "measure":
-                measured.add(item.qubits[0])
-                continue
-            if op.condition is not None:
-                raise SimulatorError(
-                    "classical conditions require the qasm simulator"
-                )
-            if op.name == "reset":
-                raise SimulatorError("reset requires the qasm simulator")
-            if not isinstance(op, Gate):
-                raise SimulatorError(f"cannot simulate operation '{op.name}'")
-            for qubit in item.qubits:
-                if qubit in measured:
-                    raise SimulatorError(
-                        "gate after measurement requires the qasm simulator"
-                    )
-            targets = [qubit_index[q] for q in item.qubits]
-            state = kernels.apply_gate(
-                state, op, targets, num_qubits, mutate=True
-            )
+        program = Program(circuit)
+        program.require_static()
+        state = kernels.apply_steps(state, program.gates, num_qubits)
         return Statevector(state, validate=False)
 
     def run_batch(self, circuit: QuantumCircuit, parameter_values,

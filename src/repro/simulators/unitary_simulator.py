@@ -16,16 +16,14 @@ class UnitarySimulator:
         self._max_qubits = max_qubits
 
     def run(self, circuit: QuantumCircuit) -> Operator:
-        """Return the circuit unitary as an :class:`Operator`."""
+        """Return the circuit unitary as an :class:`Operator`.
+
+        A measurement, reset or classically conditioned gate raises
+        :class:`SimulatorError`, as in :meth:`Operator.from_circuit`.
+        """
         if circuit.num_qubits > self._max_qubits:
             raise SimulatorError(
                 f"{circuit.num_qubits} qubits exceeds the unitary limit "
                 f"({self._max_qubits})"
             )
-        for item in circuit.data:
-            if item.operation.name in ("measure", "reset"):
-                raise SimulatorError(
-                    f"'{item.operation.name}' is not unitary; remove it or "
-                    "use the qasm simulator"
-                )
         return Operator.from_circuit(circuit)

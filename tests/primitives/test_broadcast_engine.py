@@ -12,12 +12,11 @@ from repro.circuit import ClassicalRegister, Parameter, QuantumCircuit
 from repro.quantum_info.pauli import PauliSumOp
 from repro.simulators.batched import (
     broadcast_chunk_bounds,
-    broadcast_supported,
     estimate_broadcast_shots,
-    estimator_broadcastable,
     evolve_broadcast,
     sample_broadcast,
 )
+from repro.simulators.program import Program
 from repro.simulators.qasm_simulator import QasmSimulator
 from repro.simulators.statevector_simulator import StatevectorSimulator
 
@@ -215,10 +214,13 @@ class TestEstimateBroadcastShots:
 
 
 class TestSupportPredicates:
+    """The program flags that pick broadcast over the per-binding loop."""
+
     def test_supported_template(self):
         form = ry_ansatz(3, reps=1)
-        assert broadcast_supported(form.circuit)
-        assert estimator_broadcastable(form.circuit)
+        program = Program(form.circuit, strip_idle=True)
+        assert program.broadcastable
+        assert program.estimable
 
     def test_conditional_not_supported(self):
         qc = QuantumCircuit(1, 1)
@@ -226,11 +228,12 @@ class TestSupportPredicates:
         qc.measure(0, 0)
         qc.x(0)
         qc.data[-1].operation.condition = (qc.cregs[0], 1)
-        assert not broadcast_supported(qc)
+        assert not Program(qc, strip_idle=True).broadcastable
 
     def test_idle_qubit_not_estimator_broadcastable(self):
         qc = QuantumCircuit(3)
         qc.h(0)
         qc.cx(0, 1)  # qubit 2 idle
-        assert broadcast_supported(qc)
-        assert not estimator_broadcastable(qc)
+        program = Program(qc, strip_idle=True)
+        assert program.broadcastable
+        assert not program.estimable

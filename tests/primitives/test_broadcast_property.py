@@ -18,11 +18,8 @@ from repro.circuit import Parameter, QuantumCircuit
 from repro.primitives import SamplerV2
 from repro.providers import Aer
 from repro.quantum_info.pauli import PauliSumOp
-from repro.simulators.batched import (
-    estimate_broadcast_shots,
-    estimator_broadcastable,
-    sample_broadcast,
-)
+from repro.simulators.batched import estimate_broadcast_shots, sample_broadcast
+from repro.simulators.program import Program
 from repro.simulators.qasm_simulator import QasmSimulator
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
@@ -76,7 +73,7 @@ def random_template(rng, num_qubits, size):
     while True:
         circuit = QuantumCircuit(num_qubits)
         parameters = random_gates(rng, circuit, size)
-        if estimator_broadcastable(circuit):
+        if Program(circuit).estimable:
             return circuit, parameters
 
 

@@ -258,20 +258,17 @@ class TestCircuitBreaker:
                            BreakerState.CLOSED]
 
     def test_user_errors_do_not_open_the_breaker(self, tmp_path):
-        wide = QuantumCircuit(2, 2, name="bad")
+        # A genuine user error that only the run can find: a circuit wider
+        # than the simulator's dense-array limit (an over-limit ``shots``
+        # is refused at submit, before anything reaches the backend).
+        wide = QuantumCircuit(40, 1, name="bad")
         wide.h(0)
         wide.measure(0, 0)
         with RuntimeService(
             tmp_path, breaker={"failure_threshold": 1},
         ) as service:
-            # An unknown backend option path: force a genuine user error
-            # by exceeding the backend's max shots.
-            limit = Aer.get_backend(
-                "qasm_simulator"
-            ).configuration().max_shots
-            bad = service.submit(_bell(), shots=limit + 1)
-            with pytest.raises(BackendError):
-                bad.result(timeout=30)
+            bad = service.submit(wide, shots=10)
+            assert bad.result(timeout=30).success is False
             assert bad.status() == "ERROR"
             assert service.breaker_snapshot().get(
                 "qasm_simulator", {}

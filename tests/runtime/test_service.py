@@ -147,6 +147,28 @@ class TestServiceParity:
         with RuntimeService(tmp_path, autostart=False) as service:
             assert service.jobs() == []
 
+    def test_shots_above_backend_maximum_are_refused_at_submit(
+            self, tmp_path):
+        limit = Aer.get_backend("qasm_simulator").configuration().max_shots
+        with RuntimeService(tmp_path, autostart=False) as service:
+            with pytest.raises(BackendError, match="exceeds backend maximum"):
+                service.submit(_bell(), shots=limit + 1)
+            assert service.jobs() == []
+        # Nothing was journaled: a restart finds no job to recover.
+        with RuntimeService(tmp_path, autostart=False) as service:
+            assert service.jobs() == []
+
+    def test_requeue_refuses_shots_above_backend_maximum(self, tmp_path):
+        limit = Aer.get_backend("qasm_simulator").configuration().max_shots
+        with RuntimeService(tmp_path, autostart=False) as service:
+            job = service.submit(_bell(), shots=10)
+            job.cancel()
+            journal = (tmp_path / "jobs.jsonl").read_bytes()
+            with pytest.raises(BackendError, match="exceeds backend maximum"):
+                service.requeue(job.job_id, shots=limit + 1)
+            assert job.status() == "CANCELLED"
+            assert (tmp_path / "jobs.jsonl").read_bytes() == journal
+
     def test_requeue_refuses_bad_shots(self, tmp_path):
         with RuntimeService(tmp_path, autostart=False) as service:
             job = service.submit(_bell(), shots=10)

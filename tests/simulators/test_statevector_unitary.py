@@ -94,3 +94,63 @@ class TestUnitarySimulator:
         assert operator.is_unitary()
         state = StatevectorSimulator().run(circuit)
         assert np.allclose(operator.data[:, 0], state.data)
+
+
+class TestConditionedGateRefused:
+    """A classically conditioned gate is not a unitary of the circuit:
+    every unitary-only entry point refuses it (none can honour the
+    condition), like ``StatevectorSimulator.run`` does."""
+
+    @pytest.fixture
+    def conditioned_x(self):
+        from repro.circuit import ClassicalRegister, QuantumRegister
+        from repro.circuit.library.standard_gates import XGate
+
+        creg = ClassicalRegister(1, "c")
+        circuit = QuantumCircuit(QuantumRegister(1, "q"), creg)
+        circuit.append(XGate().c_if(creg, 1), [0])
+        return circuit
+
+    def test_operator_from_circuit(self, conditioned_x):
+        from repro.quantum_info import Operator
+
+        with pytest.raises(SimulatorError, match="c_if"):
+            Operator.from_circuit(conditioned_x)
+
+    def test_operator_constructor(self, conditioned_x):
+        from repro.quantum_info import Operator
+
+        with pytest.raises(SimulatorError, match="c_if"):
+            Operator(conditioned_x)
+
+    def test_unitary_simulator(self, conditioned_x):
+        with pytest.raises(SimulatorError, match="c_if"):
+            UnitarySimulator().run(conditioned_x)
+
+    def test_unitary_simulator_backend(self, conditioned_x):
+        from repro.providers import Aer
+
+        result = Aer.get_backend("unitary_simulator").run(
+            conditioned_x
+        ).result()
+        assert result.success is False
+
+    def test_statevector_evolve(self, conditioned_x):
+        with pytest.raises(SimulatorError, match="c_if"):
+            Statevector.zero_state(1).evolve(conditioned_x)
+
+    def test_statevector_from_instruction(self, conditioned_x):
+        with pytest.raises(SimulatorError, match="c_if"):
+            Statevector.from_instruction(conditioned_x)
+
+    def test_density_matrix_evolve(self, conditioned_x):
+        from repro.quantum_info import DensityMatrix
+
+        with pytest.raises(SimulatorError, match="c_if"):
+            DensityMatrix.zero_state(1).evolve(conditioned_x)
+
+    def test_density_matrix_from_instruction(self, conditioned_x):
+        from repro.quantum_info import DensityMatrix
+
+        with pytest.raises(SimulatorError, match="c_if"):
+            DensityMatrix.from_instruction(conditioned_x)
