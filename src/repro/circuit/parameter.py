@@ -77,7 +77,7 @@ class ParameterExpression:
     Internally the expression is an operation tree plus the set of free
     parameters, supporting +, -, *, /, negation, and ``sin``/``cos``
     composition.  Trees are plain tuples, so expressions pickle (process
-    executors ship them inside assembled experiments) and evaluate over
+    executors ship them inside payload circuits) and evaluate over
     numpy arrays as well as scalars.
     """
 

@@ -13,7 +13,7 @@ class SamplerV2:
     Every call is one ``backend.run_pubs`` job, and each pub — ``(circuit,
     parameter_values[, parameters])`` — runs its whole batch axis inside
     its own experiment(s).  Where the template allows, that is one
-    broadcast pass: the template is serialized once, binding-independent
+    broadcast pass: the template is snapshot once, binding-independent
     gates apply to all statevectors together, and each binding is sampled
     with its own derived seed.  Templates the broadcast engine cannot
     take (conditionals, resets, mid-circuit measurement) run per binding

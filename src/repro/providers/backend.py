@@ -3,14 +3,15 @@
 ``BaseBackend.run`` implements the paper's Section IV pipeline in four
 stages shared by every backend:
 
-1. **assemble** — circuits are serialized into a Qobj dictionary by
-   :func:`repro.qobj.assembler.assemble`, which also derives one seed per
-   experiment from the batch seed;
+1. **assemble** — each circuit is snapshot by
+   :func:`repro.qobj.assembler.flatten_circuit` (operations copied,
+   composite gates expanded), and one seed per experiment is derived
+   from the batch seed;
 2. **schedule** — :mod:`repro.providers.executor` runs the payloads on a
    serial, thread, or process executor (``executor`` option, default
    serial);
-3. **run** — each experiment is disassembled and simulated independently,
-   with per-experiment timing and error capture;
+3. **run** — each payload circuit is simulated independently, with
+   per-experiment timing and error capture;
 4. **collect** — :meth:`Job.result` gathers the experiment results into a
    :class:`~repro.providers.result.Result`.
 
@@ -61,7 +62,7 @@ class Job:
     before execution starts moves the job to ``CANCELLED``.  With the
     serial executor, execution is deferred until :meth:`result` is first
     called; pool executors start running at submission.  The job's
-    :class:`~repro.providers.executor.Dispatch` holds every unit of the
+    :class:`~repro.providers.executor.Dispatch` runs every unit of the
     plan, and its outcome table is the job's one record of finished
     units — checkpoint-restored chunks included.
     """
@@ -362,9 +363,9 @@ class BaseBackend:
         completes.  Options:
 
         * ``shots`` (an integer, at least 1) / ``seed`` / ``memory`` /
-          ``noise_model`` — forwarded to the simulator engines.  The batch ``seed`` is expanded into
-          one derived seed per experiment by the assembler, so results are
-          bit-identical no matter which executor runs the batch.
+          ``noise_model`` — forwarded to the simulator engines.  The
+          batch ``seed`` is expanded into one derived seed per experiment
+          at submission, so results are bit-identical on every executor.
         * ``executor`` — ``"serial"`` (default; ``"auto"`` means the
           same), ``"threads"``, or ``"processes"``.  A process pool that
           breaks mid-batch re-runs its unfinished experiments on threads.

@@ -44,11 +44,11 @@ class PreparedExecution:
     """A validated, assembled, scheduled-but-not-launched batch.
 
     Everything :meth:`ExecutionEngine.launch` needs to create the
-    dispatch: the target backend, the payload list, the plan (one entry
-    per payload, in payload order — ``{"experiment_index", "name",
-    "chunk": int|None, "chunks"}``), the resolved executor ``kind``, and
-    the :class:`~repro.telemetry.jobtrace.JobTrace` the job will record
-    into.
+    dispatch: the target backend, the ``(circuit snapshot, config)``
+    payload list, the plan (one entry per payload, in payload order —
+    ``{"experiment_index", "name", "chunk": int|None, "chunks"}``), the
+    resolved executor ``kind``, and the
+    :class:`~repro.telemetry.jobtrace.JobTrace` the job will record into.
     """
 
     __slots__ = ("backend", "payloads", "plan", "kind", "max_workers",
@@ -113,7 +113,7 @@ class ExecutionEngine:
         """Open the dispatch span, give each payload its span context,
         and package the batch."""
         job_trace.dispatch_started(kind, len(payloads))
-        for seq, ((_experiment, config), entry) in enumerate(
+        for seq, ((_circuit, config), entry) in enumerate(
             zip(payloads, plan)
         ):
             context = job_trace.experiment_context(
@@ -130,15 +130,17 @@ class ExecutionEngine:
         """Validate, assemble, and plan a circuit batch (runs nothing).
 
         This is the submission half of ``BaseBackend.run``: it derives
-        per-experiment (and per-chunk) seeds, builds the payload list and
-        dispatch plan, resolves the executor kind, and injects span
-        contexts — leaving only dispatch creation to :meth:`launch`.
-        Each payload of a ``checkpoint`` job appends its chunk record
-        under ``checkpoint_id`` (default: the job's own id).
+        per-experiment (and per-chunk) seeds, snapshots each circuit (so
+        editing it afterwards leaves the job as submitted), builds the
+        payload list and dispatch plan, resolves the executor kind, and
+        injects span contexts — leaving only dispatch creation to
+        :meth:`launch`.  Each payload of a ``checkpoint`` job appends its
+        chunk record under ``checkpoint_id`` (default: the job's own id).
         """
         from repro.qobj.assembler import (
-            assemble,
             derive_chunk_seeds,
+            derive_experiment_seeds,
+            flatten_circuit,
             shot_chunk_bounds,
         )
 
@@ -154,51 +156,41 @@ class ExecutionEngine:
             "experiments": len(circuits), "shots": shots,
             "max_qubits": max_qubits,
         }):
-            qobj = assemble(
-                circuits,
-                shots=shots,
-                seed=options.get("seed"),
-                memory=options.get("memory", False),
-            )
+            seeds = derive_experiment_seeds(options.get("seed"),
+                                            len(circuits))
+            snapshots = [flatten_circuit(circuit) for circuit in circuits]
         chunk_size = options.get("shot_chunk_size")
         payloads = []
         plan = []
-        for index, experiment in enumerate(qobj["experiments"]):
-            exp_seed = experiment["config"]["seed"]
-            name = experiment.get("header", {}).get("name", "unnamed")
+        for index, (circuit, exp_seed) in enumerate(zip(snapshots, seeds)):
             bounds = (
                 shot_chunk_bounds(shots, chunk_size)
-                if backend._splits_shots(circuits[index], options)
+                if backend._splits_shots(circuit, options)
                 else [(0, shots)]
             )
-            if len(bounds) == 1:
-                # Unchunked: the experiment seed and payload shape are
-                # exactly the pre-chunking pipeline's.
-                payloads.append(
-                    (experiment, dict(engine_options, seed=exp_seed))
-                )
-                plan.append({
-                    "experiment_index": index, "name": name,
-                    "chunk": None, "chunks": 1,
-                })
-                continue
-            seeds = derive_chunk_seeds(exp_seed, len(bounds))
+            chunked = len(bounds) > 1
+            # A single chunk keeps the experiment seed and the unchunked
+            # payload; the chunks of one experiment share its snapshot,
+            # which no engine mutates.
             for chunk, ((start, stop), seed) in enumerate(
-                zip(bounds, seeds)
+                zip(bounds, derive_chunk_seeds(exp_seed, len(bounds)))
             ):
-                config = dict(engine_options, seed=seed, shots=stop - start)
-                config["shot_chunk"] = {
-                    "index": chunk, "total": len(bounds),
-                    "start": start, "stop": stop,
-                }
-                payloads.append((experiment, config))
+                config = dict(engine_options, seed=seed)
+                if chunked:
+                    config["shots"] = stop - start
+                    config["shot_chunk"] = {
+                        "index": chunk, "total": len(bounds),
+                        "start": start, "stop": stop,
+                    }
+                payloads.append((circuit, config))
                 plan.append({
-                    "experiment_index": index, "name": name,
-                    "chunk": chunk, "chunks": len(bounds),
+                    "experiment_index": index, "name": circuit.name,
+                    "chunk": chunk if chunked else None,
+                    "chunks": len(bounds),
                 })
         checkpoint = options.get("checkpoint")
         if checkpoint:
-            for (_experiment, config), entry in zip(payloads, plan):
+            for (_circuit, config), entry in zip(payloads, plan):
                 config["checkpoint"] = {
                     "path": checkpoint,
                     "job_id": checkpoint_id or job_trace.job_id,
@@ -221,7 +213,7 @@ class ExecutionEngine:
 
         restored = restored or {}
         finished = {}
-        for position, (entry, (_experiment, config)) in enumerate(
+        for position, (entry, (_circuit, config)) in enumerate(
             zip(prepared.plan, prepared.payloads)
         ):
             outcome = restored.get(
@@ -252,17 +244,18 @@ class ExecutionEngine:
         """Validate and plan a broadcast-pub batch (runs nothing).
 
         The pub twin of :meth:`prepare`: normalizes the pub tuples,
-        derives one seed per *binding* (concatenated across pubs, exactly
-        the bound-circuit layout), splits each batch axis at the
-        broadcast engine's memory cap, and resolves the executor.  Every
-        payload is one plan entry, an unchunked experiment: each binding
-        draws all its shots from its own seed.
+        snapshots each symbolic template, derives one seed per *binding*
+        (concatenated across pubs, exactly the bound-circuit layout),
+        splits each batch axis at the broadcast engine's memory cap, and
+        resolves the executor.  Every payload is one plan entry, an
+        unchunked experiment: each binding draws all its shots from its
+        own seed.
         """
         import numpy as np
 
         from repro.qobj.assembler import (
-            circuit_to_experiment,
             derive_experiment_seeds,
+            flatten_circuit,
         )
         from repro.simulators.batched import broadcast_chunk_bounds
 
@@ -317,8 +310,7 @@ class ExecutionEngine:
         }):
             for circuit, values, parameters, observable in normalized:
                 batch = values.shape[0]
-                template = circuit_to_experiment(circuit)
-                name = template.get("header", {}).get("name", "unnamed")
+                template = flatten_circuit(circuit)
                 for start, stop in broadcast_chunk_bounds(
                     batch, circuit.num_qubits
                 ):
@@ -336,11 +328,11 @@ class ExecutionEngine:
                     }
                     config["seed"] = all_seeds[offset + start]
                     plan.append({
-                        "experiment_index": len(payloads), "name": name,
-                        "chunk": None, "chunks": 1,
+                        "experiment_index": len(payloads),
+                        "name": template.name, "chunk": None, "chunks": 1,
                     })
-                    # The pub's chunks share one template dict, which
-                    # nothing downstream mutates.
+                    # The pub's chunks share one template snapshot, which
+                    # no engine mutates.
                     payloads.append((template, config))
                 offset += batch
         return self._end(backend, payloads, plan, kind, options, job_trace)

@@ -42,8 +42,8 @@ def execute(circuits, backend: BaseBackend, shots: int = 1024, seed=None,
     batch with any seed skips compilation entirely
     (``transpile_cache=False`` opts out; the returned job carries the
     cache counters as ``job.transpile_cache_stats``).  The batch is then
-    assembled into a Qobj and scheduled by the execution pipeline (see
-    :mod:`repro.providers.executor`).
+    snapshot, circuit by circuit, and scheduled by the execution pipeline
+    (see :mod:`repro.providers.executor`).
 
     Executor knobs:
 

@@ -1,8 +1,8 @@
 """Experiment scheduling: the middle stage of the execution pipeline.
 
-``BaseBackend.run`` assembles circuits into a Qobj and hands the
-per-experiment payloads to a :class:`Dispatch`, which runs them on one
-of three executors:
+``BaseBackend.run`` snapshots each circuit and hands the ``(circuit,
+config)`` payloads to a :class:`Dispatch`, which runs them on one of
+three executors:
 
 * ``"serial"`` (the default; ``"auto"`` and None mean the same) —
   in-process, one payload at a time, in the thread that collects.
@@ -14,16 +14,15 @@ of three executors:
   Helps when the experiments spend their time in large numpy operations
   that release the GIL.
 * ``"processes"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Workers rebuild the backend from its provider spec and the circuit
-  from its assembled (JSON-compatible, hence picklable) experiment
-  dictionary, so nothing non-trivial crosses the process boundary.
+  Workers rebuild the backend from its provider spec; the payload
+  itself, circuit and config, is pickled across the process boundary.
 
 The pools are opt-in: on 1–2 core hosts they lose to serial (pool
 start-up and payload pickling cost more than they save), so nothing
 picks them automatically.
 
-Determinism: per-experiment seeds are derived from the batch seed by the
-assembler before scheduling, so all three executors produce bit-identical
+Determinism: per-experiment seeds are derived from the batch seed at
+submission, before scheduling, so all three executors produce bit-identical
 :class:`~repro.providers.result.Result` payloads for a seeded batch —
 *including* batches with retried experiments, because a retry re-runs the
 experiment with its original derived seed.
@@ -205,13 +204,12 @@ def validate_outcome(outcome) -> None:
             )
 
 
-def run_assembled_experiment(backend, experiment: dict, config: dict):
-    """Run one assembled experiment with per-experiment retry; never raises.
+def run_assembled_experiment(backend, circuit, config: dict):
+    """Run one payload with per-experiment retry; never raises.
 
-    The experiment dictionary is disassembled back into a circuit (the
-    Qobj is the wire format of the pipeline, for every executor) and the
-    backend's ``_run_experiment`` hook does the actual simulation.  A
-    failure classified as transient by the config's
+    The backend's ``_run_experiment`` hook simulates the payload's circuit
+    — the snapshot taken at submission, the same object on every attempt
+    — under its config.  A failure classified as transient by the config's
     :class:`~repro.providers.retry.RetryPolicy` re-runs the experiment —
     with its original derived seed, so a successful retry is bit-identical
     to a fault-free run.  Non-transient errors, and transient ones that
@@ -221,9 +219,8 @@ def run_assembled_experiment(backend, experiment: dict, config: dict):
     from repro.providers.faults import FaultInjector
     from repro.providers.result import ExperimentResult
     from repro.providers.retry import resolve_retry_policy
-    from repro.qobj.assembler import experiment_to_circuit
 
-    name = experiment.get("header", {}).get("name", "unnamed")
+    name = circuit.name
     policy = resolve_retry_policy(config.get("retry_policy"))
     injector = config.get("fault_injector")
     if injector is not None and not isinstance(injector, FaultInjector):
@@ -253,7 +250,6 @@ def run_assembled_experiment(backend, experiment: dict, config: dict):
             if injector is not None:
                 injector.before_attempt(name, attempt, fault_log,
                                         chunk=chunk_index)
-            circuit = experiment_to_circuit(experiment)
             outcome = backend._run_experiment(circuit, config)
             if injector is not None:
                 injector.after_attempt(name, attempt, outcome, fault_log,
@@ -305,30 +301,31 @@ def run_assembled_experiment(backend, experiment: dict, config: dict):
     return outcome
 
 
-def _process_worker(spec, experiment, config):
+def _process_worker(spec, circuit, config):
     """Top-level (hence picklable) entry point for process-pool workers."""
-    return run_assembled_experiment(resolve_backend(spec), experiment, config)
+    return run_assembled_experiment(resolve_backend(spec), circuit, config)
 
 
-def _placeholder(payload, status: str, message: str):
+def _placeholder(name, status: str, message: str):
     """An ExperimentResult stand-in for a payload that never produced one."""
     from repro.providers.result import ExperimentResult
 
-    name = payload[0].get("header", {}).get("name", "unnamed")
     return ExperimentResult(name, 0, {}, status=status, error=message,
                             attempts=0)
 
 
 class Dispatch:
-    """A batch of ``(experiment, config)`` payloads on one executor.
+    """A batch of ``(circuit, config)`` payloads on one executor.
 
-    The dispatch holds every unit of a job's plan, and :attr:`_outcomes`
+    The dispatch runs every unit of a job's plan, and :attr:`_outcomes`
     is the one table of its finished units: the ``finished`` outcomes
     passed at construction (chunks a checkpoint restored) are in it from
-    the start, and the rest land as they run.  One collection loop,
-    :meth:`_drain`, serves :meth:`collect`, :meth:`iter_outcomes` and the
-    gather after a :meth:`cancel`.  Serial payloads run inside that loop,
-    in the collecting thread, from the first collect on; pools submit the
+    the start, and the rest land as they run.  A unit's payload is
+    dropped when its outcome lands, so a finished job keeps outcomes,
+    not circuits.  One collection loop, :meth:`_drain`, serves
+    :meth:`collect`, :meth:`iter_outcomes` and the gather after a
+    :meth:`cancel`.  Serial payloads run inside that loop, in the
+    collecting thread, from the first collect on; pools submit the
     missing payloads at construction and await them in completion order.
     A process pool that breaks mid-batch (a crashed worker, most
     commonly) re-submits its unfinished payloads to a thread pool once —
@@ -350,22 +347,26 @@ class Dispatch:
         #: Fallbacks taken; ``["processes->threads"]`` after a pool broke.
         self.fallbacks: list = []
         self._backend = backend
-        self._payloads = payloads
+        self._names = [circuit.name for circuit, _config in payloads]
         self._job_trace = job_trace
         #: index -> outcome: the finished units, restored ones from the
         #: start, so repeated or partial collects never re-run them.
         self._outcomes: dict = dict(finished or {})
+        #: index -> payload of every unit not finished yet, in batch
+        #: order; a unit's payload goes when its outcome lands.
+        self._pending: dict = {
+            index: payload for index, payload in enumerate(payloads)
+            if index not in self._outcomes
+        }
         #: index -> future (pool executors only).
         self._futures: dict = {}
         self._pool = None
         self._cancelled = False
         self._started = kind != "serial"
-        missing = [index for index in range(len(payloads))
-                   if index not in self._outcomes]
-        if kind == "serial" or not missing:
+        if kind == "serial" or not self._pending:
             return
         self._workers = max(
-            1, max_workers or min(len(missing), os.cpu_count() or 1)
+            1, max_workers or min(len(self._pending), os.cpu_count() or 1)
         )
         if kind == "processes":
             self._pool = ProcessPoolExecutor(max_workers=self._workers)
@@ -373,13 +374,13 @@ class Dispatch:
         else:
             self._pool = ThreadPoolExecutor(max_workers=self._workers)
             self._call = (run_assembled_experiment, backend)
-        for index in missing:
+        for index in self._pending:
             self._submit(index)
 
     def _submit(self, index: int) -> None:
         function, target = self._call
         self._futures[index] = self._pool.submit(
-            function, target, *self._payloads[index]
+            function, target, *self._pending[index]
         )
 
     def _fall_back(self, index: int) -> None:
@@ -403,7 +404,7 @@ class Dispatch:
         DONE once every payload has finished, or CANCELLED."""
         if self._cancelled:
             return JobStatus.CANCELLED
-        if len(self._outcomes) == len(self._payloads) or (
+        if len(self._outcomes) == len(self._names) or (
             self._futures
             and all(future.done() for future in self._futures.values())
         ):
@@ -420,7 +421,7 @@ class Dispatch:
         keep their outcomes — ``collect(partial=True)`` returns them
         alongside CANCELLED placeholders for the prevented ones.
         """
-        if self._cancelled or len(self._outcomes) == len(self._payloads):
+        if self._cancelled or len(self._outcomes) == len(self._names):
             return False
         if self._futures:
             # A list, not a generator: every queued future must be asked.
@@ -455,16 +456,17 @@ class Dispatch:
         """
         if self._pool is None:
             self._started = True
-            for index, (experiment, config) in enumerate(self._payloads):
+            for index, (circuit, config) in list(self._pending.items()):
                 if index in self._outcomes:
                     continue
                 if self._cancelled or (
                     deadline is not None and time.monotonic() >= deadline
                 ):
                     return
-                outcome = run_assembled_experiment(self._backend,
-                                                   experiment, config)
+                outcome = run_assembled_experiment(self._backend, circuit,
+                                                   config)
                 self._outcomes[index] = outcome
+                self._pending.pop(index, None)
                 yield index, outcome
             return
         while True:
@@ -497,10 +499,11 @@ class Dispatch:
                     continue
                 except Exception as exc:  # unpicklable payload and kin
                     outcome = _placeholder(
-                        self._payloads[index], JobStatus.ERROR,
+                        self._names[index], JobStatus.ERROR,
                         f"{type(exc).__name__}: {exc}",
                     )
                 self._outcomes[index] = outcome
+                self._pending.pop(index, None)
                 yield index, outcome
 
     def iter_outcomes(self):
@@ -532,7 +535,7 @@ class Dispatch:
         the deadline) for the payloads that were in flight and returns
         CANCELLED placeholders for the prevented ones.
         """
-        total = len(self._payloads)
+        total = len(self._names)
         if len(self._outcomes) < total:
             if self._cancelled and not partial:
                 raise BackendError("job was cancelled")
@@ -549,17 +552,18 @@ class Dispatch:
                 f"({len(self._outcomes)}/{total} experiments finished)"
             )
         outcomes = []
-        for index, payload in enumerate(self._payloads):
+        for index in range(total):
             future = self._futures.get(index)
             if index in self._outcomes:
                 outcomes.append(self._outcomes[index])
             elif self._cancelled and (future is None or future.cancelled()):
                 outcomes.append(_placeholder(
-                    payload, JobStatus.CANCELLED, "job was cancelled"
+                    self._names[index], JobStatus.CANCELLED,
+                    "job was cancelled",
                 ))
             else:
                 outcomes.append(_placeholder(
-                    payload, JobStatus.INCOMPLETE,
+                    self._names[index], JobStatus.INCOMPLETE,
                     f"not finished within {timeout}s",
                 ))
         return outcomes

@@ -280,10 +280,6 @@ class FakeQXBackend(QasmEngineBackend):
     def _noise(self, options):
         return options.get("noise_model", self._noise_model)
 
-    def _run_experiment(self, circuit, options):
-        self.validate(circuit)
-        return super()._run_experiment(circuit, options)
-
 
 class _IBMQProvider:
     """Stand-in for the paper's ``IBMQ`` account provider (Sec. IV)."""

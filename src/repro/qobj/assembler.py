@@ -5,6 +5,10 @@ interfaces ... and pass those constructs among the different Qiskit
 libraries, and to the hardware".  The 2018-era wire format was the Qobj: a
 JSON payload with per-experiment instruction lists over flat qubit/clbit
 indices.  ``assemble`` produces that payload, ``disassemble`` reverses it.
+
+The execution pipeline hands the engines circuits instead, snapshot by
+:func:`flatten_circuit` (the walk :func:`circuit_to_experiment`
+serializes), with the seeds and shot-chunk layout derived below.
 """
 
 from __future__ import annotations
@@ -21,90 +25,95 @@ from repro.circuit.library.standard_gates import (
     get_standard_gate,
 )
 from repro.circuit.measure import Barrier, Measure, Reset
-from repro.circuit.parameter import is_parameterized
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.circuit.register import ClassicalRegister, QuantumRegister
 from repro.exceptions import BackendError
 
 _QOBJ_COUNTER = itertools.count()
 
-_DIRECT_NAMES = set(STANDARD_GATES) | {"measure", "barrier", "reset"}
+#: Operations every engine runs as they are; any other is expanded.
+_DIRECT_NAMES = {*STANDARD_GATES, "measure", "barrier", "reset", "unitary",
+                 "diagonal"}
 
 
-def _serialize_operation(operation, qubit_indices, clbit_indices,
-                         creg_names):
-    """One instruction dict; composite gates are flattened recursively."""
+def _flatten(operation, qubits, clbits, inherited):
+    """Yield one instruction's flattened ``CircuitInstruction`` s;
+    ``inherited`` is the condition of its composite parent."""
+    condition = (inherited if operation.condition is None
+                 else operation.condition)
+    if operation.name in _DIRECT_NAMES:
+        operation = operation.copy()
+        operation.condition = condition
+        yield CircuitInstruction(operation, qubits, clbits)
+        return
+    definition = operation.definition
+    if definition is None:
+        raise BackendError(
+            f"cannot assemble '{operation.name}': not a standard gate and "
+            "no definition"
+        )
+    for sub, qpos, cpos in definition:
+        yield from _flatten(sub, [qubits[i] for i in qpos],
+                            [clbits[i] for i in cpos], condition)
+
+
+def flatten_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
+    """A snapshot of ``circuit`` that every engine can run, in one
+    flattening walk: same name and registers, operations copied.
+
+    Standard gates, ``unitary`` and ``diagonal`` gates, measure, barrier
+    and reset are kept; any other operation is expanded through its
+    definition, recursively, and each expanded operation without a
+    condition of its own inherits its parent's.  An operation with neither
+    a standard name nor a definition raises :class:`BackendError`.
+    Editing ``circuit`` afterwards leaves the snapshot as it was.
+    """
+    snapshot = circuit.copy_empty_like()
+    snapshot.data = [
+        flat for item in circuit.data
+        for flat in _flatten(item.operation, item.qubits, item.clbits, None)
+    ]
+    return snapshot
+
+
+def _serialize_operation(operation, qubit_indices, clbit_indices) -> dict:
+    """One instruction dict of a flattened operation."""
     name = operation.name
-    entry: dict = {"name": name, "qubits": list(qubit_indices)}
+    entry: dict = {"name": name, "qubits": qubit_indices}
     if operation.condition is not None:
         register, value = operation.condition
         entry["conditional"] = {"register": register.name, "value": value}
     if name == "measure":
-        entry["memory"] = list(clbit_indices)
-        return [entry]
-    if name in ("barrier", "reset"):
-        return [entry]
-    if name == "unitary":
-        matrix = operation.to_matrix()
+        entry["memory"] = clbit_indices
+    elif name == "unitary":
         entry["params"] = [
             [[float(cell.real), float(cell.imag)] for cell in row]
-            for row in matrix
+            for row in operation.to_matrix()
         ]
-        return [entry]
-    if name == "diagonal":
+    elif name == "diagonal":
         entry["params"] = [
             [float(cell.real), float(cell.imag)]
             for cell in operation.diagonal
         ]
-        return [entry]
-    if name in _DIRECT_NAMES:
-        if operation.params:
-            # Unbound parameter expressions survive serialization so a
-            # broadcast experiment can ship one symbolic template plus a
-            # (batch, params) value array instead of `batch` bound copies.
-            # They are picklable (not JSON-able); bound circuits still
-            # serialize to plain floats.
-            entry["params"] = [
-                p if is_parameterized(p) else float(p)
-                for p in operation.params
-            ]
-        return [entry]
-    definition = operation.definition
-    if definition is None:
-        raise BackendError(
-            f"cannot assemble '{name}': not a standard gate and no "
-            "definition"
-        )
-    flattened = []
-    for sub, qpos, cpos in definition:
-        sub = sub.copy()
-        if operation.condition is not None and sub.condition is None:
-            sub.condition = operation.condition
-        flattened.extend(
-            _serialize_operation(
-                sub,
-                [qubit_indices[i] for i in qpos],
-                [clbit_indices[i] for i in cpos],
-                creg_names,
-            )
-        )
-    return flattened
+    elif operation.params:
+        # An unbound parameter raises here: a Qobj carries numbers only.
+        entry["params"] = [float(p) for p in operation.params]
+    return entry
 
 
 def circuit_to_experiment(circuit: QuantumCircuit) -> dict:
-    """Serialize one circuit to an experiment dictionary."""
+    """Serialize one circuit, flattened by :func:`flatten_circuit`, to an
+    experiment dictionary."""
     qubit_index = {q: i for i, q in enumerate(circuit.qubits)}
     clbit_index = {c: i for i, c in enumerate(circuit.clbits)}
-    instructions = []
-    for item in circuit.data:
-        instructions.extend(
-            _serialize_operation(
-                item.operation,
-                [qubit_index[q] for q in item.qubits],
-                [clbit_index[c] for c in item.clbits],
-                {reg.name for reg in circuit.cregs},
-            )
+    instructions = [
+        _serialize_operation(
+            item.operation,
+            [qubit_index[q] for q in item.qubits],
+            [clbit_index[c] for c in item.clbits],
         )
+        for item in flatten_circuit(circuit).data
+    ]
     return {
         "header": {
             "name": circuit.name,
@@ -228,30 +237,23 @@ def experiment_to_circuit(experiment: dict) -> QuantumCircuit:
     for entry in experiment["instructions"]:
         name = entry["name"]
         qargs = [qubits[i] for i in entry.get("qubits", [])]
+        cargs = [clbits[i] for i in entry.get("memory", [])]
         if name == "measure":
-            cargs = [clbits[i] for i in entry["memory"]]
             operation = Measure()
         elif name == "barrier":
             operation = Barrier(len(qargs))
-            cargs = []
         elif name == "reset":
             operation = Reset()
-            cargs = []
         elif name == "unitary":
-            rows = entry["params"]
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in rows]
-            )
-            operation = UnitaryGate(matrix)
-            cargs = []
+            operation = UnitaryGate(np.array([
+                [complex(re, im) for re, im in row] for row in entry["params"]
+            ]))
         elif name == "diagonal":
             operation = DiagonalGate(
                 np.array([complex(re, im) for re, im in entry["params"]])
             )
-            cargs = []
         else:
             operation = get_standard_gate(name, entry.get("params", []))
-            cargs = []
         if "conditional" in entry:
             condition = entry["conditional"]
             register = cregs_by_name.get(condition["register"])

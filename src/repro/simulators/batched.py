@@ -382,7 +382,8 @@ class BroadcastProgram:
                     f"parameter values must have shape (batch, "
                     f"{len(parameters)}), got {values.shape}"
                 )
-            order = [parameters.index(p) for p in plan.ordered]
+            position = {p: i for i, p in enumerate(parameters)}
+            order = [position[p] for p in plan.ordered]
             values = np.ascontiguousarray(values[:, order])
         #: ``(batch, num_parameters)`` in ``plan.ordered`` column order.
         self.values = values

@@ -453,26 +453,28 @@ def _kron_gemm_operator(matrix, stride):
     return operator
 
 
+#: The latest retired state buffer; retiring another drops it.
 _DENSE_SCRATCH: dict = {}
 
 
 def _dense_out(flat):
-    """Fresh output buffer, reusing a retired state buffer when available.
+    """Fresh output buffer, reusing the retired state buffer when it fits.
 
     At n=20 a state is 16 MiB; allocating one per dense op means an mmap and
     a page-fault sweep each gate.  Steady-state evolution instead ping-pongs
-    between the live buffer and one retired via :func:`_dense_retire`.
+    between the live buffer and the one retired via :func:`_dense_retire`.
     """
-    candidate = _DENSE_SCRATCH.pop(flat.nbytes, None)
+    candidate = _DENSE_SCRATCH.pop("retired", None)
     if (
         candidate is not None
+        and candidate.nbytes == flat.nbytes
         and candidate.size == flat.size
         and not np.may_share_memory(candidate, flat)
     ):
         return candidate
-    # Pool empty, or the retired buffer is the very one now arriving as
-    # input (a caller legitimately recycled it) — matmul forbids aliased
-    # out, so fall back to a fresh allocation.
+    # Pool empty, a buffer of another size, or the retired buffer is the
+    # very one now arriving as input (a caller legitimately recycled it)
+    # — matmul forbids aliased out, so fall back to a fresh allocation.
     return np.empty_like(flat)
 
 
@@ -483,7 +485,7 @@ def _dense_retire(flat, mutate):
     returned array exclusively, so its old buffer is dead storage.
     """
     if mutate:
-        _DENSE_SCRATCH[flat.nbytes] = flat
+        _DENSE_SCRATCH["retired"] = flat
 
 
 def _apply_dense_low(flat, matrix, target, batch, mutate, row_size):

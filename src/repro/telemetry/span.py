@@ -14,7 +14,7 @@ is identical no matter which executor ran it.
 
 Spans serialize losslessly to plain dictionaries (:meth:`Span.to_dict` /
 :meth:`Span.from_dict`); that is how worker processes ship their spans
-back across the Qobj/result boundary.
+back across the process boundary with their results.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.ansatz import ry_ansatz
 from repro.circuit.gate import Gate, clear_matrix_cache
 from repro.circuit.library.standard_gates import (
     CU3Gate,
@@ -22,6 +23,7 @@ from repro.circuit.library.standard_gates import (
 )
 from repro.circuit.matrix_utils import apply_matrix
 from repro.simulators import kernels
+from repro.simulators.batched import evolve_broadcast
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -245,6 +247,20 @@ class TestGateMatrixCache:
         expected = apply_matrix(state, HGate().to_matrix(), [2], 4)
         result = kernels.apply_gate(state, HGate(), [2], 4)
         assert np.abs(result - expected).max() <= 1e-12
+
+
+class TestDenseScratch:
+    def test_pool_keeps_only_the_latest_retired_buffer(self):
+        # Broadcast row stacks of four sizes each retire a buffer into
+        # the pool; it must hold one, not one per size.
+        kernels.clear_caches()
+        form = ry_ansatz(6, reps=1)
+        rng = np.random.default_rng(8)
+        for batch in range(1, 5):
+            values = rng.uniform(-np.pi, np.pi,
+                                 size=(batch, form.num_parameters))
+            evolve_broadcast(form.circuit, values, form.parameters)
+        assert len(kernels._DENSE_SCRATCH) == 1
 
 
 class TestSimulatorsThroughKernels:
